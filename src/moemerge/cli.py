@@ -50,7 +50,18 @@ def _add_worker_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1, metavar="N",
                    help="worker threads for per-tensor work (default 1)")
     p.add_argument("--max-resident-bytes", type=int, default=None, metavar="BYTES",
-                   help="cap on estimated bytes of in-flight tensors")
+                   help="cap on the estimated bytes of in-flight tensor tasks: "
+                        "parents' raw bytes, output bytes and fixed block scratch")
+
+
+def _progress(verb: str):
+    """Progress callback printing every 50 tensors and at the end."""
+
+    def report(done: int, total: int) -> None:
+        if done == total or done % 50 == 0:
+            _msg(f"{verb} {done}/{total} tensors")
+
+    return report
 
 
 def _open_models(paths) -> list:
@@ -98,6 +109,7 @@ def cmd_diff(args) -> int:
             scheme,
             workers=args.threads,
             max_resident_bytes=args.max_resident_bytes,
+            progress=_progress("diffed"),
         )
         merge_core.save_diff_cache(records, args.out, fingerprints)
         _msg(f"wrote {len(records)} diff records to {args.out}")
@@ -125,6 +137,7 @@ def _diffs_for_config(config, args, models):
         config.scheme,
         workers=args.threads,
         max_resident_bytes=args.max_resident_bytes,
+        progress=_progress("diffed"),
     )
     return records, fingerprints
 
@@ -205,8 +218,10 @@ def cmd_merge(args) -> int:
             for p in problems:
                 _msg(f"incompatible: {p}")
             return EXIT_VALIDATION
-        records, fingerprints = _diffs_for_config(config, args, models)
-        plan = merge_core.plan_merge(config, records, fingerprints)
+        plan = None
+        if args.diffs or args.dry_run:
+            records, fingerprints = _diffs_for_config(config, args, models)
+            plan = merge_core.plan_merge(config, records, fingerprints)
 
     if args.dry_run:
         _print_plan_table(plan)
@@ -225,20 +240,17 @@ def cmd_merge(args) -> int:
     out = Path(args.out)
     _check_out_dir(out, args.force)
 
-    def progress(done: int, total: int) -> None:
-        if done == total or done % 50 == 0:
-            _msg(f"merged {done}/{total} tensors")
-
+    # Without a plan, execute_merge gates inside its single pass.
     index, report = merge_core.execute_merge(
         plan,
         config,
         out,
         workers=args.threads,
         max_resident_bytes=args.max_resident_bytes,
-        progress=progress,
+        progress=_progress("merged"),
     )
     (out / "merge_plan.json").write_text(
-        json.dumps(plan.to_json_obj(), indent=1) + "\n", "utf-8"
+        json.dumps(report.plan.to_json_obj(), indent=1) + "\n", "utf-8"
     )
     (out / "merge_report.json").write_text(
         json.dumps(report.to_json_obj(), indent=2) + "\n", "utf-8"

@@ -4,13 +4,20 @@ The construction: for every tensor of the base model, compute the maximum
 normalized Frobenius difference against each other parent. A tensor is
 merged (weighted sum of all parents) iff it belongs to the configured
 subset AND that maximum strictly exceeds the threshold; otherwise the base
-model's raw bytes are copied bit-exactly. Planning and execution are two
-separate passes so plans can be audited, diffed, and reused (the threshold
-sweep reuses diff records without touching the checkpoints again).
+model's raw bytes are copied bit-exactly.
 
-Diffing and merging stream tensor-by-tensor with a bounded worker pool;
-results are written in plan order, so output is independent of the worker
-count.
+A tensor's gate depends only on its own diff, so a recipe merge is one
+streaming pass: each tensor task reads every parent's bytes once, diffs
+them in fixed blocks, gates, and then combines the blocks into the output
+or hands on the base bytes it already holds. The resolved plan comes out
+of the same pass as an audit record. ``compute_diffs`` runs the same task
+without the gate. A reviewed plan (``plan`` -> ``merge --plan``) skips the
+diff: its copies read only the base and its merges share the blocked
+combine. The threshold sweep reuses diff records without touching the
+checkpoints again.
+
+Tasks run on a bounded worker pool; results are written in base layout
+order, so output is independent of the worker count.
 """
 
 from __future__ import annotations
@@ -47,7 +54,15 @@ from .taxonomy import (
     subset_from_json_obj,
     subset_to_json_obj,
 )
-from .tensor_math import decode, encode, linear_combination, normalized_frobenius_diff
+from .tensor_math import (
+    BLOCK_ELEMS,
+    decode,
+    encode,
+    linear_combination,
+    normalized_frobenius_diff,  # noqa: F401  (patched by perfbench/spans.py)
+    rms_from_partials,
+    squared_diff_sum,
+)
 
 CONVEXITY_TOL = 1e-12
 
@@ -263,6 +278,7 @@ class MergeReport:
     output_files: list[str]
     config_echo: dict
     tool_version: str = __version__
+    plan: MergePlan | None = None  # the executed plan; not serialized
 
     def to_json_obj(self) -> dict:
         return {
@@ -346,47 +362,155 @@ def _ordered_parallel(
             yield fut.result()
 
 
+def _resident_cost(info: TensorInfo, n_models: int, *, output: bool) -> int:
+    """Estimated peak bytes of one tensor task.
+
+    Every parent's raw bytes, the output buffer when the task builds one,
+    and the float64 scratch of one block (each parent's decoded values plus
+    the combine and diff temporaries).
+    """
+    scratch = min(info.numel, BLOCK_ELEMS) * 8 * (2 * n_models + 2)
+    out = info.nbytes if output else 0
+    return max(info.nbytes * n_models + out + scratch, 1)
+
+
+def _read_parents(
+    models: Sequence[CheckpointIndex], name: str, info: TensorInfo
+) -> list[bytes]:
+    """Every parent's raw bytes of one tensor, checked against the base entry."""
+    raws = [read_tensor_raw(models[0], name)]
+    for i, other in enumerate(models[1:], start=2):
+        got = other.tensors.get(name)
+        if got is None:
+            raise CompatibilityError(f"{name!r} missing in model {i}")
+        if got.shape != info.shape or got.dtype is not info.dtype:
+            raise CompatibilityError(f"{name!r} shape/dtype mismatch in model {i}")
+        raws.append(read_tensor_raw(other, name))
+    return raws
+
+
+def _decoded_blocks(raws: Sequence[bytes], info: TensorInfo) -> Iterator[list[np.ndarray]]:
+    """Each parent's float64 values, one ``BLOCK_ELEMS`` block at a time."""
+    if info.numel <= BLOCK_ELEMS:
+        yield [decode(raw, info.dtype) for raw in raws]
+        return
+    width = info.dtype.byte_width
+    views = [memoryview(raw) for raw in raws]
+    for first in range(0, info.numel, BLOCK_ELEMS):
+        lo, hi = first * width, min(first + BLOCK_ELEMS, info.numel) * width
+        yield [decode(view[lo:hi], info.dtype) for view in views]
+
+
+def _diff_parents(
+    name: str, category: TensorCategory, raws: Sequence[bytes], info: TensorInfo
+) -> tuple[DiffRecord, list[np.ndarray] | None]:
+    """The tensor's DiffRecord from one blocked pass over the parents.
+
+    Also returns the decoded parents when the tensor is a single block, so
+    a merge can combine them without decoding again.
+    """
+    partials: list[list[float]] = [[] for _ in raws[1:]]
+    blocks: list[np.ndarray] = []
+    for blocks in _decoded_blocks(raws, info):
+        for acc, other in zip(partials, blocks[1:]):
+            acc.append(squared_diff_sum(blocks[0], other))
+    diffs = tuple(rms_from_partials(acc, info.numel) for acc in partials)
+    single = info.numel <= BLOCK_ELEMS
+    return DiffRecord(name, category, diffs, max(diffs)), blocks if single else None
+
+
+def _combine(
+    raws: Sequence[bytes],
+    info: TensorInfo,
+    lambdas: Sequence[float],
+    decoded: list[np.ndarray] | None = None,
+) -> tuple[bytearray, list[int]]:
+    """Weighted sum of the parents, block by block, into one output buffer.
+
+    ``decoded`` is the single block already decoded by the diff, if any.
+    Also returns the 1-based parents that held a non-finite value.
+    """
+    out = bytearray(info.nbytes)
+    bad: set[int] = set()
+    pos = 0
+    for blocks in [decoded] if decoded is not None else _decoded_blocks(raws, info):
+        for i, values in enumerate(blocks, start=1):
+            if not np.isfinite(values).all():
+                bad.add(i)
+        data = encode(linear_combination(blocks, lambdas), info.dtype)
+        out[pos:pos + len(data)] = data
+        pos += len(data)
+    return out, sorted(bad)
+
+
+_Outcome = tuple[DiffRecord | None, MergeDecision | None, bytes | bytearray | None, list[int]]
+
+
+def _tensor_task(
+    models: Sequence[CheckpointIndex],
+    scheme: NamingScheme,
+    gate: Callable[[DiffRecord], MergeDecision] | None,
+) -> Callable[[str], _Outcome]:
+    """The one pass over a tensor: read each parent once, diff, and gate.
+
+    Without a gate the task stops after the diff. With one, a merged
+    tensor is combined block by block and a copied one hands on the base
+    bytes already read. Returns (record, decision, output bytes,
+    non-finite parents).
+    """
+    base = models[0]
+
+    def task(name: str) -> _Outcome:
+        category = classify(name, scheme)
+        info = base.tensors[name]
+        if len(models) == 1 or info.numel == 0:
+            record = DiffRecord(name, category, (0.0,) * (len(models) - 1), 0.0)
+            raws, decoded = None, None
+        else:
+            raws = _read_parents(models, name, info)
+            record, decoded = _diff_parents(name, category, raws, info)
+        if gate is None:
+            return record, None, None, []
+        decision = gate(record)
+        if decision.action == ACTION_COPY_BASE:
+            return record, decision, raws[0] if raws else read_tensor_raw(base, name), []
+        assert raws is not None and decision.lambdas is not None
+        data, bad = _combine(raws, info, decision.lambdas, decoded)
+        return record, decision, data, bad
+
+    return task
+
+
 def compute_diffs(
     models: Sequence[CheckpointIndex],
     scheme: NamingScheme = DEFAULT_SCHEME,
     *,
     workers: int = 1,
     max_resident_bytes: int | None = None,
+    progress: Callable[[int, int], None] | None = None,
 ) -> list[DiffRecord]:
     """One DiffRecord per base tensor, streamed with bounded memory.
 
     With a single model every record is zero. Tensors with no elements also
     diff to zero. Compatibility should be validated first; shape/dtype
     surprises at read time raise CompatibilityError with the tensor named.
+    ``progress(done, total)`` is called in layout order as records arrive.
     """
     if not models:
         raise ValueError("no models given")
     base = models[0]
     names = base.layout_names()
-
-    def task(name: str) -> DiffRecord:
-        category = classify(name, scheme)
-        info = base.tensors[name]
-        if len(models) == 1 or info.numel == 0:
-            return DiffRecord(name, category, (0.0,) * max(len(models) - 1, 0), 0.0)
-        base_vals = decode(read_tensor_raw(base, name), info.dtype)
-        diffs = []
-        for i, other in enumerate(models[1:], start=2):
-            got = other.tensors.get(name)
-            if got is None:
-                raise CompatibilityError(f"{name!r} missing in model {i}")
-            if got.shape != info.shape or got.dtype is not info.dtype:
-                raise CompatibilityError(
-                    f"{name!r} shape/dtype mismatch in model {i}"
-                )
-            other_vals = decode(read_tensor_raw(other, name), got.dtype)
-            diffs.append(normalized_frobenius_diff(base_vals, other_vals))
-        return DiffRecord(name, category, tuple(diffs), max(diffs))
+    task = _tensor_task(models, scheme, None)
 
     def cost(name: str) -> int:
-        return base.tensors[name].numel * 8 * max(len(models), 2) * 2
+        return _resident_cost(base.tensors[name], len(models), output=False)
 
-    return list(_ordered_parallel(names, task, workers, cost, max_resident_bytes))
+    records = []
+    for record, _, _, _ in _ordered_parallel(names, task, workers, cost, max_resident_bytes):
+        records.append(record)
+        if progress is not None:
+            progress(len(records), len(names))
+    return records
 
 
 def save_diff_cache(
@@ -444,38 +568,44 @@ def plan_merge(
     if unknown:
         raise RecipeError(f"lambda overrides for unknown tensors: {sorted(unknown)}")
 
-    decisions = []
-    for record in diffs:
-        member = in_subset(record.category, config.subset, record.name)
-        if member and record.max_diff > config.delta:
-            lams = tuple(overrides.get(record.name, config.lambdas))
-            one_hot = lams[0] == 1.0 and all(lam == 0.0 for lam in lams[1:])
-            decisions.append(
-                MergeDecision(
-                    name=record.name,
-                    category=record.category,
-                    action=ACTION_MERGE,
-                    max_diff=record.max_diff,
-                    lambdas=lams,
-                    base_preserving=one_hot or record.max_diff == 0.0,
-                )
-            )
-        else:
-            reason = REASON_BELOW_THRESHOLD if member else REASON_NOT_IN_SUBSET
-            decisions.append(
-                MergeDecision(
-                    name=record.name,
-                    category=record.category,
-                    action=ACTION_COPY_BASE,
-                    max_diff=record.max_diff,
-                    reason=reason,
-                    base_preserving=True,
-                )
-            )
+    decisions = [_decide(record, config, overrides) for record in diffs]
     return MergePlan(
         decisions=decisions,
         model_fingerprints=list(model_fingerprints),
         config_echo=config.to_json_obj(),
+    )
+
+
+def _decide(
+    record: DiffRecord,
+    config: MergeConfig,
+    overrides: dict[str, Sequence[float]] | None = None,
+) -> MergeDecision:
+    """The per-tensor case split, shared by planning and the fused pass.
+
+    Merge iff the tensor is in the subset and its max diff strictly exceeds
+    delta (ties copy the base). A merge is base-preserving when its weights
+    are one-hot on the base or the parents are identical.
+    """
+    member = in_subset(record.category, config.subset, record.name)
+    if member and record.max_diff > config.delta:
+        lams = tuple((overrides or {}).get(record.name, config.lambdas))
+        one_hot = lams[0] == 1.0 and all(lam == 0.0 for lam in lams[1:])
+        return MergeDecision(
+            name=record.name,
+            category=record.category,
+            action=ACTION_MERGE,
+            max_diff=record.max_diff,
+            lambdas=lams,
+            base_preserving=one_hot or record.max_diff == 0.0,
+        )
+    return MergeDecision(
+        name=record.name,
+        category=record.category,
+        action=ACTION_COPY_BASE,
+        max_diff=record.max_diff,
+        reason=REASON_BELOW_THRESHOLD if member else REASON_NOT_IN_SUBSET,
+        base_preserving=True,
     )
 
 
@@ -491,7 +621,7 @@ def _provenance_metadata(config: MergeConfig) -> dict[str, str]:
 
 
 def execute_merge(
-    plan: MergePlan,
+    plan: MergePlan | None,
     config: MergeConfig,
     out: str | Path,
     *,
@@ -499,77 +629,72 @@ def execute_merge(
     max_resident_bytes: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> tuple[CheckpointIndex, MergeReport]:
-    """Run a plan as a streaming pass and write the merged checkpoint.
+    """Merge the parents in one streaming pass and write the checkpoint.
 
-    Re-opens the parents and refuses to run if their header hashes differ
-    from the ones the plan was computed against. Merge decisions decode all
-    parents, combine in float64, and re-encode to the original dtype; copy
-    decisions move the base model's raw bytes untouched. Output tensor
-    order follows the plan (= base layout), so reruns are byte-identical.
+    With ``plan=None`` the gate runs inside the pass: each tensor's parents
+    are read once, diffed, gated and then merged or copied, and the
+    resolved plan (equal to ``plan_merge`` over ``compute_diffs``) is
+    attached to the report as ``report.plan``. With a reviewed plan, the
+    parents are re-opened and must still have the header hashes the plan
+    was computed against; copy decisions read only the base.
+
+    Merge decisions decode all parents block by block, combine in float64,
+    and re-encode to the original dtype; copy decisions move the base
+    model's raw bytes untouched. Output tensor order follows the base
+    layout, so reruns are byte-identical.
     """
     start = time.monotonic()
     config.validate()
     models = [open_checkpoint(p) for p in config.models]
     fingerprints = [m.fingerprint() for m in models]
-    if fingerprints != plan.model_fingerprints:
-        raise MergeError(
-            "input checkpoints changed since planning (header hash mismatch); "
-            "recompute diffs and re-plan"
-        )
     base = models[0]
     layout = base.layout_names()
-    plan_names = [d.name for d in plan.decisions]
-    if sorted(plan_names) != sorted(layout):
-        raise MergeError("plan does not cover exactly the base model's tensor set")
-    if plan_names != layout:
-        order = {n: i for i, n in enumerate(layout)}
-        plan = MergePlan(
-            decisions=sorted(plan.decisions, key=lambda d: order[d.name]),
-            model_fingerprints=plan.model_fingerprints,
-            config_echo=plan.config_echo,
-        )
-
     n_models = len(models)
 
-    def task(decision: MergeDecision) -> tuple[TensorInfo, bytes, list[int]]:
-        info = base.tensors[decision.name]
-        if decision.action == ACTION_COPY_BASE:
-            return info, read_tensor_raw(base, decision.name), []
-        assert decision.lambdas is not None
-        buffers = []
-        bad_models: list[int] = []
-        for i, model in enumerate(models):
-            got = model.tensors.get(decision.name)
-            if got is None or got.shape != info.shape or got.dtype is not info.dtype:
-                raise CompatibilityError(
-                    f"{decision.name!r} shape/dtype mismatch in model {i + 1}"
-                )
-            values = decode(read_tensor_raw(model, decision.name), info.dtype)
-            if values.size and not np.isfinite(values).all():
-                bad_models.append(i + 1)
-            buffers.append(values)
-        merged = linear_combination(buffers, decision.lambdas)
-        return info, encode(merged, info.dtype), bad_models
+    if plan is None:
+        problems = validate_compatibility(models)
+        if problems:
+            raise CompatibilityError("; ".join(problems))
+        task = _tensor_task(models, config.scheme, lambda r: _decide(r, config))
 
-    def cost(decision: MergeDecision) -> int:
-        mult = 1 if decision.action == ACTION_COPY_BASE else n_models * 8
-        return max(base.tensors[decision.name].nbytes * mult, 1)
+        def cost(name: str) -> int:
+            return _resident_cost(base.tensors[name], n_models, output=True)
+    else:
+        if fingerprints != plan.model_fingerprints:
+            raise MergeError(
+                "input checkpoints changed since planning (header hash mismatch); "
+                "recompute diffs and re-plan"
+            )
+        planned = {d.name: d for d in plan.decisions}
+        if len(planned) != len(plan.decisions) or planned.keys() != set(layout):
+            raise MergeError("plan does not cover exactly the base model's tensor set")
 
+        def task(name: str) -> _Outcome:
+            decision = planned[name]
+            if decision.action == ACTION_COPY_BASE:
+                return None, decision, read_tensor_raw(base, name), []
+            assert decision.lambdas is not None
+            info = base.tensors[name]
+            data, bad = _combine(_read_parents(models, name, info), info, decision.lambdas)
+            return None, decision, data, bad
+
+        def cost(name: str) -> int:
+            copy = planned[name].action == ACTION_COPY_BASE
+            info = base.tensors[name]
+            return info.nbytes if copy else _resident_cost(info, n_models, output=True)
+
+    decisions: list[MergeDecision] = []
     nonfinite: list[dict] = []
-    done = 0
 
     def stream():
-        nonlocal done
-        results = _ordered_parallel(
-            plan.decisions, task, workers, cost, max_resident_bytes
-        )
-        for decision, (info, data, bad_models) in zip(plan.decisions, results):
+        results = _ordered_parallel(layout, task, workers, cost, max_resident_bytes)
+        for name, (_, decision, data, bad_models) in zip(layout, results):
             if bad_models:
-                nonfinite.append({"name": decision.name, "models": bad_models})
-            done += 1
+                nonfinite.append({"name": name, "models": bad_models})
+            decisions.append(decision)
             if progress is not None:
-                progress(done, len(plan.decisions))
-            yield info, data
+                progress(len(decisions), len(layout))
+            yield base.tensors[name], data
 
     out_index = write_checkpoint(
         stream(),
@@ -578,6 +703,8 @@ def execute_merge(
         base=base,
         metadata=_provenance_metadata(config),
     )
+    if plan is None:
+        plan = MergePlan(decisions, fingerprints, config.to_json_obj())
     report = MergeReport(
         counts=plan.counts(),
         nonfinite=nonfinite,
@@ -585,6 +712,7 @@ def execute_merge(
         model_fingerprints=fingerprints,
         output_files=[s.name for s in out_index.shards],
         config_echo=plan.config_echo,
+        plan=plan,
     )
     return out_index, report
 

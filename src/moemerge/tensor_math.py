@@ -15,6 +15,18 @@ encode narrows float64 -> float32 (hardware round-to-nearest-even) and
 then float32 -> BF16 (bias-trick round-to-nearest-even). Signaling NaNs
 quieten on that path; tensors that are copied rather than merged never
 pass through these kernels, so raw NaN payloads survive copies.
+
+Reduction order
+---------------
+The normalized Frobenius difference is reduced in fixed blocks of
+``BLOCK_ELEMS`` = 2**18 elements: ``np.sum`` (numpy's pairwise summation)
+of the squared differences inside each block, then ``math.fsum`` (exactly
+rounded, so independent of the partials' order) across the blocks. The
+block size is a constant, so a diff never depends on worker counts or
+memory budgets, and a streaming caller that decodes one block at a time
+gets the same bits as a whole-array call. A tensor of at most one block
+reduces exactly as a single ``np.sum``. Decode, encode and the linear
+combination are elementwise, so blocking them never changes a bit.
 """
 
 from __future__ import annotations
@@ -28,11 +40,16 @@ from .dtypes import DType
 from .errors import UnsupportedDTypeError
 
 __all__ = [
+    "BLOCK_ELEMS",
     "decode",
     "encode",
     "linear_combination",
     "normalized_frobenius_diff",
+    "rms_from_partials",
+    "squared_diff_sum",
 ]
+
+BLOCK_ELEMS = 1 << 18
 
 _NUMPY_CODECS = {
     DType.F64: np.dtype("<f8"),
@@ -48,7 +65,9 @@ _NUMPY_CODECS = {
 
 def _bf16_bits_to_f32(bits: np.ndarray) -> np.ndarray:
     """Widen BF16 bit patterns (uint16) to float32. Exact for every pattern."""
-    return (bits.astype(np.uint32) << 16).view(np.float32)
+    wide = bits.astype(np.uint32)
+    wide <<= 16
+    return wide.view(np.float32)
 
 
 def _f32_to_bf16_bits(values: np.ndarray) -> np.ndarray:
@@ -58,9 +77,16 @@ def _f32_to_bf16_bits(values: np.ndarray) -> np.ndarray:
     rounding bias cannot carry a NaN into an infinity.
     """
     u = values.view(np.uint32)
-    rounded = ((u + 0x7FFF + ((u >> 16) & 1)) >> 16).astype(np.uint16)
-    nan_bits = ((u >> 16) | 0x0040).astype(np.uint16)
-    return np.where(np.isnan(values), nan_bits, rounded)
+    rounded = u >> 16
+    rounded &= 1
+    rounded += u
+    rounded += 0x7FFF
+    rounded >>= 16
+    bits = rounded.astype(np.uint16)
+    nan = np.isnan(values)
+    if nan.any():
+        bits[nan] = ((u[nan] >> 16) | 0x0040).astype(np.uint16)
+    return bits
 
 
 def decode(raw: bytes | bytearray | memoryview, dtype: DType) -> np.ndarray:
@@ -99,7 +125,7 @@ def encode(values: np.ndarray, dtype: DType) -> bytes:
     buf = np.asarray(values, dtype=np.float64).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         if dtype is DType.BF16:
-            return _f32_to_bf16_bits(buf.astype(np.float32)).astype("<u2").tobytes()
+            return _f32_to_bf16_bits(buf.astype(np.float32)).astype("<u2", copy=False).tobytes()
         if dtype is DType.BOOL:
             return (buf != 0).astype("?").tobytes()
         if dtype in (DType.I64, DType.I32, DType.I8, DType.U8):
@@ -107,12 +133,37 @@ def encode(values: np.ndarray, dtype: DType) -> bytes:
         return buf.astype(_NUMPY_CODECS[dtype]).tobytes()
 
 
+def squared_diff_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of squared element differences of one block, in float64.
+
+    This is the per-block partial of the normalized Frobenius difference:
+    ``np.sum`` of ``(a - b)**2``. Callers keep blocks at most
+    ``BLOCK_ELEMS`` long and pass equal lengths.
+    """
+    d = np.asarray(a, dtype=np.float64).reshape(-1) - np.asarray(b, dtype=np.float64).reshape(-1)
+    np.square(d, out=d)
+    return float(np.sum(d))
+
+
+def rms_from_partials(partials: Sequence[float], numel: int) -> float:
+    """sqrt(sum of the block partials) / sqrt(numel).
+
+    The partials are summed with ``math.fsum``; a sum too large for a float
+    is +inf, as a plain float64 sum would give.
+    """
+    try:
+        total = math.fsum(partials)
+    except OverflowError:
+        total = math.inf
+    return math.sqrt(total) / math.sqrt(numel)
+
+
 def normalized_frobenius_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius norm of (a - b), divided by sqrt of the element count.
 
     Equivalently the root-mean-square of element differences. Differences
     are squared (never signed terms), so d(a, b) == d(b, a) bit-exactly,
-    and the float64 pairwise-summed accumulation is deterministic.
+    and the blocked reduction (see the module docstring) is deterministic.
 
     Raises:
         ValueError: length mismatch or empty inputs.
@@ -123,9 +174,11 @@ def normalized_frobenius_diff(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     if a.size == 0:
         raise ValueError("normalized Frobenius difference of empty tensors")
-    d = a - b
-    total = float(np.sum(np.square(d)))
-    return math.sqrt(total) / math.sqrt(d.size)
+    partials = [
+        squared_diff_sum(a[i:i + BLOCK_ELEMS], b[i:i + BLOCK_ELEMS])
+        for i in range(0, a.size, BLOCK_ELEMS)
+    ]
+    return rms_from_partials(partials, a.size)
 
 
 def linear_combination(
@@ -165,9 +218,12 @@ def linear_combination(
         return np.zeros(size, dtype=np.float64)
     if len(live) == 1 and live[0][0] == 1.0:
         return live[0][1].copy()
-    terms = [lam * buf for lam, buf in live]
+    terms = [lam * buf for lam, buf in live]  # fresh arrays, summed in place
     while len(terms) > 1:
-        paired = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
+        paired = [
+            np.add(terms[i], terms[i + 1], out=terms[i])
+            for i in range(0, len(terms) - 1, 2)
+        ]
         if len(terms) % 2:
             paired.append(terms[-1])
         terms = paired

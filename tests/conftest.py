@@ -124,3 +124,15 @@ def tiny_pair(tmp_path_factory):
 def tiny_base(tmp_path):
     idx, manifest = mm.generate_base(TINY_SPEC, tmp_path / "base")
     return idx, manifest
+
+
+@pytest.fixture(scope="session")
+def tiny_trio(tiny_pair, tmp_path_factory):
+    """tiny_pair's base and variant plus a second variant, for three-parent merges."""
+    root = tmp_path_factory.mktemp("tiny_trio")
+    perts = (
+        mm.PerturbationSpec("shared_expert_mlp", "gaussian", 0.003),
+        mm.PerturbationSpec("attention", "shift", 0.001),
+    )
+    var2, _ = mm.generate_variant(TINY_SPEC, perts, root / "variant2")
+    return {"models": [tiny_pair["base"], tiny_pair["variant"], var2]}

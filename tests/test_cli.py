@@ -388,3 +388,49 @@ def test_merge_pack_output_mode(workdir):
     mirror_out = workdir["tmp"] / "mirror"
     assert main(["merge", "--recipe", str(workdir["recipe"]), "--out", str(mirror_out)]) == 0
     assert read_all_bytes(out) == read_all_bytes(mirror_out)
+
+
+# --- fused merge and diff progress ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--threads", "1"],
+        ["--threads", "2"],
+        ["--threads", "8"],
+        ["--threads", "8", "--max-resident-bytes", "65536"],
+    ],
+)
+def test_merge_recipe_matches_plan_then_merge_plan(tmp_path, tiny_trio, flags):
+    recipe = {
+        "models": [str(m.root) for m in tiny_trio["models"]],
+        "lambdas": [0.5, 0.25, 0.25],
+        "delta": 0.005,
+    }
+    rp = tmp_path / "recipe.json"
+    rp.write_text(json.dumps(recipe))
+    plan_path = tmp_path / "plan.json"
+    assert main(["plan", "--recipe", str(rp), "--out", str(plan_path)]) == 0
+    assert main(["merge", "--plan", str(plan_path), "--out", str(tmp_path / "planned")]) == 0
+    assert main(["merge", "--recipe", str(rp), "--out", str(tmp_path / "fused"), *flags]) == 0
+
+    def outputs(root):
+        return {p.name: p.read_bytes() for p in root.iterdir() if p.name != "merge_report.json"}
+
+    fused = outputs(tmp_path / "fused")
+    assert fused == outputs(tmp_path / "planned")
+    assert fused["merge_plan.json"] == plan_path.read_bytes()
+    reports = [json.loads((tmp_path / d / "merge_report.json").read_text()) for d in ("fused", "planned")]
+    assert reports[0]["counts"] == reports[1]["counts"]
+    assert reports[0]["counts"]["merged"] > 0 and reports[0]["counts"]["copied"] > 0
+
+
+def test_diff_prints_progress(workdir, capsys):
+    pair = workdir["pair"]
+    cache = workdir["tmp"] / "c.json"
+    assert main(["diff", str(pair["base"].root), str(pair["variant"].root), "--out", str(cache)]) == 0
+    total = len(pair["base"].tensors)
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("diffed")]
+    assert lines[-1] == f"diffed {total}/{total} tensors"
+    assert lines[:-1] == [f"diffed {n}/{total} tensors" for n in range(50, total, 50)]

@@ -15,6 +15,7 @@ from moemerge.merge_core import (
     MergePlan,
 )
 from moemerge.taxonomy import EXPERTS_ONLY_SUBSET, TensorGroup
+from moemerge.tensor_math import BLOCK_ELEMS
 
 from conftest import TINY_SPEC, build_safetensors
 
@@ -455,3 +456,128 @@ def test_config_json_round_trip_includes_output_policy(tiny_pair):
     )
     again = mm.MergeConfig.from_json_obj(json.loads(json.dumps(cfg.to_json_obj())))
     assert again == cfg
+
+
+# --- fused single-pass merge -----------------------------------------------------------
+
+
+def shard_bytes(index):
+    return [s.path.read_bytes() for s in index.shards]
+
+
+def trio_config(trio, **kwargs):
+    defaults = dict(
+        models=tuple(str(m.root) for m in trio["models"]),
+        lambdas=(0.5, 0.25, 0.25),
+        delta=0.005,
+    )
+    defaults.update(kwargs)
+    return mm.MergeConfig(**defaults)
+
+
+@pytest.mark.parametrize("subset", [mm.FULL_SUBSET, EXPERTS_ONLY_SUBSET], ids=["full", "experts"])
+@pytest.mark.parametrize("workers,budget", [(1, None), (2, None), (8, None), (8, 64 * 1024)])
+def test_fused_merge_matches_plan_then_execute(tiny_trio, tmp_path, subset, workers, budget):
+    models = tiny_trio["models"]
+    cfg = trio_config(tiny_trio, subset=subset)
+    plan = mm.plan_merge(cfg, mm.compute_diffs(models), [m.fingerprint() for m in models])
+    counts = plan.counts()
+    assert counts["merged"] > 0 and counts["copied"] > 0
+    planned, planned_report = mm.execute_merge(plan, cfg, tmp_path / "planned")
+    fused, report = mm.execute_merge(
+        None, cfg, tmp_path / "fused", workers=workers, max_resident_bytes=budget
+    )
+    assert json.dumps(report.plan.to_json_obj()) == json.dumps(plan.to_json_obj())
+    assert report.counts == planned_report.counts == counts
+    assert "plan" not in report.to_json_obj()
+    assert shard_bytes(fused) == shard_bytes(planned)
+
+
+def test_multi_block_tensor_diffs_identically_everywhere(tmp_path):
+    import math
+
+    n = 3 * BLOCK_ELEMS + 1000
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(n).astype("<f4")
+    b = (a + 0.01 * rng.standard_normal(n)).astype("<f4")
+    small = np.arange(8, dtype="<f4")
+    paths = []
+    for tag, big in (("a", a), ("b", b)):
+        path = tmp_path / f"{tag}.safetensors"
+        path.write_bytes(build_safetensors([
+            ("big", "F32", [n], big.tobytes()), ("small", "F32", [8], small.tobytes()),
+        ]))
+        paths.append(path)
+    models = [mm.open_checkpoint(p) for p in paths]
+    want = mm.normalized_frobenius_diff(a.astype(np.float64), b.astype(np.float64))
+    oracle = math.sqrt(math.fsum((a.astype(np.float64) - b) ** 2)) / math.sqrt(n)
+    assert want == pytest.approx(oracle, rel=1e-12)
+    merged = mm.encode(mm.linear_combination([a, b], (0.5, 0.5)), mm.DType.F32)
+    cfg = mm.MergeConfig(models=tuple(str(p) for p in paths), lambdas=(0.5, 0.5))
+    for workers, budget in [(1, None), (2, None), (8, None), (8, 64 * 1024)]:
+        records = mm.compute_diffs(models, workers=workers, max_resident_bytes=budget)
+        assert records[0].name == "big" and records[0].max_diff == want
+        out, report = mm.execute_merge(
+            None, cfg, tmp_path / f"m{workers}-{budget}", workers=workers,
+            max_resident_bytes=budget,
+        )
+        assert report.plan.decisions[0].max_diff == want
+        assert mm.read_tensor_raw(out, "big") == merged
+        assert mm.read_tensor_raw(out, "small") == small.tobytes()
+
+
+def test_fused_gate_tie_copies_the_base(tmp_path):
+    f32 = np.arange(8, dtype="<f4")
+    a = tmp_path / "a.safetensors"
+    b = tmp_path / "b.safetensors"
+    a.write_bytes(build_safetensors([("x", "F32", [8], f32.tobytes())]))
+    b.write_bytes(build_safetensors([("x", "F32", [8], (f32 + 1.0).tobytes())]))
+    models = (str(a), str(b))
+    out, report = mm.execute_merge(
+        None, mm.MergeConfig(models=models, lambdas=(0.5, 0.5), delta=1.0), tmp_path / "tie"
+    )
+    (decision,) = report.plan.decisions
+    assert decision.max_diff == 1.0
+    assert decision.action == ACTION_COPY_BASE and decision.reason == REASON_BELOW_THRESHOLD
+    assert mm.read_tensor_raw(out, "x") == f32.tobytes()
+    _, report = mm.execute_merge(
+        None,
+        mm.MergeConfig(models=models, lambdas=(0.5, 0.5), delta=np.nextafter(1.0, 0.0)),
+        tmp_path / "below",
+    )
+    assert report.plan.decisions[0].action == ACTION_MERGE
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+def test_fused_nan_copy_is_bit_exact_and_merged_nan_is_reported(tmp_path):
+    # x: a signaling NaN payload in every parent, so its diff is NaN and it is copied.
+    # y: model 3 holds a NaN, but model 2's finite diff opens the gate.
+    x = np.array([0x7FA12345, 0x3F800000], dtype="<u4").tobytes()
+    ys = [
+        np.array([1.0, 2.0], dtype="<f4"),
+        np.array([1.0, 3.0], dtype="<f4"),
+        np.array([np.nan, 2.0], dtype="<f4"),
+    ]
+    paths = []
+    for i, y in enumerate(ys):
+        path = tmp_path / f"m{i}.safetensors"
+        path.write_bytes(build_safetensors([("x", "F32", [2], x), ("y", "F32", [2], y.tobytes())]))
+        paths.append(str(path))
+    cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.5, 0.25, 0.25))
+    out, report = mm.execute_merge(None, cfg, tmp_path / "merged")
+    actions = {d.name: d.action for d in report.plan.decisions}
+    assert actions == {"x": ACTION_COPY_BASE, "y": ACTION_MERGE}
+    assert mm.read_tensor_raw(out, "x") == x
+    assert report.nonfinite == [{"name": "y", "models": [3]}]
+    assert np.isnan(mm.read_tensor(out, "y").values[0])
+
+
+def test_diff_progress_does_not_change_the_cache(tiny_pair, tmp_path):
+    models = [tiny_pair["base"], tiny_pair["variant"]]
+    calls = []
+    with_cb = mm.compute_diffs(models, workers=2, progress=lambda d, t: calls.append((d, t)))
+    total = len(tiny_pair["base"].tensors)
+    assert calls == [(i, total) for i in range(1, total + 1)]
+    mm.save_diff_cache(with_cb, tmp_path / "with.json", fingerprints(tiny_pair))
+    mm.save_diff_cache(mm.compute_diffs(models), tmp_path / "without.json", fingerprints(tiny_pair))
+    assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
