@@ -6,7 +6,7 @@ builds a child that inherits every routed-expert tensor from model 2 while
 keeping the base model's attention, shared experts, router gates, norms,
 and embeddings — checked tensor by tensor below.
 
-Equivalent CLI:  moemerge merge --recipe transplant.json --out child/
+Equivalent CLI:  moemerge merge --recipe transplant.json --out child/ --force
 """
 
 import json
@@ -41,7 +41,10 @@ def main():
         "delta": 0.0,
     }
     (OUT / "recipe.json").write_text(json.dumps(recipe, indent=2))
-    code = cli(["merge", "--recipe", str(OUT / "recipe.json"), "--out", str(OUT / "child")])
+    # --force: a rerun writes over the previous run's child/
+    code = cli([
+        "merge", "--recipe", str(OUT / "recipe.json"), "--out", str(OUT / "child"), "--force",
+    ])
     assert code == 0
 
     child = mm.open_checkpoint(OUT / "child")

@@ -44,11 +44,9 @@ from .recipe import Recipe, load_recipe
 from .safetensors_io import (
     CheckpointIndex,
     OutputPolicy,
-    TensorData,
     TensorInfo,
     open_checkpoint,
     read_header,
-    read_tensor,
     read_tensor_raw,
     validate_checkpoint,
     write_checkpoint,
@@ -97,7 +95,6 @@ __all__ = [
     "SubsetMode",
     "SubsetSpec",
     "TensorCategory",
-    "TensorData",
     "TensorGroup",
     "TensorInfo",
     "UnsupportedDTypeError",
@@ -119,7 +116,6 @@ __all__ = [
     "open_checkpoint",
     "plan_merge",
     "read_header",
-    "read_tensor",
     "read_tensor_raw",
     "reasoning_frequency",
     "save_diff_cache",

@@ -64,8 +64,13 @@ def _progress(verb: str):
     return report
 
 
-def _open_models(paths) -> list:
-    return [open_checkpoint(p) for p in paths]
+def _open_parents(paths) -> list:
+    """Open the parents; CompatibilityError unless they match the base's tensors."""
+    models = [open_checkpoint(p) for p in paths]
+    problems = merge_core.validate_compatibility(models)
+    if problems:
+        raise CompatibilityError("incompatible parents: " + "; ".join(problems))
+    return models
 
 
 def _summarize_diffs(records) -> list[dict]:
@@ -88,12 +93,7 @@ def _summarize_diffs(records) -> list[dict]:
 
 
 def cmd_diff(args) -> int:
-    models = _open_models(args.models)
-    problems = merge_core.validate_compatibility(models)
-    if problems:
-        for p in problems:
-            _msg(f"incompatible: {p}")
-        return EXIT_VALIDATION
+    models = _open_parents(args.models)
     fingerprints = [m.fingerprint() for m in models]
     records = None
     if Path(args.out).exists():
@@ -178,12 +178,7 @@ def _config_from_recipe(args):
 
 def cmd_plan(args) -> int:
     config = _config_from_recipe(args)
-    models = _open_models(config.models)
-    problems = merge_core.validate_compatibility(models)
-    if problems:
-        for p in problems:
-            _msg(f"incompatible: {p}")
-        return EXIT_VALIDATION
+    models = _open_parents(config.models)
     records, fingerprints = _diffs_for_config(config, args, models)
     plan = merge_core.plan_merge(config, records, fingerprints)
     Path(args.out).write_text(json.dumps(plan.to_json_obj(), indent=1) + "\n", "utf-8")
@@ -212,14 +207,9 @@ def cmd_merge(args) -> int:
             raise RecipeError("--lambda/--delta overrides require --recipe, not --plan")
     else:
         config = _config_from_recipe(args)
-        models = _open_models(config.models)
-        problems = merge_core.validate_compatibility(models)
-        if problems:
-            for p in problems:
-                _msg(f"incompatible: {p}")
-            return EXIT_VALIDATION
         plan = None
         if args.diffs or args.dry_run:
+            models = _open_parents(config.models)
             records, fingerprints = _diffs_for_config(config, args, models)
             plan = merge_core.plan_merge(config, records, fingerprints)
 
@@ -240,7 +230,8 @@ def cmd_merge(args) -> int:
     out = Path(args.out)
     _check_out_dir(out, args.force)
 
-    # Without a plan, execute_merge gates inside its single pass.
+    # Without a plan, execute_merge opens and compat-checks the parents and
+    # gates inside its single pass.
     index, report = merge_core.execute_merge(
         plan,
         config,
@@ -264,12 +255,7 @@ def cmd_merge(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _config_from_recipe(args)
-    models = _open_models(config.models)
-    problems = merge_core.validate_compatibility(models)
-    if problems:
-        for p in problems:
-            _msg(f"incompatible: {p}")
-        return EXIT_VALIDATION
+    models = _open_parents(config.models)
     records, _ = _diffs_for_config(config, args, models)
     rows = merge_core.threshold_sweep(records, config, args.deltas)
     groups = [g.value for g in TensorGroup]
@@ -327,19 +313,15 @@ def cmd_think_freq(args) -> int:
 
 def cmd_validate(args) -> int:
     issues = validate_checkpoint(args.path)
-    if not issues:
-        _msg(f"{args.path}: OK")
-        try:
-            index = open_checkpoint(args.path)
-        except MoemergeError:
-            return EXIT_OK
-        for row in census(index):
-            layer = "-" if row.layer is None else row.layer
-            print(f"layer {layer:>4}  {row.group.value:<22} {row.tensors:>6} tensors")
-        return EXIT_OK
-    for issue in issues:
-        print(str(issue))
-    return EXIT_VALIDATION
+    if issues:
+        for issue in issues:
+            print(str(issue))
+        return EXIT_VALIDATION
+    _msg(f"{args.path}: OK")
+    for row in census(open_checkpoint(args.path)):
+        layer = "-" if row.layer is None else row.layer
+        print(f"layer {layer:>4}  {row.group.value:<22} {row.tensors:>6} tensors")
+    return EXIT_OK
 
 
 def cmd_fixture(args) -> int:

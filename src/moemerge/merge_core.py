@@ -156,10 +156,7 @@ class DiffRecord:
     def to_json_obj(self) -> dict:
         return {
             "name": self.name,
-            "group": self.category.group.value,
-            "layer": self.category.layer,
-            "expert": self.category.expert,
-            "projection": self.category.projection,
+            **self.category.to_json_obj(),
             "per_model_diff": list(self.per_model_diff),
             "max_diff": self.max_diff,
         }
@@ -168,12 +165,7 @@ class DiffRecord:
     def from_json_obj(cls, obj: dict) -> "DiffRecord":
         return cls(
             name=obj["name"],
-            category=TensorCategory(
-                TensorGroup(obj["group"]),
-                layer=obj["layer"],
-                expert=obj["expert"],
-                projection=obj["projection"],
-            ),
+            category=TensorCategory.from_json_obj(obj),
             per_model_diff=tuple(obj["per_model_diff"]),
             max_diff=obj["max_diff"],
         )
@@ -227,10 +219,7 @@ class MergePlan:
             "decisions": [
                 {
                     "name": d.name,
-                    "group": d.category.group.value,
-                    "layer": d.category.layer,
-                    "expert": d.category.expert,
-                    "projection": d.category.projection,
+                    **d.category.to_json_obj(),
                     "action": d.action,
                     "reason": d.reason,
                     "max_diff": d.max_diff,
@@ -248,12 +237,7 @@ class MergePlan:
         decisions = [
             MergeDecision(
                 name=e["name"],
-                category=TensorCategory(
-                    TensorGroup(e["group"]),
-                    layer=e["layer"],
-                    expert=e["expert"],
-                    projection=e["projection"],
-                ),
+                category=TensorCategory.from_json_obj(e),
                 action=e["action"],
                 reason=e["reason"],
                 max_diff=e["max_diff"],
@@ -654,7 +638,7 @@ def execute_merge(
     if plan is None:
         problems = validate_compatibility(models)
         if problems:
-            raise CompatibilityError("; ".join(problems))
+            raise CompatibilityError("incompatible parents: " + "; ".join(problems))
         task = _tensor_task(models, config.scheme, lambda r: _decide(r, config))
 
         def cost(name: str) -> int:

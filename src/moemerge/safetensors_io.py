@@ -7,13 +7,15 @@ offsets are relative to the first byte after the header.
 
 Checkpoints may be a single ``.safetensors`` file, a directory of shards with
 a ``*.safetensors.index.json`` weight map, or a directory of shards without
-an index (headers are unioned).
+an index (headers are unioned). With an index, the checkpoint is exactly the
+shards it references.
 
 Reading a tensor touches only that tensor's byte range, so memory stays
-O(tensor), never O(shard). Opening is strict (malformed headers, size
-mismatches, overlapping ranges, duplicate names are errors);
-``validate_checkpoint`` instead scans leniently and returns every violation
-as a report entry.
+O(tensor), never O(shard). There is one header scan (``_scan_header``) and
+one checkpoint walk (``_scan_checkpoint``); both collect every issue instead
+of raising. ``read_header`` and ``open_checkpoint`` raise the first issue
+that is not a gap (unused bytes in a data region, which opening tolerates);
+``validate_checkpoint`` returns them all.
 """
 
 from __future__ import annotations
@@ -23,13 +25,10 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable
 
-import numpy as np
-
-from . import tensor_math
 from .dtypes import DType
 from .errors import FormatError
 
@@ -119,15 +118,6 @@ class CheckpointIndex:
         return h.hexdigest()
 
 
-@dataclass
-class TensorData:
-    """A tensor pulled off disk: decoded working values plus original bytes."""
-
-    info: TensorInfo
-    values: np.ndarray  # float64, flat
-    raw: bytes
-
-
 @dataclass(frozen=True)
 class ValidationIssue:
     kind: str
@@ -140,7 +130,16 @@ class ValidationIssue:
         return f"[{self.kind}] {where}: {self.detail}" if where else f"[{self.kind}] {self.detail}"
 
 
-def _check_entry(name: str, entry: object) -> tuple[TensorInfo | None, str | None]:
+def _raise_first(issues: Iterable[ValidationIssue]) -> None:
+    """Strict callers: raise the first issue that is not a gap."""
+    for issue in issues:
+        if issue.kind != "gap":
+            raise FormatError(str(issue))
+
+
+def _check_entry(
+    name: str, entry: object, shard: str
+) -> tuple[TensorInfo | None, str | None]:
     """Validate one header entry; returns (info, None) or (None, problem)."""
     if not isinstance(entry, dict):
         return None, "entry is not a JSON object"
@@ -178,10 +177,7 @@ def _check_entry(name: str, entry: object) -> tuple[TensorInfo | None, str | Non
             f"size mismatch: offsets span {end - begin} bytes but "
             f"{dtype.code} x shape {shape} needs {expected}"
         )
-    return (
-        TensorInfo(name=name, dtype=dtype, shape=tuple(shape), data_offsets=(begin, end)),
-        None,
-    )
+    return TensorInfo(name, dtype, tuple(shape), (begin, end), shard), None
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -193,12 +189,94 @@ def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _check_metadata(value: object) -> dict[str, str]:
-    if not isinstance(value, dict) or any(
-        not isinstance(k, str) or not isinstance(v, str) for k, v in value.items()
-    ):
-        raise FormatError("__metadata__ must be a string-to-string map")
-    return dict(value)
+@dataclass
+class _HeaderScan:
+    """What one read of a shard's length prefix and header yields."""
+
+    header_size: int = 0  # JSON byte length; data starts at 8 + header_size
+    header_hash: str = ""  # sha256 over the length prefix + header JSON bytes
+    data_size: int = 0  # bytes from the data start to the end of the file
+    tensors: dict[str, TensorInfo] = field(default_factory=dict)
+    metadata: dict[str, str] | None = None
+    issues: list[ValidationIssue] = field(default_factory=list)
+
+
+def _scan_header(f: BinaryIO, shard: str = "") -> _HeaderScan:
+    """The one header parser: read prefix and header once, report every issue.
+
+    Never raises for a format problem. Checks the length prefix, the JSON
+    (duplicate names included), ``__metadata__``, every entry, and then
+    every byte range against the data region (overlaps, overruns, gaps).
+    """
+    scan = _HeaderScan()
+    where = shard or None
+
+    def issue(kind: str, detail: str, name: str | None = None) -> _HeaderScan:
+        scan.issues.append(ValidationIssue(kind, detail, shard=where, name=name))
+        return scan
+
+    pos = f.tell()
+    file_size = f.seek(0, os.SEEK_END) - pos
+    f.seek(pos)
+    prefix = f.read(8)
+    if len(prefix) < 8:
+        return issue("parse_error", "truncated file: missing 8-byte header length")
+    (header_size,) = _HEADER_PREFIX.unpack(prefix)
+    if header_size > _MAX_HEADER_BYTES:
+        return issue("parse_error", f"header length {header_size} exceeds sanity bound")
+    if 8 + header_size > file_size:
+        return issue(
+            "parse_error", f"header length {header_size} exceeds file size {file_size}"
+        )
+    header_bytes = f.read(header_size)
+    scan.header_size = header_size
+    scan.header_hash = hashlib.sha256(prefix + header_bytes).hexdigest()
+    scan.data_size = file_size - 8 - header_size
+    try:
+        obj = json.loads(
+            header_bytes.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys
+        )
+    except FormatError as exc:
+        return issue("parse_error", str(exc))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return issue("parse_error", f"malformed header JSON: {exc}")
+    if not isinstance(obj, dict):
+        return issue("parse_error", "header JSON is not an object")
+
+    for name, entry in obj.items():
+        if name == "__metadata__":
+            if isinstance(entry, dict) and all(isinstance(v, str) for v in entry.values()):
+                scan.metadata = dict(entry)
+            else:
+                issue("parse_error", "__metadata__ must be a string-to-string map")
+            continue
+        info, problem = _check_entry(name, entry, shard)
+        if problem is not None:
+            kind = "size_mismatch" if problem.startswith("size mismatch") else "bad_entry"
+            issue(kind, problem, name)
+        else:
+            assert info is not None
+            scan.tensors[name] = info
+
+    spans = sorted((t.data_offsets[0], t.data_offsets[1], t.name) for t in scan.tensors.values())
+    prev_end = 0
+    prev_name: str | None = None
+    for begin, end, name in spans:
+        if end > scan.data_size:
+            issue(
+                "out_of_bounds",
+                f"range [{begin}, {end}) exceeds data region of {scan.data_size} bytes",
+                name,
+            )
+        if begin < prev_end:
+            issue("overlap", f"overlaps {prev_name!r}", name)
+        elif begin > prev_end:
+            issue("gap", f"{begin - prev_end} unused bytes before [{begin}, {end})", name)
+        prev_end = max(prev_end, end)
+        prev_name = name
+    if spans and prev_end < scan.data_size:
+        issue("gap", f"{scan.data_size - prev_end} trailing unused bytes")
+    return scan
 
 
 def read_header(
@@ -210,212 +288,149 @@ def read_header(
     JSON byte length (the data region starts at ``8 + header_size``) and
     ``tensors`` preserves the header's entry order.
 
-    Raises FormatError for every malformed case: truncation, header length
-    exceeding the file, bad JSON, duplicate names, size-violating offsets,
-    unknown dtypes.
+    Raises FormatError on the first non-gap issue ``_scan_header`` finds:
+    truncation, header length exceeding the file, bad JSON, duplicate names,
+    size-violating offsets, unknown dtypes, ranges outside the data region
+    or overlapping each other.
     """
-    pos = f.tell()
-    file_size = f.seek(0, os.SEEK_END)
-    f.seek(pos)
-    prefix = f.read(8)
-    if len(prefix) < 8:
-        raise FormatError("truncated file: missing 8-byte header length")
-    (header_size,) = _HEADER_PREFIX.unpack(prefix)
-    if header_size > _MAX_HEADER_BYTES:
-        raise FormatError(f"header length {header_size} exceeds sanity bound")
-    if 8 + header_size > file_size - pos:
-        raise FormatError(
-            f"header length {header_size} exceeds file size {file_size - pos}"
-        )
-    header_bytes = f.read(header_size)
-    if len(header_bytes) < header_size:
-        raise FormatError("truncated file: incomplete header")
-    try:
-        obj = json.loads(
-            header_bytes.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys
-        )
-    except FormatError:
-        raise
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"malformed header JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise FormatError("header JSON is not an object")
-
-    metadata: dict[str, str] | None = None
-    tensors: dict[str, TensorInfo] = {}
-    for name, entry in obj.items():
-        if name == "__metadata__":
-            metadata = _check_metadata(entry)
-            continue
-        info, problem = _check_entry(name, entry)
-        if problem is not None:
-            raise FormatError(f"tensor {name!r}: {problem}")
-        assert info is not None
-        tensors[name] = TensorInfo(
-            name=info.name,
-            dtype=info.dtype,
-            shape=info.shape,
-            data_offsets=info.data_offsets,
-            shard=shard,
-        )
-    return header_size, tensors, metadata
+    scan = _scan_header(f, shard)
+    _raise_first(scan.issues)
+    return scan.header_size, scan.tensors, scan.metadata
 
 
-def _hash_header(path: Path) -> tuple[int, str]:
-    """Header size and sha256 over the first ``8 + header_size`` bytes."""
-    with open(path, "rb") as f:
-        prefix = f.read(8)
-        if len(prefix) < 8:
-            raise FormatError(f"{path.name}: truncated file")
-        (header_size,) = _HEADER_PREFIX.unpack(prefix)
-        if header_size > _MAX_HEADER_BYTES:
-            raise FormatError(f"{path.name}: header length exceeds sanity bound")
-        header = f.read(header_size)
-        if len(header) < header_size:
-            raise FormatError(f"{path.name}: truncated header")
-    return header_size, hashlib.sha256(prefix + header).hexdigest()
+def _load_index(root: Path) -> tuple[str, dict[str, str], dict | None] | None:
+    """The directory's index file: (file name, weight map, metadata), or None.
 
-
-def _check_ranges(shard: str, tensors: Iterable[TensorInfo], data_size: int) -> None:
-    """Strict-open checks: every range inside the data region, no overlaps."""
-    spans = sorted(
-        ((t.data_offsets[0], t.data_offsets[1], t.name) for t in tensors),
-    )
-    prev_end = 0
-    prev_name = None
-    for begin, end, name in spans:
-        if end > data_size:
-            raise FormatError(
-                f"{shard}: tensor {name!r} byte range [{begin}, {end}) "
-                f"exceeds data region of {data_size} bytes"
-            )
-        if begin < prev_end:
-            raise FormatError(
-                f"{shard}: tensor {name!r} overlaps {prev_name!r}"
-            )
-        prev_end, prev_name = end, name
-
-
-def _open_shard(path: Path) -> tuple[ShardInfo, dict[str, TensorInfo]]:
-    with open(path, "rb") as f:
-        header_size, tensors, metadata = read_header(f, shard=path.name)
-    _, header_hash = _hash_header(path)
-    data_start = 8 + header_size
-    data_size = path.stat().st_size - data_start
-    _check_ranges(path.name, tensors.values(), data_size)
-    return (
-        ShardInfo(
-            name=path.name,
-            path=path,
-            data_start=data_start,
-            data_size=data_size,
-            header_hash=header_hash,
-            metadata=metadata,
-        ),
-        tensors,
-    )
-
-
-def _find_index_file(root: Path) -> Path | None:
+    Raises FormatError for several index files or a malformed one.
+    """
     candidates = sorted(p for p in root.iterdir() if p.name.endswith(INDEX_SUFFIX))
     if not candidates:
         return None
     if len(candidates) > 1:
-        raise FormatError(
-            f"{root}: multiple index files: {[p.name for p in candidates]}"
+        raise FormatError(f"{root}: multiple index files: {[p.name for p in candidates]}")
+    path = candidates[0]
+    try:
+        obj = json.loads(path.read_text("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path.name}: malformed index JSON: {exc}") from exc
+    weight_map = obj.get("weight_map") if isinstance(obj, dict) else None
+    if not isinstance(weight_map, dict) or not all(
+        isinstance(v, str) for v in weight_map.values()
+    ):
+        raise FormatError(f"{path.name}: index lacks a weight_map of names to shard files")
+    return path.name, weight_map, obj.get("metadata")
+
+
+def _scan_checkpoint(root: Path) -> tuple[CheckpointIndex, list[ValidationIssue]]:
+    """The one walk behind ``open_checkpoint`` and ``validate_checkpoint``.
+
+    The shard set is the file itself, the shards the index references, or
+    every ``*.safetensors`` file of an index-less directory. Returns the
+    index built from the well-formed entries and every issue found.
+    """
+    index = CheckpointIndex(root=root, shards=[], tensors={})
+    issues: list[ValidationIssue] = []
+    weight_map: dict[str, str] | None = None
+    if root.is_file():
+        shard_paths = [root]
+    else:
+        try:
+            loaded = _load_index(root)
+        except FormatError as exc:
+            return index, [ValidationIssue("index_error", str(exc))]
+        if loaded is None:
+            shard_paths = sorted(p for p in root.glob("*.safetensors") if p.is_file())
+        else:
+            index.index_name, weight_map, index.index_metadata = loaded
+            shard_paths = [root / n for n in sorted(set(weight_map.values()))]
+    if not shard_paths:
+        issues.append(ValidationIssue("empty", f"{root}: no .safetensors files found"))
+
+    scanned: dict[str, dict[str, TensorInfo]] = {}
+    for path in shard_paths:
+        if not path.is_file():
+            detail = f"missing shard {path.name!r} referenced by index"
+            issues.append(ValidationIssue("missing_shard", detail))
+            continue
+        with open(path, "rb") as f:
+            scan = _scan_header(f, path.name)
+        issues.extend(scan.issues)
+        index.shards.append(
+            ShardInfo(
+                name=path.name,
+                path=path,
+                data_start=8 + scan.header_size,
+                data_size=scan.data_size,
+                header_hash=scan.header_hash,
+                metadata=scan.metadata,
+            )
         )
-    return candidates[0]
+        if scan.metadata:
+            index.metadata = {**(index.metadata or {}), **scan.metadata}
+        scanned[path.name] = scan.tensors
+        for name, info in scan.tensors.items():
+            if name in index.tensors:
+                issues.append(
+                    ValidationIssue(
+                        "duplicate_name",
+                        f"tensor appears in both {index.tensors[name].shard!r} "
+                        f"and {path.name!r}",
+                        shard=path.name,
+                        name=name,
+                    )
+                )
+                continue
+            if weight_map is not None and name not in weight_map:
+                issues.append(
+                    ValidationIssue(
+                        "unmapped", "tensor missing from the weight map",
+                        shard=path.name, name=name,
+                    )
+                )
+            index.tensors[name] = info
+
+    for name, shard_name in (weight_map or {}).items():
+        if shard_name in scanned and name not in scanned[shard_name]:
+            issues.append(
+                ValidationIssue(
+                    "dangling_reference",
+                    f"index maps the tensor to {shard_name!r} but the shard lacks it",
+                    name=name,
+                )
+            )
+    if not index.tensors and not issues:
+        issues.append(ValidationIssue("empty", f"{root}: empty checkpoint, no tensors"))
+    return index, issues
 
 
 def open_checkpoint(path: str | Path) -> CheckpointIndex:
     """Open a checkpoint file or directory into one unified index.
 
-    Raises FormatError on malformed shards, duplicate tensor names across
-    shards, shards referenced by the index but missing on disk, or an empty
-    checkpoint.
+    Raises FileNotFoundError for a missing path, else FormatError on the
+    first non-gap issue ``validate_checkpoint`` would report: malformed
+    shards, duplicate tensor names across shards, shards the index
+    references but that are missing, tensors the index omits or misplaces,
+    or an empty checkpoint.
     """
     root = Path(path)
     if not root.exists():
         raise FileNotFoundError(f"no such checkpoint: {root}")
+    index, issues = _scan_checkpoint(root)
+    _raise_first(issues)
+    return index
 
-    if root.is_file():
-        shard, tensors = _open_shard(root)
-        if not tensors:
-            raise FormatError(f"{root}: empty checkpoint")
-        return CheckpointIndex(
-            root=root, shards=[shard], tensors=tensors, metadata=shard.metadata
-        )
 
-    index_path = _find_index_file(root)
-    shards: list[ShardInfo] = []
-    tensors: dict[str, TensorInfo] = {}
-    metadata: dict[str, str] | None = None
+def validate_checkpoint(target: CheckpointIndex | str | Path) -> list[ValidationIssue]:
+    """Collect every format violation instead of raising on the first.
 
-    if index_path is not None:
-        try:
-            index_obj = json.loads(index_path.read_text("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{index_path.name}: malformed index JSON: {exc}") from exc
-        if not isinstance(index_obj, dict) or not isinstance(
-            index_obj.get("weight_map"), dict
-        ):
-            raise FormatError(f"{index_path.name}: index lacks a weight_map object")
-        weight_map: dict[str, str] = index_obj["weight_map"]
-        shard_names = sorted(set(weight_map.values()))
-        shard_tensors: dict[str, dict[str, TensorInfo]] = {}
-        for shard_name in shard_names:
-            shard_path = root / shard_name
-            if not shard_path.is_file():
-                raise FormatError(f"missing shard {shard_name!r} referenced by index")
-            shard, entries = _open_shard(shard_path)
-            shards.append(shard)
-            shard_tensors[shard_name] = entries
-            if shard.metadata:
-                metadata = {**(metadata or {}), **shard.metadata}
-        for name, shard_name in weight_map.items():
-            if name not in shard_tensors.get(shard_name, {}):
-                raise FormatError(
-                    f"index maps {name!r} to {shard_name!r} but the shard lacks it"
-                )
-        for shard_name in shard_names:
-            for name, info in shard_tensors[shard_name].items():
-                if name in tensors:
-                    raise FormatError(
-                        f"tensor {name!r} appears in both {tensors[name].shard!r} "
-                        f"and {shard_name!r}"
-                    )
-                if name not in weight_map:
-                    raise FormatError(f"tensor {name!r} missing from the weight map")
-                tensors[name] = info
-        if not tensors:
-            raise FormatError(f"{root}: empty checkpoint")
-        return CheckpointIndex(
-            root=root,
-            shards=shards,
-            tensors=tensors,
-            metadata=metadata,
-            index_name=index_path.name,
-            index_metadata=index_obj.get("metadata"),
-        )
-
-    shard_paths = sorted(p for p in root.glob("*.safetensors") if p.is_file())
-    if not shard_paths:
-        raise FormatError(f"{root}: no .safetensors files found")
-    for shard_path in shard_paths:
-        shard, entries = _open_shard(shard_path)
-        shards.append(shard)
-        for name, info in entries.items():
-            if name in tensors:
-                raise FormatError(
-                    f"tensor {name!r} appears in both {tensors[name].shard!r} "
-                    f"and {shard.name!r}"
-                )
-            tensors[name] = info
-        if shard.metadata:
-            metadata = {**(metadata or {}), **shard.metadata}
-    if not tensors:
-        raise FormatError(f"{root}: empty checkpoint")
-    return CheckpointIndex(root=root, shards=shards, tensors=tensors, metadata=metadata)
+    Accepts an already-open index (its root is rescanned) or a path (file
+    or directory). Reports exactly what ``open_checkpoint`` rejects, plus
+    gaps: unused bytes in a data region, which opening tolerates.
+    """
+    root = target.root if isinstance(target, CheckpointIndex) else Path(target)
+    if not root.exists():
+        return [ValidationIssue("missing_file", f"no such path: {root}")]
+    return _scan_checkpoint(root)[1]
 
 
 def read_tensor_raw(index: CheckpointIndex, name: str) -> bytes:
@@ -434,13 +449,6 @@ def read_tensor_raw(index: CheckpointIndex, name: str) -> bytes:
             f"{shard.name}: tensor {name!r} byte range ends past end of shard"
         )
     return raw
-
-
-def read_tensor(index: CheckpointIndex, name: str) -> TensorData:
-    """Read and decode one tensor into a float64 working buffer."""
-    raw = read_tensor_raw(index, name)
-    info = index.tensors[name]
-    return TensorData(info=info, values=tensor_math.decode(raw, info.dtype), raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -708,183 +716,3 @@ def _write_packed(
                 w.abort()
         raise
     return open_checkpoint(out)
-
-
-# ---------------------------------------------------------------------------
-# Validation
-
-
-def validate_checkpoint(target: CheckpointIndex | str | Path) -> list[ValidationIssue]:
-    """Collect every format violation instead of raising on the first.
-
-    Accepts an already-open index or a path (file or directory). The report
-    is empty iff the checkpoint is well-formed: parse errors, size
-    mismatches, overlapping ranges, gaps in the data region, and dangling
-    shard references all become entries.
-    """
-    if isinstance(target, CheckpointIndex):
-        issues: list[ValidationIssue] = []
-        for shard in target.shards:
-            infos = [t for t in target.tensors.values() if t.shard == shard.name]
-            issues.extend(_range_issues(shard.name, infos, shard.data_size))
-        return issues
-
-    root = Path(target)
-    if not root.exists():
-        return [ValidationIssue("missing_file", f"no such path: {root}")]
-    if root.is_file():
-        return _scan_shard(root)
-
-    issues = []
-    shard_paths = sorted(p for p in root.glob("*.safetensors") if p.is_file())
-    names_seen: dict[str, str] = {}
-    per_shard: dict[str, set[str]] = {}
-    for path in shard_paths:
-        shard_issues, names = _scan_shard(path, collect_names=True)
-        issues.extend(shard_issues)
-        per_shard[path.name] = names
-        for n in names:
-            if n in names_seen:
-                issues.append(
-                    ValidationIssue(
-                        "duplicate_name",
-                        f"also present in {names_seen[n]!r}",
-                        shard=path.name,
-                        name=n,
-                    )
-                )
-            else:
-                names_seen[n] = path.name
-    try:
-        index_path = _find_index_file(root)
-    except FormatError as exc:
-        issues.append(ValidationIssue("index_error", str(exc)))
-        index_path = None
-    if index_path is not None:
-        try:
-            index_obj = json.loads(index_path.read_text("utf-8"))
-            weight_map = index_obj["weight_map"]
-            if not isinstance(weight_map, dict):
-                raise TypeError("weight_map is not an object")
-        except Exception as exc:  # noqa: BLE001 - lenient scan reports, never raises
-            issues.append(
-                ValidationIssue("index_error", f"{index_path.name}: {exc}")
-            )
-        else:
-            for name, shard_name in weight_map.items():
-                if not (root / shard_name).is_file():
-                    issues.append(
-                        ValidationIssue(
-                            "missing_shard",
-                            f"index references missing shard {shard_name!r}",
-                            name=name,
-                        )
-                    )
-                elif name not in per_shard.get(shard_name, set()):
-                    issues.append(
-                        ValidationIssue(
-                            "dangling_reference",
-                            f"index maps to {shard_name!r} which lacks the tensor",
-                            name=name,
-                        )
-                    )
-    if not shard_paths:
-        issues.append(ValidationIssue("empty", f"{root}: no .safetensors files"))
-    elif not names_seen:
-        issues.append(ValidationIssue("empty", f"{root}: no tensors"))
-    return issues
-
-
-def _scan_shard(path: Path, collect_names: bool = False):
-    """Lenient single-shard scan used by validate_checkpoint."""
-    issues: list[ValidationIssue] = []
-    names: set[str] = set()
-    shard = path.name
-    size = path.stat().st_size
-    infos: list[TensorInfo] = []
-    with open(path, "rb") as f:
-        prefix = f.read(8)
-        if len(prefix) < 8:
-            issues.append(ValidationIssue("parse_error", "missing header length", shard=shard))
-            return (issues, names) if collect_names else issues
-        (header_size,) = _HEADER_PREFIX.unpack(prefix)
-        if header_size > _MAX_HEADER_BYTES or 8 + header_size > size:
-            issues.append(
-                ValidationIssue(
-                    "parse_error",
-                    f"header length {header_size} exceeds file size {size}",
-                    shard=shard,
-                )
-            )
-            return (issues, names) if collect_names else issues
-        header_bytes = f.read(header_size)
-    try:
-        obj = json.loads(
-            header_bytes.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys
-        )
-        if not isinstance(obj, dict):
-            raise FormatError("header JSON is not an object")
-    except (FormatError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        issues.append(ValidationIssue("parse_error", str(exc), shard=shard))
-        return (issues, names) if collect_names else issues
-
-    for name, entry in obj.items():
-        if name == "__metadata__":
-            try:
-                _check_metadata(entry)
-            except FormatError as exc:
-                issues.append(ValidationIssue("parse_error", str(exc), shard=shard))
-            continue
-        info, problem = _check_entry(name, entry)
-        if problem is not None:
-            kind = "size_mismatch" if "size mismatch" in problem else "bad_entry"
-            issues.append(ValidationIssue(kind, problem, shard=shard, name=name))
-            continue
-        assert info is not None
-        infos.append(info)
-        names.add(name)
-    issues.extend(_range_issues(shard, infos, size - 8 - header_size))
-    return (issues, names) if collect_names else issues
-
-
-def _range_issues(
-    shard: str, infos: list[TensorInfo], data_size: int
-) -> list[ValidationIssue]:
-    issues: list[ValidationIssue] = []
-    spans = sorted((t.data_offsets[0], t.data_offsets[1], t.name) for t in infos)
-    prev_end = 0
-    prev_name: str | None = None
-    for begin, end, name in spans:
-        if end > data_size:
-            issues.append(
-                ValidationIssue(
-                    "out_of_bounds",
-                    f"range [{begin}, {end}) exceeds data region of {data_size} bytes",
-                    shard=shard,
-                    name=name,
-                )
-            )
-        if begin < prev_end:
-            issues.append(
-                ValidationIssue(
-                    "overlap", f"overlaps {prev_name!r}", shard=shard, name=name
-                )
-            )
-        elif begin > prev_end:
-            issues.append(
-                ValidationIssue(
-                    "gap",
-                    f"{begin - prev_end} unused bytes before [{begin}, {end})",
-                    shard=shard,
-                    name=name,
-                )
-            )
-        prev_end = max(prev_end, end)
-        prev_name = name
-    if spans and prev_end < data_size:
-        issues.append(
-            ValidationIssue(
-                "gap", f"{data_size - prev_end} trailing unused bytes", shard=shard
-            )
-        )
-    return issues

@@ -74,6 +74,25 @@ class TensorCategory:
             return f"{self.group.value}.{self.projection}"
         return self.group.value
 
+    def to_json_obj(self) -> dict:
+        """The ``group/layer/expert/projection`` fields of diff and plan records."""
+        return {
+            "group": self.group.value,
+            "layer": self.layer,
+            "expert": self.expert,
+            "projection": self.projection,
+        }
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "TensorCategory":
+        """Read the category fields of a record; other keys are ignored."""
+        return cls(
+            TensorGroup(obj["group"]),
+            layer=obj["layer"],
+            expert=obj["expert"],
+            projection=obj["projection"],
+        )
+
 
 _TOKEN = re.compile(r"\{layer\}|\{expert\}|\{proj\}|\*\*|\*")
 

@@ -79,6 +79,11 @@ def build_raw(header_obj, blob=b""):
     return struct.pack("<Q", len(payload)) + payload + blob
 
 
+def read_values(index, name):
+    """One tensor decoded to a flat float64 array."""
+    return mm.decode(mm.read_tensor_raw(index, name), index.tensors[name].dtype)
+
+
 # ---------------------------------------------------------------------------
 # shared fixture specs
 

@@ -213,6 +213,42 @@ def test_merge_requires_exactly_one_source(workdir):
     assert main(["merge", "--out", str(workdir["tmp"] / "m")]) == 2
 
 
+def test_merge_recipe_incompatible_parents_exits_2(tmp_path, capsys):
+    f32 = np.zeros(4, dtype="<f4").tobytes()
+    a = tmp_path / "a.safetensors"
+    b = tmp_path / "b.safetensors"
+    a.write_bytes(build_safetensors([("x", "F32", [4], f32)]))
+    b.write_bytes(build_safetensors([("y", "F32", [4], f32)]))
+    recipe = tmp_path / "r.json"
+    recipe.write_text(json.dumps({"models": [str(a), str(b)], "lambdas": [0.5, 0.5]}))
+    out = tmp_path / "m"
+    assert main(["merge", "--recipe", str(recipe), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "incompatible" in err and "'x' missing in model 2" in err
+    assert not out.exists()
+
+
+def test_merge_recipe_opens_each_parent_once(workdir, monkeypatch):
+    opened = []
+
+    def counting(module):
+        real = module.open_checkpoint
+
+        def wrapper(path):
+            opened.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(module, "open_checkpoint", wrapper)
+
+    from moemerge import cli, merge_core
+
+    counting(cli)
+    counting(merge_core)
+    out = workdir["tmp"] / "merged"
+    assert main(["merge", "--recipe", str(workdir["recipe"]), "--out", str(out)]) == 0
+    assert sorted(opened) == ["base", "variant"]
+
+
 # --- sweep -----------------------------------------------------------------------
 
 

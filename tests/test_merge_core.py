@@ -17,7 +17,7 @@ from moemerge.merge_core import (
 from moemerge.taxonomy import EXPERTS_ONLY_SUBSET, TensorGroup
 from moemerge.tensor_math import BLOCK_ELEMS
 
-from conftest import TINY_SPEC, build_safetensors
+from conftest import TINY_SPEC, build_safetensors, read_values
 
 
 def pair_config(pair, **kwargs):
@@ -122,9 +122,9 @@ def test_diffs_three_models_max_of_pairwise(tiny_pair, tmp_path):
         assert r.max_diff == max(r.per_model_diff)
         assert len(r.per_model_diff) == 2
         # brute-force recomputation per pair
-        a = mm.read_tensor(base, r.name).values
+        a = read_values(base, r.name)
         for i, other in enumerate((var1, var2)):
-            b = mm.read_tensor(other, r.name).values
+            b = read_values(other, r.name)
             want = math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(a, b))) / math.sqrt(a.size)
             assert r.per_model_diff[i] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
@@ -304,9 +304,9 @@ def test_execute_matches_manual_average(tiny_pair, tmp_path):
     out, _ = run_merge(tiny_pair, tmp_path / "m")
     base, variant = tiny_pair["base"], tiny_pair["variant"]
     for name in list(base.tensors)[:8]:
-        a = mm.read_tensor(base, name).values
-        b = mm.read_tensor(variant, name).values
-        got = mm.read_tensor(out, name).values
+        a = read_values(base, name)
+        b = read_values(variant, name)
+        got = read_values(out, name)
         want = (0.5 * a + 0.5 * b).astype(np.float32).astype(np.float64)
         if not np.array_equal(a, b):
             assert np.array_equal(got, want)
@@ -372,7 +372,7 @@ def test_execute_counts_nonfinite_inputs(tmp_path):
     out, report = mm.execute_merge(plan, cfg, tmp_path / "merged")
     assert report.nonfinite == [{"name": "x", "models": [1]}]
     # the merge did not abort and the NaN/Inf propagated per float rules
-    got = mm.read_tensor(out, "x").values
+    got = read_values(out, "x")
     assert got[1] == np.inf
 
 
@@ -569,7 +569,7 @@ def test_fused_nan_copy_is_bit_exact_and_merged_nan_is_reported(tmp_path):
     assert actions == {"x": ACTION_COPY_BASE, "y": ACTION_MERGE}
     assert mm.read_tensor_raw(out, "x") == x
     assert report.nonfinite == [{"name": "y", "models": [3]}]
-    assert np.isnan(mm.read_tensor(out, "y").values[0])
+    assert np.isnan(read_values(out, "y")[0])
 
 
 def test_diff_progress_does_not_change_the_cache(tiny_pair, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import struct
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 import moemerge as mm
+from moemerge.cli import main
 from moemerge.errors import FormatError
 from moemerge.safetensors_io import _serialize_header
 
-from conftest import TINY_SPEC, build_raw, build_safetensors
+from conftest import TINY_SPEC, build_raw, build_safetensors, read_values
+from test_fuzz_headers import definitely_malformed_cases, valid_bytes
 
 
 def f32(*values) -> bytes:
@@ -168,16 +171,15 @@ def test_open_rejects_range_past_data_end(tmp_path):
 def test_read_tensor_values(tmp_path):
     p = tmp_path / "m.safetensors"
     p.write_bytes(build_safetensors([("x", "F32", [2], f32(1.0, 2.0))]))
-    data = mm.read_tensor(mm.open_checkpoint(p), "x")
-    assert data.values.tolist() == [1.0, 2.0]
-    assert data.raw == f32(1.0, 2.0)
+    index = mm.open_checkpoint(p)
+    assert read_values(index, "x").tolist() == [1.0, 2.0]
+    assert mm.read_tensor_raw(index, "x") == f32(1.0, 2.0)
 
 
 def test_read_tensor_bf16_one(tmp_path):
     p = tmp_path / "m.safetensors"
     p.write_bytes(build_safetensors([("x", "BF16", [1], struct.pack("<H", 0x3F80))]))
-    data = mm.read_tensor(mm.open_checkpoint(p), "x")
-    assert data.values.tolist() == [1.0]
+    assert read_values(mm.open_checkpoint(p), "x").tolist() == [1.0]
 
 
 def test_read_tensor_matches_generator_values(tiny_base):
@@ -191,14 +193,14 @@ def test_read_tensor_matches_generator_values(tiny_base):
             tensor_math.encode(_base_values(TINY_SPEC, name, info.numel), info.dtype),
             info.dtype,
         )
-        got = mm.read_tensor(index, name).values
+        got = read_values(index, name)
         assert np.array_equal(got, want)
 
 
 def test_read_tensor_absent(tiny_base):
     index, _ = tiny_base
     with pytest.raises(KeyError, match="nope"):
-        mm.read_tensor(index, "nope")
+        mm.read_tensor_raw(index, "nope")
 
 
 def test_read_tensor_memory_is_tensor_sized(tmp_path):
@@ -209,10 +211,10 @@ def test_read_tensor_memory_is_tensor_sized(tmp_path):
     index = mm.open_checkpoint(p)
     del big
     tracemalloc.start()
-    mm.read_tensor(index, "small")
+    mm.read_tensor_raw(index, "small")
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert peak < 512 * 1024, f"read_tensor allocated {peak} bytes for a 32-byte tensor"
+    assert peak < 512 * 1024, f"read_tensor_raw allocated {peak} bytes for a 32-byte tensor"
 
 
 # --- write_checkpoint ---------------------------------------------------------------
@@ -388,3 +390,140 @@ def test_fingerprint_tracks_header_changes(tiny_base, tmp_path):
         stream_of(index), tmp_path / "w", base=index, metadata={"k": "v"}
     )
     assert other.fingerprint() != index.fingerprint()
+
+
+# --- one scanner: open and validate agree --------------------------------------------
+
+
+def metadata_only_file(root):
+    """A single file whose header holds only ``__metadata__``."""
+    root.mkdir(parents=True)
+    p = root / "meta.safetensors"
+    p.write_bytes(build_raw({"__metadata__": {"k": "v"}}))
+    return p
+
+
+def unmapped_tensor_dir(root):
+    """An indexed directory whose shard holds a tensor the weight map omits."""
+    root.mkdir(parents=True)
+    (root / "s1.safetensors").write_bytes(
+        build_safetensors([("a", "U8", [1], b"\x01"), ("b", "U8", [1], b"\x02")])
+    )
+    (root / "model.safetensors.index.json").write_text(
+        json.dumps({"metadata": {}, "weight_map": {"a": "s1.safetensors"}})
+    )
+    return root
+
+
+def test_validate_rejects_metadata_only_file(tmp_path, capsys):
+    p = metadata_only_file(tmp_path / "m")
+    assert [i.kind for i in mm.validate_checkpoint(p)] == ["empty"]
+    assert main(["validate", str(p)]) == 2
+    assert "[empty]" in capsys.readouterr().out
+
+
+def test_validate_rejects_tensor_missing_from_weight_map(tmp_path, capsys):
+    root = unmapped_tensor_dir(tmp_path / "d")
+    issues = mm.validate_checkpoint(root)
+    assert [(i.kind, i.name) for i in issues] == [("unmapped", "b")]
+    assert main(["validate", str(root)]) == 2
+    assert "[unmapped] s1.safetensors:b" in capsys.readouterr().out
+
+
+def test_unreferenced_shard_is_outside_an_indexed_checkpoint(tmp_path):
+    root = unmapped_tensor_dir(tmp_path / "d")
+    (root / "model.safetensors.index.json").write_text(
+        json.dumps({"weight_map": {"a": "s1.safetensors", "b": "s1.safetensors"}})
+    )
+    (root / "stray.safetensors").write_bytes(b"not a safetensors file")
+    assert mm.validate_checkpoint(root) == []
+    assert [s.name for s in mm.open_checkpoint(root).shards] == ["s1.safetensors"]
+
+
+def directory_cases(root):
+    """Checkpoint-level constructions: each directory is malformed."""
+    one = build_safetensors([("a", "U8", [1], b"\x01")])
+    cases = [metadata_only_file(root / "meta"), unmapped_tensor_dir(root / "unmapped")]
+
+    def make(name, files):
+        d = root / name
+        d.mkdir(parents=True)
+        for fname, data in files.items():
+            (d / fname).write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+        cases.append(d)
+
+    make("empty", {})
+    make("duplicate", {"s1.safetensors": one, "s2.safetensors": one})
+    make("missing_shard", {
+        "s1.safetensors": one,
+        "m.safetensors.index.json": {"weight_map": {"a": "s1.safetensors", "b": "gone.safetensors"}},
+    })
+    make("dangling", {
+        "s1.safetensors": one,
+        "m.safetensors.index.json": {"weight_map": {"a": "s1.safetensors", "z": "s1.safetensors"}},
+    })
+    make("two_indexes", {
+        "s1.safetensors": one,
+        "a.safetensors.index.json": {"weight_map": {"a": "s1.safetensors"}},
+        "b.safetensors.index.json": {"weight_map": {"a": "s1.safetensors"}},
+    })
+    make("bad_index", {"s1.safetensors": one, "m.safetensors.index.json": b"{nope"})
+    make("no_weight_map", {"s1.safetensors": one, "m.safetensors.index.json": {"metadata": {}}})
+    make("bad_shard_in_dir", {"s1.safetensors": one, "s2.safetensors": b"\x01\x02"})
+    return cases
+
+
+def test_open_raises_iff_validate_reports_a_non_gap_issue(tmp_path):
+    # the malformed corpus and the random mutations of the fuzz suite, plus
+    # checkpoint-level cases; some mutations are well-formed and must open
+    files = definitely_malformed_cases()
+    base = valid_bytes()
+    rng = np.random.default_rng(99)
+    for _ in range(600):
+        raw = bytearray(base)
+        for _ in range(int(rng.integers(1, 4))):
+            pos = int(rng.integers(0, len(raw)))
+            raw[pos] = int(rng.integers(0, 256))
+        files.append(bytes(raw))
+    paths = []
+    for i, raw in enumerate(files):
+        p = tmp_path / f"case{i}.safetensors"
+        p.write_bytes(raw)
+        paths.append(p)
+    paths += directory_cases(tmp_path / "dirs")
+
+    disagree, opened = [], 0
+    for p in paths:
+        rejected = any(i.kind != "gap" for i in mm.validate_checkpoint(p))
+        try:
+            mm.open_checkpoint(p)
+            raised = False
+            opened += 1
+        except FormatError:
+            raised = True
+        if raised != rejected:
+            disagree.append(p.name)
+    assert not disagree, f"open and validate disagree on {disagree[:10]}"
+    assert 0 < opened < len(paths)
+
+
+def test_strict_error_is_the_first_issue(tmp_path):
+    header = {
+        "a": {"dtype": "U8", "shape": [2], "data_offsets": [0, 2]},
+        "b": {"dtype": "U8", "shape": [2], "data_offsets": [4, 6]},
+        "c": {"dtype": "U8", "shape": [3], "data_offsets": [5, 8]},
+    }
+    p = tmp_path / "m.safetensors"
+    p.write_bytes(build_raw(header, b"\0" * 8))
+    issues = mm.validate_checkpoint(p)
+    assert [i.kind for i in issues] == ["gap", "overlap"]
+    with pytest.raises(FormatError) as exc:
+        mm.open_checkpoint(p)
+    assert str(exc.value) == str(issues[1])
+
+
+def test_header_hash_is_sha256_of_prefix_and_header(tiny_base):
+    index, _ = tiny_base
+    for shard in index.shards:
+        head = shard.path.read_bytes()[: shard.data_start]
+        assert shard.header_hash == hashlib.sha256(head).hexdigest()

@@ -8,6 +8,7 @@ from moemerge.taxonomy import (
     NamingScheme,
     SubsetMode,
     SubsetSpec,
+    TensorCategory,
     TensorGroup,
     census,
     classify,
@@ -233,3 +234,14 @@ def test_scheme_rejects_bad_rules():
         NamingScheme.from_json_obj([{"pattern": "x", "group": "blah"}])
     with pytest.raises(RecipeError, match="list"):
         NamingScheme.from_json_obj({"pattern": "x", "group": "attention"})
+
+
+def test_category_json_round_trip_keeps_key_order():
+    cat = TensorCategory(TensorGroup.ROUTED_EXPERT_MLP, layer=3, expert=7, projection="up")
+    obj = cat.to_json_obj()
+    assert list(obj) == ["group", "layer", "expert", "projection"]
+    assert obj["group"] == "routed_expert_mlp"
+    assert TensorCategory.from_json_obj({"name": "ignored", **obj}) == cat
+    assert TensorCategory.from_json_obj(TensorCategory(TensorGroup.OTHER).to_json_obj()) == (
+        TensorCategory(TensorGroup.OTHER)
+    )
