@@ -208,9 +208,14 @@ def cmd_merge(args) -> int:
     else:
         config = _config_from_recipe(args)
         plan = None
-        if args.diffs or args.dry_run:
+        if args.dry_run:
             models = _open_parents(config.models)
             records, fingerprints = _diffs_for_config(config, args, models)
+            plan = merge_core.plan_merge(config, records, fingerprints)
+        elif args.diffs:
+            # Plan with the cache's own fingerprints: execute_merge opens the
+            # parents once and refuses them if they no longer match.
+            records, fingerprints = merge_core.load_diff_cache(args.diffs)
             plan = merge_core.plan_merge(config, records, fingerprints)
 
     if args.dry_run:
@@ -230,8 +235,8 @@ def cmd_merge(args) -> int:
     out = Path(args.out)
     _check_out_dir(out, args.force)
 
-    # Without a plan, execute_merge opens and compat-checks the parents and
-    # gates inside its single pass.
+    # execute_merge opens and compat-checks the parents; without a plan it
+    # also gates inside its single pass.
     index, report = merge_core.execute_merge(
         plan,
         config,
@@ -378,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None, help="override recipe delta")
     p.add_argument("--lambdas", type=_floats_csv, default=None, metavar="L1,L2,...",
                    help="override recipe lambdas")
-    p.add_argument("--force", action="store_true", help="write into a non-empty directory")
+    p.add_argument("--force", action="store_true",
+                   help="write into a non-empty directory; an earlier output's shards "
+                        "are written over, other shard or index files are refused")
     p.add_argument("--dry-run", action="store_true",
                    help="print the plan and a report skeleton; write nothing")
     _add_worker_flags(p)

@@ -242,11 +242,16 @@ def _emit_checkpoint(
     manifest: list[dict] = []
     expected: dict[str, dict] = {}
     matched: set[int] = set()
+    entries = list(iter_tensor_entries(spec))
+    infos = []
+    for name, group, shape in entries:
+        dtype = spec.dtype_for(group)
+        nbytes = dtype.byte_width * math.prod(shape)
+        infos.append(TensorInfo(name=name, dtype=dtype, shape=shape, data_offsets=(0, nbytes)))
 
     def stream():
-        for name, group, shape in iter_tensor_entries(spec):
-            dtype = spec.dtype_for(group)
-            numel = math.prod(shape)
+        for info, (name, group, shape) in zip(infos, entries):
+            dtype, numel = info.dtype, info.numel
             values = _base_values(spec, name, numel)
             applied: PerturbationSpec | None = None
             for i, pert in enumerate(perturbations):
@@ -292,13 +297,10 @@ def _emit_checkpoint(
                     "kind": "gaussian",
                     "bound": bound,
                 }
-            info = TensorInfo(
-                name=name, dtype=dtype, shape=shape, data_offsets=(0, len(data))
-            )
             yield info, data
 
     policy = OutputPolicy(mode="pack", max_shard_bytes=spec.max_shard_bytes)
-    index = write_checkpoint(stream(), path, policy)
+    index = write_checkpoint(stream(), path, policy, base=infos)
     unmatched = [
         p.selector for i, p in enumerate(perturbations) if i not in matched
     ]

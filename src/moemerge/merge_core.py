@@ -620,7 +620,8 @@ def execute_merge(
     resolved plan (equal to ``plan_merge`` over ``compute_diffs``) is
     attached to the report as ``report.plan``. With a reviewed plan, the
     parents are re-opened and must still have the header hashes the plan
-    was computed against; copy decisions read only the base.
+    was computed against; copy decisions read only the base. Either way
+    the parents must be compatible (CompatibilityError otherwise).
 
     Merge decisions decode all parents block by block, combine in float64,
     and re-encode to the original dtype; copy decisions move the base
@@ -635,10 +636,10 @@ def execute_merge(
     layout = base.layout_names()
     n_models = len(models)
 
+    problems = validate_compatibility(models)
+    if problems:
+        raise CompatibilityError("incompatible parents: " + "; ".join(problems))
     if plan is None:
-        problems = validate_compatibility(models)
-        if problems:
-            raise CompatibilityError("incompatible parents: " + "; ".join(problems))
         task = _tensor_task(models, config.scheme, lambda r: _decide(r, config))
 
         def cost(name: str) -> int:

@@ -16,6 +16,12 @@ one checkpoint walk (``_scan_checkpoint``); both collect every issue instead
 of raising. ``read_header`` and ``open_checkpoint`` raise the first issue
 that is not a gap (unused bytes in a data region, which opening tolerates);
 ``validate_checkpoint`` returns them all.
+
+There is one writer (``write_checkpoint``). Its required ``base`` fixes
+every shard's name, tensors and header before the first byte is written,
+so each shard is written once: header first, then each tensor in place,
+into a temp file renamed into place when the shard is complete. It refuses
+a directory holding shard or index files it would not replace.
 """
 
 from __future__ import annotations
@@ -25,15 +31,15 @@ import json
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .dtypes import DType
 from .errors import FormatError
 
 _HEADER_PREFIX = struct.Struct("<Q")
-_COPY_CHUNK = 8 * 1024 * 1024
 # Sanity bound on header size; a fuzzer can otherwise make us try to
 # allocate whatever a random u64 says.
 _MAX_HEADER_BYTES = 256 * 1024 * 1024
@@ -477,6 +483,10 @@ class OutputPolicy:
         return self
 
 
+def _data_len(info: TensorInfo) -> int:
+    return info.dtype.byte_width * info.numel
+
+
 def _serialize_header(
     entries: list[TensorInfo], metadata: dict[str, str] | None
 ) -> bytes:
@@ -485,7 +495,7 @@ def _serialize_header(
         obj["__metadata__"] = dict(metadata)
     offset = 0
     for info in entries:
-        expected = info.dtype.byte_width * info.numel
+        expected = _data_len(info)
         obj[info.name] = {
             "dtype": info.dtype.code,
             "shape": list(info.shape),
@@ -498,36 +508,10 @@ def _serialize_header(
     return payload + b" " * pad
 
 
-class _ShardWriter:
-    """Accumulates one shard: data bytes to a temp file, header at the end."""
-
-    def __init__(self, directory: Path, tag: str):
-        self.directory = directory
-        self.tmp_path = directory / f".{tag}.data.tmp"
-        self.entries: list[TensorInfo] = []
-        self.data_bytes = 0
-        self._f = open(self.tmp_path, "wb")
-
-    def add(self, info: TensorInfo, data: bytes) -> None:
-        self.entries.append(info)
-        self._f.write(data)
-        self.data_bytes += len(data)
-
-    def finalize(self, final_path: Path, metadata: dict[str, str] | None) -> None:
-        self._f.close()
-        header = _serialize_header(self.entries, metadata)
-        with open(final_path, "wb") as out:
-            out.write(_HEADER_PREFIX.pack(len(header)))
-            out.write(header)
-            with open(self.tmp_path, "rb") as data:
-                while chunk := data.read(_COPY_CHUNK):
-                    out.write(chunk)
-        os.unlink(self.tmp_path)
-
-    def abort(self) -> None:
-        self._f.close()
-        if self.tmp_path.exists():
-            os.unlink(self.tmp_path)
+# One output file: its name, its tensors in data order, its metadata block.
+_Shard = tuple[str, list[TensorInfo], dict[str, str] | None]
+# The weight-map file, when one is written: its name and "metadata" object.
+_Index = tuple[str, dict | None]
 
 
 def _write_index_json(
@@ -545,174 +529,162 @@ def _merged_metadata(
     return {**(base or {}), **(extra or {})}
 
 
+def _mirror_layout(
+    base: CheckpointIndex, infos: list[TensorInfo], metadata: dict[str, str] | None
+) -> tuple[list[_Shard], _Index | None]:
+    """The base's shards and tensor order, its metadata blocks with
+    ``metadata`` layered on top, and an index only if the base has one."""
+    shards = {s.name: (s.name, [], _merged_metadata(s.metadata, metadata)) for s in base.shards}
+    for info in infos:
+        shards[info.shard][1].append(info)
+    index = None if base.index_name is None else (base.index_name, base.index_metadata)
+    return [s for s in shards.values() if s[1]], index
+
+
+def _pack_layout(
+    infos: list[TensorInfo], policy: OutputPolicy, metadata: dict[str, str] | None
+) -> tuple[list[_Shard], _Index]:
+    """Fill shards in order up to ``max_shard_bytes``; always with an index."""
+    groups: list[list[TensorInfo]] = []
+    free = 0
+    for info in infos:
+        size = _data_len(info)
+        if size > policy.max_shard_bytes:
+            raise FormatError(
+                f"tensor {info.name!r} ({size} bytes) exceeds "
+                f"max shard size {policy.max_shard_bytes}"
+            )
+        if not groups or size > free:
+            groups.append([])
+            free = policy.max_shard_bytes
+        groups[-1].append(info)
+        free -= size
+    shards = [
+        (policy.shard_template.format(index=i + 1, count=len(groups)), group, metadata)
+        for i, group in enumerate(groups)
+    ]
+    total = sum(_data_len(info) for info in infos)
+    return shards, (policy.index_name, {"total_size": total})
+
+
+def _next_planned(pairs: Iterator[tuple[TensorInfo, bytes]], want: TensorInfo) -> bytes:
+    """The stream's next tensor bytes, checked against the planned entry."""
+    try:
+        info, data = next(pairs)
+    except StopIteration:
+        raise FormatError(f"stream ended early: missing {want.name!r}") from None
+    if info.name != want.name:
+        raise FormatError(
+            f"stream out of base order: got {info.name!r}, expected {want.name!r}"
+        )
+    if info.dtype is not want.dtype or info.shape != want.shape:
+        raise FormatError(
+            f"tensor {info.name!r}: got {info.dtype.code} {list(info.shape)}, "
+            f"planned {want.dtype.code} {list(want.shape)}"
+        )
+    if len(data) != _data_len(want):
+        raise FormatError(
+            f"tensor {info.name!r}: got {len(data)} bytes, expected {_data_len(want)}"
+        )
+    return data
+
+
+def _write_shards(
+    stream: Iterable[tuple[TensorInfo, bytes]], directory: Path, shards: list[_Shard]
+) -> None:
+    """Write each shard once: its fixed header, then its tensors in place.
+
+    A shard is written to a hidden temp file and renamed to its final name
+    only when complete, after the last shard has checked that the stream
+    holds nothing more. On any error the open temp file is removed.
+    """
+    pairs = iter(stream)
+    for i, (name, entries, metadata) in enumerate(shards):
+        tmp = directory / f".{name}.tmp"
+        try:
+            with open(tmp, "wb") as f:
+                header = _serialize_header(entries, metadata)
+                f.write(_HEADER_PREFIX.pack(len(header)) + header)
+                for want in entries:
+                    f.write(_next_planned(pairs, want))
+            if i == len(shards) - 1 and (extra := next(pairs, None)) is not None:
+                raise FormatError(f"stream yields {extra[0].name!r} beyond the base tensor set")
+            os.replace(tmp, directory / name)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+
 def write_checkpoint(
     stream: Iterable[tuple[TensorInfo, bytes]],
     out: str | Path,
     policy: OutputPolicy | None = None,
     *,
-    base: CheckpointIndex | None = None,
+    base: CheckpointIndex | Sequence[TensorInfo],
     metadata: dict[str, str] | None = None,
 ) -> CheckpointIndex:
     """Write a checkpoint from an ordered stream of (info, bytes) pairs.
 
-    ``out`` may be a ``.safetensors`` file path (single-file write) or a
-    directory. In mirror mode the stream must arrive in the base
-    checkpoint's physical order and cover exactly its tensor set; shard
-    names, assignment, metadata blocks, and the presence of an index file
-    all mirror the base, with ``metadata`` keys layered on top. In pack
-    mode shards fill sequentially and an index file is always written.
+    ``base`` fixes the layout before any byte is written: a
+    ``CheckpointIndex`` (its physical tensor order, and in mirror mode its
+    shards) or the ordered ``TensorInfo`` list the stream will yield. The
+    stream must follow that order exactly, and each tensor must match its
+    planned dtype, shape and byte length.
 
-    Each tensor must appear exactly once; the byte length must match its
-    info. Returns the reopened index of what was written.
+    ``out`` may be a ``.safetensors`` file path (one shard, no index) or a
+    directory. In mirror mode shard names, assignment, metadata blocks and
+    the presence of an index file all mirror the base, with ``metadata``
+    keys layered on top. In pack mode shards fill sequentially up to
+    ``max_shard_bytes``, are named by ``shard_template`` and an index file
+    is always written.
+
+    Every header is fixed first, so each shard's data is written once, in
+    place, and the shard is renamed into place when complete. Layout
+    errors (empty layout, duplicate names, a tensor larger than a shard,
+    mirror mode without a base index) raise before any file is created. A
+    directory that holds ``*.safetensors`` or index files this write would
+    not replace raises FileExistsError, so they cannot join the output.
+    Returns the reopened index of what was written.
     """
     out = Path(out)
     policy = (policy or OutputPolicy()).validated()
-
+    if isinstance(base, CheckpointIndex):
+        infos = [base.tensors[n] for n in base.layout_names()]
+    else:
+        infos = list(base)
     if out.suffix == ".safetensors":
-        return _write_single_file(stream, out, metadata)
-    out.mkdir(parents=True, exist_ok=True)
-    if policy.mode == "mirror":
-        if base is None:
-            raise ValueError("mirror mode requires a base checkpoint index")
-        return _write_mirror(stream, out, base, metadata)
-    return _write_packed(stream, out, policy, metadata)
+        directory, shards, index = out.parent, [(out.name, infos, metadata)], None
+    elif policy.mode == "pack":
+        directory, (shards, index) = out, _pack_layout(infos, policy, metadata)
+    elif isinstance(base, CheckpointIndex):
+        directory, (shards, index) = out, _mirror_layout(base, infos, metadata)
+    else:
+        raise ValueError("mirror mode requires a base checkpoint index")
 
-
-def _checked(info: TensorInfo, data: bytes, seen: set[str]) -> TensorInfo:
-    if info.name in seen:
-        raise FormatError(f"duplicate tensor {info.name!r} in write stream")
-    seen.add(info.name)
-    expected = info.dtype.byte_width * info.numel
-    if len(data) != expected:
-        raise FormatError(
-            f"tensor {info.name!r}: got {len(data)} bytes, expected {expected}"
+    names = [info.name for _, entries, _ in shards for info in entries]
+    if not names:
+        raise FormatError("refusing to write an empty checkpoint")
+    repeated = sorted(n for n, k in Counter(names).items() if k > 1)
+    if repeated:
+        raise FormatError(f"duplicate tensor names in the layout: {repeated}")
+    if directory == out:
+        planned = {name for name, _, _ in shards}
+        if index is not None:
+            planned.add(index[0])
+        foreign = sorted(
+            p.name
+            for p in (out.iterdir() if out.is_dir() else ())
+            if p.name.endswith((".safetensors", INDEX_SUFFIX)) and p.name not in planned
         )
-    return info
-
-
-def _write_single_file(
-    stream: Iterable[tuple[TensorInfo, bytes]],
-    out: Path,
-    metadata: dict[str, str] | None,
-) -> CheckpointIndex:
-    writer = _ShardWriter(out.parent, out.name)
-    seen: set[str] = set()
-    try:
-        for info, data in stream:
-            writer.add(_checked(info, data, seen), data)
-        if not writer.entries:
-            raise FormatError("refusing to write an empty checkpoint")
-        writer.finalize(out, metadata)
-    except BaseException:
-        writer.abort()
-        raise
-    return open_checkpoint(out)
-
-
-def _write_mirror(
-    stream: Iterable[tuple[TensorInfo, bytes]],
-    out: Path,
-    base: CheckpointIndex,
-    metadata: dict[str, str] | None,
-) -> CheckpointIndex:
-    expected_names = base.layout_names()
-    weight_map: dict[str, str] = {}
-    writer: _ShardWriter | None = None
-    current_shard: str | None = None
-    seen: set[str] = set()
-    pos = 0
-    try:
-        for info, data in stream:
-            if pos >= len(expected_names):
-                raise FormatError(
-                    f"stream yields {info.name!r} beyond the base tensor set"
-                )
-            expected = expected_names[pos]
-            if info.name != expected:
-                raise FormatError(
-                    "mirror mode requires base order: "
-                    f"got {info.name!r}, expected {expected!r}"
-                )
-            pos += 1
-            _checked(info, data, seen)
-            shard_name = base.tensors[info.name].shard
-            if shard_name != current_shard:
-                if writer is not None:
-                    assert current_shard is not None
-                    writer.finalize(
-                        out / current_shard,
-                        _merged_metadata(base.shard(current_shard).metadata, metadata),
-                    )
-                writer = _ShardWriter(out, shard_name)
-                current_shard = shard_name
-            assert writer is not None
-            writer.add(info, data)
-            weight_map[info.name] = shard_name
-        if pos < len(expected_names):
-            raise FormatError(
-                f"stream ended early: missing {expected_names[pos]!r} and "
-                f"{len(expected_names) - pos - 1} more"
+        if foreign:
+            raise FileExistsError(
+                f"{out} holds shard or index files this write would not replace: "
+                f"{foreign}; remove them first"
             )
-        if writer is not None:
-            assert current_shard is not None
-            writer.finalize(
-                out / current_shard,
-                _merged_metadata(base.shard(current_shard).metadata, metadata),
-            )
-    except BaseException:
-        if writer is not None:
-            writer.abort()
-        raise
-    if base.index_name is not None:
-        _write_index_json(out / base.index_name, weight_map, base.index_metadata)
-    return open_checkpoint(out)
+        out.mkdir(parents=True, exist_ok=True)
 
-
-def _write_packed(
-    stream: Iterable[tuple[TensorInfo, bytes]],
-    out: Path,
-    policy: OutputPolicy,
-    metadata: dict[str, str] | None,
-) -> CheckpointIndex:
-    writers: list[_ShardWriter] = []
-    seen: set[str] = set()
-    assignment: list[list[str]] = []
-
-    def new_writer() -> _ShardWriter:
-        w = _ShardWriter(out, f"shard-{len(writers):05d}")
-        writers.append(w)
-        assignment.append([])
-        return w
-
-    writer: _ShardWriter | None = None
-    try:
-        for info, data in stream:
-            _checked(info, data, seen)
-            if len(data) > policy.max_shard_bytes:
-                raise FormatError(
-                    f"tensor {info.name!r} ({len(data)} bytes) exceeds "
-                    f"max shard size {policy.max_shard_bytes}"
-                )
-            if writer is None or writer.data_bytes + len(data) > policy.max_shard_bytes:
-                if writer is not None:
-                    writer._f.close()  # complete; reopened by finalize's copy
-                writer = new_writer()
-            writer.add(info, data)
-            assignment[-1].append(info.name)
-        if not writers or not seen:
-            raise FormatError("refusing to write an empty checkpoint")
-        count = len(writers)
-        weight_map: dict[str, str] = {}
-        for i, w in enumerate(writers):
-            shard_name = policy.shard_template.format(index=i + 1, count=count)
-            w.finalize(out / shard_name, metadata)
-            for name in assignment[i]:
-                weight_map[name] = shard_name
-        total = sum(w.data_bytes for w in writers)
-        _write_index_json(out / policy.index_name, weight_map, {"total_size": total})
-    except BaseException:
-        for w in writers:
-            if w.tmp_path.exists():
-                w.abort()
-        raise
+    _write_shards(stream, directory, shards)
+    if index is not None:
+        weight_map = {info.name: name for name, entries, _ in shards for info in entries}
+        _write_index_json(out / index[0], weight_map, index[1])
     return open_checkpoint(out)

@@ -199,6 +199,35 @@ def test_merge_refuses_nonempty_out_without_force(workdir, capsys):
     ]) == 0
 
 
+def test_merge_force_rewrites_own_output_but_refuses_foreign_shards(workdir, capsys):
+    out = workdir["tmp"] / "m"
+    merge = ["merge", "--recipe", str(workdir["recipe"]), "--out", str(out), "--force"]
+    assert main(merge) == 0
+    assert main(merge) == 0
+    (out / "old-leftover.safetensors").write_bytes(
+        build_safetensors([("junk.weight", "F32", [1], bytes(4))])
+    )
+    capsys.readouterr()
+    assert main(merge) == 1
+    assert "old-leftover.safetensors" in capsys.readouterr().err
+    assert "junk.weight" not in mm.open_checkpoint(out).tensors
+
+
+def test_merge_recipe_with_stale_diff_cache_exits_1(workdir, capsys):
+    pair = workdir["pair"]
+    cache = workdir["tmp"] / "cache.json"
+    assert main(["diff", str(pair["base"].root), str(pair["variant"].root),
+                 "--out", str(cache)]) == 0
+    obj = json.loads(cache.read_text())
+    obj["models"] = ["0" * 64, "1" * 64]
+    cache.write_text(json.dumps(obj))
+    out = workdir["tmp"] / "m"
+    code = main(["merge", "--recipe", str(workdir["recipe"]), "--diffs", str(cache),
+                 "--out", str(out)])
+    assert code == 1
+    assert "changed since planning" in capsys.readouterr().err
+
+
 def test_merge_stale_plan_exits_1(workdir, tmp_path):
     plan_path = workdir["tmp"] / "plan.json"
     assert main(["plan", "--recipe", str(workdir["recipe"]), "--out", str(plan_path)]) == 0
@@ -213,7 +242,8 @@ def test_merge_requires_exactly_one_source(workdir):
     assert main(["merge", "--out", str(workdir["tmp"] / "m")]) == 2
 
 
-def test_merge_recipe_incompatible_parents_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("with_diffs", [False, True], ids=["fused", "diffs"])
+def test_merge_recipe_incompatible_parents_exits_2(tmp_path, capsys, with_diffs):
     f32 = np.zeros(4, dtype="<f4").tobytes()
     a = tmp_path / "a.safetensors"
     b = tmp_path / "b.safetensors"
@@ -221,14 +251,27 @@ def test_merge_recipe_incompatible_parents_exits_2(tmp_path, capsys):
     b.write_bytes(build_safetensors([("y", "F32", [4], f32)]))
     recipe = tmp_path / "r.json"
     recipe.write_text(json.dumps({"models": [str(a), str(b)], "lambdas": [0.5, 0.5]}))
+    extra = []
+    if with_diffs:
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({"version": 1, "models": ["0" * 64] * 2, "records": []}))
+        extra = ["--diffs", str(cache)]
     out = tmp_path / "m"
-    assert main(["merge", "--recipe", str(recipe), "--out", str(out)]) == 2
+    assert main(["merge", "--recipe", str(recipe), "--out", str(out), *extra]) == 2
     err = capsys.readouterr().err
     assert "incompatible" in err and "'x' missing in model 2" in err
     assert not out.exists()
 
 
-def test_merge_recipe_opens_each_parent_once(workdir, monkeypatch):
+@pytest.mark.parametrize("with_diffs", [False, True], ids=["fused", "diffs"])
+def test_merge_recipe_opens_each_parent_once(workdir, monkeypatch, with_diffs):
+    extra = []
+    if with_diffs:
+        cache = workdir["tmp"] / "cache.json"
+        pair = workdir["pair"]
+        assert main(["diff", str(pair["base"].root), str(pair["variant"].root),
+                     "--out", str(cache)]) == 0
+        extra = ["--diffs", str(cache)]
     opened = []
 
     def counting(module):
@@ -245,7 +288,7 @@ def test_merge_recipe_opens_each_parent_once(workdir, monkeypatch):
     counting(cli)
     counting(merge_core)
     out = workdir["tmp"] / "merged"
-    assert main(["merge", "--recipe", str(workdir["recipe"]), "--out", str(out)]) == 0
+    assert main(["merge", "--recipe", str(workdir["recipe"]), "--out", str(out), *extra]) == 0
     assert sorted(opened) == ["base", "variant"]
 
 

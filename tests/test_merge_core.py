@@ -391,6 +391,25 @@ def test_execute_copy_path_preserves_nan_payloads(tmp_path):
     assert mm.read_tensor_raw(out, "x") == bits.tobytes()
 
 
+def test_execute_refuses_foreign_shards_in_out(tmp_path):
+    # an index-less base: the output is found by globbing, so a stale shard
+    # left in the directory would become part of the merged checkpoint
+    data = np.arange(4, dtype="<f4").tobytes()
+    a = tmp_path / "a.safetensors"
+    b = tmp_path / "b.safetensors"
+    a.write_bytes(build_safetensors([("x", "F32", [4], data)]))
+    b.write_bytes(build_safetensors([("x", "F32", [4], data)]))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "old-leftover.safetensors").write_bytes(
+        build_safetensors([("junk.weight", "F32", [4], data)])
+    )
+    cfg = mm.MergeConfig(models=(str(a), str(b)), lambdas=(0.5, 0.5))
+    with pytest.raises(FileExistsError, match="old-leftover.safetensors"):
+        mm.execute_merge(None, cfg, out)
+    assert sorted(p.name for p in out.iterdir()) == ["old-leftover.safetensors"]
+
+
 # --- threshold sweep ---------------------------------------------------------------------
 
 

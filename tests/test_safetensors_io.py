@@ -270,7 +270,7 @@ def test_write_pack_shard_arithmetic(tmp_path):
     ]
     stream = ((info, bytes(1024)) for info in infos)
     policy = mm.OutputPolicy(mode="pack", max_shard_bytes=2048)
-    out = mm.write_checkpoint(stream, tmp_path / "packed", policy)
+    out = mm.write_checkpoint(stream, tmp_path / "packed", policy, base=infos)
     assert len(out.shards) == 2
     assert [s.name for s in out.shards] == [
         "model-00001-of-00002.safetensors",
@@ -282,14 +282,15 @@ def test_write_pack_tensor_larger_than_shard(tmp_path):
     info = mm.TensorInfo("t", mm.DType.U8, (4096,), (0, 4096))
     policy = mm.OutputPolicy(mode="pack", max_shard_bytes=1024)
     with pytest.raises(FormatError, match="exceeds"):
-        mm.write_checkpoint(iter([(info, bytes(4096))]), tmp_path / "p", policy)
+        mm.write_checkpoint(iter([(info, bytes(4096))]), tmp_path / "p", policy, base=[info])
 
 
 def test_write_duplicate_name_in_stream(tmp_path):
     info = mm.TensorInfo("t", mm.DType.U8, (1,), (0, 1))
     with pytest.raises(FormatError, match="duplicate"):
         mm.write_checkpoint(
-            iter([(info, b"\x01"), (info, b"\x02")]), tmp_path / "d.safetensors"
+            iter([(info, b"\x01"), (info, b"\x02")]), tmp_path / "d.safetensors",
+            base=[info, info],
         )
 
 
@@ -308,8 +309,152 @@ def test_write_mirror_rejects_wrong_order(tiny_base, tmp_path):
 
 def test_write_empty_stream(tmp_path):
     with pytest.raises(FormatError, match="empty"):
-        mm.write_checkpoint(iter([]), tmp_path / "e.safetensors")
+        mm.write_checkpoint(iter([]), tmp_path / "e.safetensors", base=[])
 
+
+# --- golden bytes: the writer's output is pinned file by file ---------------------
+
+
+GOLDEN_TENSORS = [
+    ("model.embed_tokens.weight", mm.DType.BF16, (6, 8)),
+    ("model.layers.0.mlp.gate_proj.weight", mm.DType.F32, (5, 7)),
+    ("model.layers.0.input_layernorm.weight", mm.DType.F16, (16,)),
+    ("model.layers.1.mlp.experts.0.up_proj.weight", mm.DType.U8, (9, 11)),
+    ("model.layers.1.mlp.gate.e_score_correction_bias", mm.DType.I64, (3,)),
+    ("lm_head.weight", mm.DType.BF16, (8, 6)),
+]
+
+
+def golden_stream():
+    """Deterministic (info, bytes) pairs; no RNG, so no numpy version moves them."""
+    for i, (name, dtype, shape) in enumerate(GOLDEN_TENSORS):
+        n = dtype.byte_width * int(np.prod(shape))
+        data = bytes((7 * i + k) % 256 for k in range(n))
+        yield mm.TensorInfo(name, dtype, shape, (0, n)), data
+
+
+def golden_infos():
+    return [info for info, _ in golden_stream()]
+
+
+def file_hashes(root):
+    paths = [root] if root.is_file() else sorted(root.iterdir())
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+def golden_indexed_base(root):
+    """A hand-built indexed base: two shards with their own metadata blocks."""
+    root.mkdir()
+    pairs = list(golden_stream())
+    for shard, part, meta in (
+        ("b-1.safetensors", pairs[:4], {"format": "pt", "shard": "1"}),
+        ("b-2.safetensors", pairs[4:], {"format": "pt"}),
+    ):
+        entries = [(i.name, i.dtype.code, i.shape, d) for i, d in part]
+        (root / shard).write_bytes(build_safetensors(entries, metadata=meta))
+    weight_map = {i.name: ("b-1.safetensors" if k < 4 else "b-2.safetensors")
+                  for k, (i, _) in enumerate(pairs)}
+    (root / "b.safetensors.index.json").write_text(
+        json.dumps({"metadata": {"total_size": 1}, "weight_map": weight_map})
+    )
+    return mm.open_checkpoint(root)
+
+
+def test_golden_pack_with_count_template(tmp_path):
+    policy = mm.OutputPolicy(
+        mode="pack", max_shard_bytes=200,
+        shard_template="part-{index}-of-{count}.safetensors", index_name="p.index.json",
+    )
+    out = tmp_path / "packed"
+    mm.write_checkpoint(golden_stream(), out, policy, base=golden_infos(),
+                        metadata={"aoe.note": "golden"})
+    assert file_hashes(out) == {
+        "p.index.json": "43aa3d8badaceff18fa05d0ad15fcc07fc06f760e14fcc003b66242b8416c35c",
+        "part-1-of-4.safetensors": "3f29bdfdee75fd3d44422401dc467915f77a3a2e8390c0c5298ddc373e601cdd",
+        "part-2-of-4.safetensors": "b508005463da2781d23cf5a6ceefcdd8ea755d5b18dbe459490632cbfe478e1d",
+        "part-3-of-4.safetensors": "ce1d883d47239cfaab5afe986e9a2b66c64e4e8d60cb4a6d158987a4648a2f41",
+        "part-4-of-4.safetensors": "c079c0c5ca60512537ebc0e1d50307e04ef6e47e4c3e4c5f438a4fcd2d85ab3a",
+    }
+
+
+def test_golden_mirror_of_indexed_base(tmp_path):
+    base = golden_indexed_base(tmp_path / "base")
+
+    def stream():
+        for name in base.layout_names():
+            yield base.tensors[name], mm.read_tensor_raw(base, name)
+
+    out = tmp_path / "mirror"
+    mm.write_checkpoint(stream(), out, base=base, metadata={"aoe.delta": "0.5"})
+    assert file_hashes(out) == {
+        "b-1.safetensors": "52b2b96cac87e42fd278ffc55e622be3b54bd5843dc4c898cd1994a69144f674",
+        "b-2.safetensors": "841998aa4ffdd8b3c38ccca46d35ea295a651a479093da6e2ec0320dc474c316",
+        "b.safetensors.index.json": "ccaa6239a45473d436b03233603762e2a23966c67f21cb35498597c0ade7d8c9",
+    }
+
+
+def test_golden_single_file(tmp_path):
+    out = tmp_path / "one.safetensors"
+    mm.write_checkpoint(golden_stream(), out, base=golden_infos(), metadata={"k": "v"})
+    assert file_hashes(out) == {
+        "one.safetensors": "a587d83629464228afe3b28d598a0b2896e14f9e4ccd1a575f6ea757990a554a",
+    }
+
+
+
+def test_write_failure_mid_pack_leaves_only_complete_shards(tmp_path):
+    infos = [mm.TensorInfo(f"t{i}", mm.DType.U8, (100,), (0, 100)) for i in range(6)]
+
+    def stream():
+        for info in infos[:3]:  # shard 1 holds t0, t1; shard 2 fails after t2
+            yield info, bytes(100)
+        raise OSError("disk went away")
+
+    out = tmp_path / "packed"
+    policy = mm.OutputPolicy(mode="pack", max_shard_bytes=200)
+    with pytest.raises(OSError, match="disk went away"):
+        mm.write_checkpoint(stream(), out, policy, base=infos)
+    assert sorted(p.name for p in out.iterdir()) == ["model-00001-of-00003.safetensors"]
+
+
+@pytest.mark.parametrize(
+    "infos, match",
+    [
+        ([mm.TensorInfo("t", mm.DType.U8, (4096,), (0, 4096))], "exceeds"),
+        ([], "empty"),
+        ([mm.TensorInfo("t", mm.DType.U8, (1,), (0, 1))] * 2, "duplicate"),
+    ],
+    ids=["too-large", "empty", "duplicate"],
+)
+def test_write_layout_errors_create_no_file(tmp_path, infos, match):
+    out = tmp_path / "out"
+    out.mkdir()
+    stream = ((info, bytes(info.nbytes)) for info in infos)
+    policy = mm.OutputPolicy(mode="pack", max_shard_bytes=1024)
+    with pytest.raises(FormatError, match=match):
+        mm.write_checkpoint(stream, out, policy, base=infos)
+    assert list(out.iterdir()) == []
+
+
+def test_write_mirror_requires_a_base_index(tmp_path):
+    info = mm.TensorInfo("t", mm.DType.U8, (1,), (0, 1))
+    with pytest.raises(ValueError, match="mirror mode requires"):
+        mm.write_checkpoint(iter([(info, b"\x01")]), tmp_path / "m", base=[info])
+    assert not (tmp_path / "m").exists()
+
+
+def test_write_rejects_a_tensor_unlike_its_planned_entry(tiny_base, tmp_path):
+    index, _ = tiny_base
+    first = index.layout_names()[0]
+    info = index.tensors[first]
+    wrong = mm.TensorInfo(first, mm.DType.U8, (info.nbytes,), (0, info.nbytes))
+
+    def stream():
+        yield wrong, mm.read_tensor_raw(index, first)
+
+    with pytest.raises(FormatError, match="planned"):
+        mm.write_checkpoint(stream(), tmp_path / "w", base=index)
+    assert list((tmp_path / "w").iterdir()) == []
 
 def test_header_serialization_is_padded_and_compact():
     info = mm.TensorInfo("a", mm.DType.F32, (2,), (0, 8))
