@@ -28,7 +28,7 @@ from .errors import (
     RecipeError,
 )
 from .safetensors_io import open_checkpoint, validate_checkpoint
-from .taxonomy import GROUP_ORDER, TensorGroup, census
+from .taxonomy import GROUP_ORDER, TensorGroup, census, classify
 
 EXIT_OK = 0
 EXIT_OPERATIONAL = 1
@@ -64,15 +64,6 @@ def _progress(verb: str):
     return report
 
 
-def _open_parents(paths) -> list:
-    """Open the parents; CompatibilityError unless they match the base's tensors."""
-    models = [open_checkpoint(p) for p in paths]
-    problems = merge_core.validate_compatibility(models)
-    if problems:
-        raise CompatibilityError("incompatible parents: " + "; ".join(problems))
-    return models
-
-
 def _summarize_diffs(records) -> list[dict]:
     by_group: dict[str, list[float]] = {}
     for r in records:
@@ -93,17 +84,21 @@ def _summarize_diffs(records) -> list[dict]:
 
 
 def cmd_diff(args) -> int:
-    models = _open_parents(args.models)
+    models = [open_checkpoint(p) for p in args.models]
     fingerprints = [m.fingerprint() for m in models]
+    scheme = recipe_mod.resolve_scheme(args.scheme)
     records = None
     if Path(args.out).exists():
         try:
             records, _ = merge_core.load_diff_cache(args.out, fingerprints)
-            _msg(f"{args.out} is up to date (header hashes match); skipping recompute")
         except (MoemergeError, OSError, json.JSONDecodeError, KeyError):
             records = None
+        if records is not None and all(r.category == classify(r.name, scheme) for r in records):
+            _msg(f"{args.out} is up to date (header hashes and categories match); "
+                 "skipping recompute")
+        else:
+            records = None
     if records is None:
-        scheme = recipe_mod.resolve_scheme(args.scheme)
         records = merge_core.compute_diffs(
             models,
             scheme,
@@ -126,10 +121,15 @@ def cmd_diff(args) -> int:
     return EXIT_OK
 
 
-def _diffs_for_config(config, args, models):
-    """Load the diff cache if given (hash-checked), else compute."""
+def _diffs_for_config(config, args):
+    """Load the diff cache if given (hash-checked), else compute.
+
+    A cache reads no weights: its fingerprints pin the headers whose
+    compatibility ``compute_diffs`` checked.
+    """
+    models = [open_checkpoint(p) for p in config.models]
     fingerprints = [m.fingerprint() for m in models]
-    if getattr(args, "diffs", None):
+    if args.diffs:
         records, _ = merge_core.load_diff_cache(args.diffs, fingerprints)
         return records, fingerprints
     records = merge_core.compute_diffs(
@@ -178,8 +178,7 @@ def _config_from_recipe(args):
 
 def cmd_plan(args) -> int:
     config = _config_from_recipe(args)
-    models = _open_parents(config.models)
-    records, fingerprints = _diffs_for_config(config, args, models)
+    records, fingerprints = _diffs_for_config(config, args)
     plan = merge_core.plan_merge(config, records, fingerprints)
     Path(args.out).write_text(json.dumps(plan.to_json_obj(), indent=1) + "\n", "utf-8")
     _msg(f"wrote plan to {args.out}")
@@ -200,17 +199,17 @@ def cmd_merge(args) -> int:
     if bool(args.recipe) == bool(args.plan):
         raise RecipeError("give exactly one of --recipe or --plan")
     if args.plan:
+        if args.lambdas or args.delta is not None or args.diffs:
+            raise RecipeError("--lambda/--delta/--diffs require --recipe, not --plan")
         plan_obj = json.loads(Path(args.plan).read_text("utf-8"))
         plan = merge_core.MergePlan.from_json_obj(plan_obj)
-        config = merge_core.MergeConfig.from_json_obj(plan.config_echo)
-        if getattr(args, "lambdas", None) or getattr(args, "delta", None) is not None:
-            raise RecipeError("--lambda/--delta overrides require --recipe, not --plan")
+        # The echo's model paths are already resolved; keep them cwd-relative.
+        config = recipe_mod.Recipe.from_json_obj(plan.config_echo).resolve(".")
     else:
         config = _config_from_recipe(args)
         plan = None
         if args.dry_run:
-            models = _open_parents(config.models)
-            records, fingerprints = _diffs_for_config(config, args, models)
+            records, fingerprints = _diffs_for_config(config, args)
             plan = merge_core.plan_merge(config, records, fingerprints)
         elif args.diffs:
             # Plan with the cache's own fingerprints: execute_merge opens the
@@ -260,8 +259,7 @@ def cmd_merge(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _config_from_recipe(args)
-    models = _open_parents(config.models)
-    records, _ = _diffs_for_config(config, args, models)
+    records, _ = _diffs_for_config(config, args)
     rows = merge_core.threshold_sweep(records, config, args.deltas)
     groups = [g.value for g in TensorGroup]
     lines = ["delta," + ",".join(groups) + ",total"]

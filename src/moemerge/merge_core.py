@@ -6,15 +6,15 @@ merged (weighted sum of all parents) iff it belongs to the configured
 subset AND that maximum strictly exceeds the threshold; otherwise the base
 model's raw bytes are copied bit-exactly.
 
-A tensor's gate depends only on its own diff, so a recipe merge is one
-streaming pass: each tensor task reads every parent's bytes once, diffs
-them in fixed blocks, gates, and then combines the blocks into the output
-or hands on the base bytes it already holds. The resolved plan comes out
-of the same pass as an audit record. ``compute_diffs`` runs the same task
-without the gate. A reviewed plan (``plan`` -> ``merge --plan``) skips the
-diff: its copies read only the base and its merges share the blocked
-combine. The threshold sweep reuses diff records without touching the
-checkpoints again.
+A tensor's gate depends only on its own diff, so every pass over the
+weights runs one per-tensor task. ``compute_diffs`` reads each parent's
+bytes once and diffs them in fixed blocks. A recipe merge also gates, then
+combines the blocks into the output or hands on the base bytes it holds;
+its plan comes out of the same pass as an audit record. A reviewed plan
+skips the diff: its copies read only the base. The functions that read
+weights check the parents' compatibility once, up front. Planning, the
+fused gate and the threshold sweep share one gate and classify names with
+the config's scheme; a diff cache supplies only the numbers.
 
 Tasks run on a bounded worker pool; results are written in base layout
 order, so output is independent of the worker count.
@@ -26,7 +26,7 @@ import json
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -51,7 +51,6 @@ from .taxonomy import (
     TensorGroup,
     classify,
     in_subset,
-    subset_from_json_obj,
     subset_to_json_obj,
 )
 from .tensor_math import (
@@ -112,25 +111,8 @@ class MergeConfig:
             "subset": subset_to_json_obj(self.subset),
             "scheme": self.scheme.to_json_obj(),
             "convex_required": self.convex_required,
-            "output": {
-                "mode": self.output.mode,
-                "max_shard_bytes": self.output.max_shard_bytes,
-                "shard_template": self.output.shard_template,
-                "index_name": self.output.index_name,
-            },
+            "output": asdict(self.output),
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "MergeConfig":
-        return cls(
-            models=tuple(obj["models"]),
-            lambdas=tuple(obj["lambdas"]),
-            delta=obj["delta"],
-            subset=subset_from_json_obj(obj["subset"]),
-            scheme=NamingScheme.from_json_obj(obj["scheme"]),
-            convex_required=obj["convex_required"],
-            output=OutputPolicy(**obj["output"]),
-        )
 
 
 def _check_convex(lambdas: Sequence[float], what: str) -> None:
@@ -346,31 +328,36 @@ def _ordered_parallel(
             yield fut.result()
 
 
-def _resident_cost(info: TensorInfo, n_models: int, *, output: bool) -> int:
-    """Estimated peak bytes of one tensor task.
+def _check_compatible(models: Sequence[CheckpointIndex]) -> None:
+    problems = validate_compatibility(models)
+    if problems:
+        raise CompatibilityError("incompatible parents: " + "; ".join(problems))
+
+
+def _resident_cost(
+    base: CheckpointIndex,
+    n_models: int,
+    *,
+    output: bool,
+    planned: dict[str, MergeDecision] | None = None,
+) -> Callable[[str], int]:
+    """Estimated peak bytes of one tensor task, by tensor name.
 
     Every parent's raw bytes, the output buffer when the task builds one,
     and the float64 scratch of one block (each parent's decoded values plus
-    the combine and diff temporaries).
+    the combine and diff temporaries). A planned copy holds only the base
+    bytes.
     """
-    scratch = min(info.numel, BLOCK_ELEMS) * 8 * (2 * n_models + 2)
-    out = info.nbytes if output else 0
-    return max(info.nbytes * n_models + out + scratch, 1)
 
+    def cost(name: str) -> int:
+        info = base.tensors[name]
+        if planned is not None and planned[name].action == ACTION_COPY_BASE:
+            return info.nbytes
+        scratch = min(info.numel, BLOCK_ELEMS) * 8 * (2 * n_models + 2)
+        out = info.nbytes if output else 0
+        return max(info.nbytes * n_models + out + scratch, 1)
 
-def _read_parents(
-    models: Sequence[CheckpointIndex], name: str, info: TensorInfo
-) -> list[bytes]:
-    """Every parent's raw bytes of one tensor, checked against the base entry."""
-    raws = [read_tensor_raw(models[0], name)]
-    for i, other in enumerate(models[1:], start=2):
-        got = other.tensors.get(name)
-        if got is None:
-            raise CompatibilityError(f"{name!r} missing in model {i}")
-        if got.shape != info.shape or got.dtype is not info.dtype:
-            raise CompatibilityError(f"{name!r} shape/dtype mismatch in model {i}")
-        raws.append(read_tensor_raw(other, name))
-    return raws
+    return cost
 
 
 def _decoded_blocks(raws: Sequence[bytes], info: TensorInfo) -> Iterator[list[np.ndarray]]:
@@ -433,32 +420,38 @@ _Outcome = tuple[DiffRecord | None, MergeDecision | None, bytes | bytearray | No
 def _tensor_task(
     models: Sequence[CheckpointIndex],
     scheme: NamingScheme,
-    gate: Callable[[DiffRecord], MergeDecision] | None,
+    config: MergeConfig | None = None,
+    planned: dict[str, MergeDecision] | None = None,
 ) -> Callable[[str], _Outcome]:
-    """The one pass over a tensor: read each parent once, diff, and gate.
+    """The one pass over a tensor, for diffs, the fused merge and a reviewed plan.
 
-    Without a gate the task stops after the diff. With one, a merged
-    tensor is combined block by block and a copied one hands on the base
-    bytes already read. Returns (record, decision, output bytes,
-    non-finite parents).
+    A planned decision is looked up before any read: a copy reads only the
+    base, a merge reads every parent and combines without diffing.
+    Otherwise each parent is read once and diffed; without a config the
+    task stops there, with one it gates, then combines a merged tensor
+    block by block or hands on the base bytes already read. Returns
+    (record, decision, output bytes, non-finite parents).
     """
     base = models[0]
 
     def task(name: str) -> _Outcome:
-        category = classify(name, scheme)
         info = base.tensors[name]
-        if len(models) == 1 or info.numel == 0:
-            record = DiffRecord(name, category, (0.0,) * (len(models) - 1), 0.0)
-            raws, decoded = None, None
-        else:
-            raws = _read_parents(models, name, info)
-            record, decoded = _diff_parents(name, category, raws, info)
-        if gate is None:
-            return record, None, None, []
-        decision = gate(record)
+        decision = planned[name] if planned is not None else None
+        record, raws, decoded = None, None, None
+        if decision is None:
+            category = classify(name, scheme)
+            if len(models) == 1 or info.numel == 0:
+                record = DiffRecord(name, category, (0.0,) * (len(models) - 1), 0.0)
+            else:
+                raws = [read_tensor_raw(model, name) for model in models]
+                record, decoded = _diff_parents(name, category, raws, info)
+            if config is None:
+                return record, None, None, []
+            decision = _decide(record, category, config)
         if decision.action == ACTION_COPY_BASE:
             return record, decision, raws[0] if raws else read_tensor_raw(base, name), []
-        assert raws is not None and decision.lambdas is not None
+        assert decision.lambdas is not None
+        raws = raws or [read_tensor_raw(model, name) for model in models]
         data, bad = _combine(raws, info, decision.lambdas, decoded)
         return record, decision, data, bad
 
@@ -475,20 +468,17 @@ def compute_diffs(
 ) -> list[DiffRecord]:
     """One DiffRecord per base tensor, streamed with bounded memory.
 
-    With a single model every record is zero. Tensors with no elements also
-    diff to zero. Compatibility should be validated first; shape/dtype
-    surprises at read time raise CompatibilityError with the tensor named.
+    The parents must share the base's tensor names, shapes and dtypes;
+    they are checked before any tensor is read (CompatibilityError with
+    every mismatch). With a single model every record is zero. Tensors with
+    no elements also diff to zero. Records are classified with ``scheme``.
     ``progress(done, total)`` is called in layout order as records arrive.
     """
-    if not models:
-        raise ValueError("no models given")
+    _check_compatible(models)
     base = models[0]
     names = base.layout_names()
-    task = _tensor_task(models, scheme, None)
-
-    def cost(name: str) -> int:
-        return _resident_cost(base.tensors[name], len(models), output=False)
-
+    task = _tensor_task(models, scheme)
+    cost = _resident_cost(base, len(models), output=False)
     records = []
     for record, _, _, _ in _ordered_parallel(names, task, workers, cost, max_resident_bytes):
         records.append(record)
@@ -534,9 +524,10 @@ def plan_merge(
     """Resolve the per-tensor case split into an auditable plan.
 
     A tensor merges iff it is in the subset and its max diff strictly
-    exceeds delta (ties copy the base). ``lambda_overrides`` may replace
-    the weights for individual tensors; overrides are validated like the
-    global weights.
+    exceeds delta (ties copy the base). Each name is classified with
+    ``config.scheme``; the records supply only their diffs.
+    ``lambda_overrides`` may replace the weights for individual tensors;
+    overrides are validated like the global weights.
     """
     config.validate()
     overrides = lambda_overrides or {}
@@ -552,7 +543,10 @@ def plan_merge(
     if unknown:
         raise RecipeError(f"lambda overrides for unknown tensors: {sorted(unknown)}")
 
-    decisions = [_decide(record, config, overrides) for record in diffs]
+    decisions = [
+        _decide(record, classify(record.name, config.scheme), config, overrides)
+        for record in diffs
+    ]
     return MergePlan(
         decisions=decisions,
         model_fingerprints=list(model_fingerprints),
@@ -560,24 +554,38 @@ def plan_merge(
     )
 
 
+def _copy_reason(
+    record: DiffRecord, category: TensorCategory, subset: SubsetSpec, delta: float
+) -> str | None:
+    """The one gate: None when the tensor merges, else why it keeps the base.
+
+    Merge iff the tensor is in the subset and its max diff strictly exceeds
+    delta (ties copy the base). ``category`` is the name classified with
+    the config's scheme, never the one a diff cache stored.
+    """
+    if not in_subset(category, subset, record.name):
+        return REASON_NOT_IN_SUBSET
+    return None if record.max_diff > delta else REASON_BELOW_THRESHOLD
+
+
 def _decide(
     record: DiffRecord,
+    category: TensorCategory,
     config: MergeConfig,
     overrides: dict[str, Sequence[float]] | None = None,
 ) -> MergeDecision:
-    """The per-tensor case split, shared by planning and the fused pass.
+    """The per-tensor decision, shared by planning and the fused pass.
 
-    Merge iff the tensor is in the subset and its max diff strictly exceeds
-    delta (ties copy the base). A merge is base-preserving when its weights
-    are one-hot on the base or the parents are identical.
+    A merge is base-preserving when its weights are one-hot on the base or
+    the parents are identical.
     """
-    member = in_subset(record.category, config.subset, record.name)
-    if member and record.max_diff > config.delta:
+    reason = _copy_reason(record, category, config.subset, config.delta)
+    if reason is None:
         lams = tuple((overrides or {}).get(record.name, config.lambdas))
         one_hot = lams[0] == 1.0 and all(lam == 0.0 for lam in lams[1:])
         return MergeDecision(
             name=record.name,
-            category=record.category,
+            category=category,
             action=ACTION_MERGE,
             max_diff=record.max_diff,
             lambdas=lams,
@@ -585,10 +593,10 @@ def _decide(
         )
     return MergeDecision(
         name=record.name,
-        category=record.category,
+        category=category,
         action=ACTION_COPY_BASE,
         max_diff=record.max_diff,
-        reason=REASON_BELOW_THRESHOLD if member else REASON_NOT_IN_SUBSET,
+        reason=reason,
         base_preserving=True,
     )
 
@@ -615,13 +623,14 @@ def execute_merge(
 ) -> tuple[CheckpointIndex, MergeReport]:
     """Merge the parents in one streaming pass and write the checkpoint.
 
-    With ``plan=None`` the gate runs inside the pass: each tensor's parents
-    are read once, diffed, gated and then merged or copied, and the
-    resolved plan (equal to ``plan_merge`` over ``compute_diffs``) is
-    attached to the report as ``report.plan``. With a reviewed plan, the
-    parents are re-opened and must still have the header hashes the plan
-    was computed against; copy decisions read only the base. Either way
-    the parents must be compatible (CompatibilityError otherwise).
+    The parents are opened and checked for compatibility once, before any
+    tensor is read (CompatibilityError otherwise). With ``plan=None`` the
+    gate runs inside the pass: each tensor's parents are read once, diffed,
+    gated and then merged or copied, and the resolved plan (equal to
+    ``plan_merge`` over ``compute_diffs``) is attached to the report as
+    ``report.plan``. With a reviewed plan, the parents must still have the
+    header hashes the plan was computed against; each decision is taken as
+    given, so copies read only the base and merges are not diffed.
 
     Merge decisions decode all parents block by block, combine in float64,
     and re-encode to the original dtype; copy decisions move the base
@@ -634,17 +643,10 @@ def execute_merge(
     fingerprints = [m.fingerprint() for m in models]
     base = models[0]
     layout = base.layout_names()
-    n_models = len(models)
 
-    problems = validate_compatibility(models)
-    if problems:
-        raise CompatibilityError("incompatible parents: " + "; ".join(problems))
-    if plan is None:
-        task = _tensor_task(models, config.scheme, lambda r: _decide(r, config))
-
-        def cost(name: str) -> int:
-            return _resident_cost(base.tensors[name], n_models, output=True)
-    else:
+    _check_compatible(models)
+    planned = None
+    if plan is not None:
         if fingerprints != plan.model_fingerprints:
             raise MergeError(
                 "input checkpoints changed since planning (header hash mismatch); "
@@ -653,20 +655,8 @@ def execute_merge(
         planned = {d.name: d for d in plan.decisions}
         if len(planned) != len(plan.decisions) or planned.keys() != set(layout):
             raise MergeError("plan does not cover exactly the base model's tensor set")
-
-        def task(name: str) -> _Outcome:
-            decision = planned[name]
-            if decision.action == ACTION_COPY_BASE:
-                return None, decision, read_tensor_raw(base, name), []
-            assert decision.lambdas is not None
-            info = base.tensors[name]
-            data, bad = _combine(_read_parents(models, name, info), info, decision.lambdas)
-            return None, decision, data, bad
-
-        def cost(name: str) -> int:
-            copy = planned[name].action == ACTION_COPY_BASE
-            info = base.tensors[name]
-            return info.nbytes if copy else _resident_cost(info, n_models, output=True)
+    task = _tensor_task(models, config.scheme, config, planned)
+    cost = _resident_cost(base, len(models), output=True, planned=planned)
 
     decisions: list[MergeDecision] = []
     nonfinite: list[dict] = []
@@ -716,19 +706,17 @@ def threshold_sweep(
 ) -> list[SweepRow]:
     """Would-merge tensor counts per category for each threshold; no I/O.
 
-    Totals are non-increasing in delta (strict ">" gate, same as planning).
+    Uses the planning gate, so totals are non-increasing in delta. Each
+    name is classified once with ``config.scheme``.
     """
     if not deltas:
         raise ValueError("no deltas given")
+    categories = [classify(record.name, config.scheme) for record in diffs]
     rows = []
     for delta in deltas:
         by_group = {g.value: 0 for g in TensorGroup}
-        total = 0
-        for record in diffs:
-            if in_subset(record.category, config.subset, record.name) and (
-                record.max_diff > delta
-            ):
-                by_group[record.category.group.value] += 1
-                total += 1
-        rows.append(SweepRow(delta=delta, by_group=by_group, total=total))
+        for record, category in zip(diffs, categories):
+            if _copy_reason(record, category, config.subset, delta) is None:
+                by_group[category.group.value] += 1
+        rows.append(SweepRow(delta=delta, by_group=by_group, total=sum(by_group.values())))
     return rows

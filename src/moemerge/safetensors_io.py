@@ -480,6 +480,9 @@ class OutputPolicy:
             raise ValueError(f"unknown output mode {self.mode!r}")
         if self.max_shard_bytes < 1:
             raise ValueError("max_shard_bytes must be positive")
+        if not self.index_name.endswith(INDEX_SUFFIX):
+            # open_checkpoint finds an index only by this suffix.
+            raise ValueError(f"index_name must end with {INDEX_SUFFIX!r}: {self.index_name!r}")
         return self
 
 

@@ -238,6 +238,104 @@ def test_merge_stale_plan_exits_1(workdir, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda obj: obj["config"]["output"].update(compress=True), "unknown output keys"),
+        (lambda obj: obj["config"].update(lambdas="half"), "'lambdas' must be a list of numbers"),
+    ],
+    ids=["unknown-output-key", "lambdas-not-a-list"],
+)
+def test_merge_plan_config_is_validated_like_a_recipe(workdir, capsys, edit, message):
+    plan_path = workdir["tmp"] / "plan.json"
+    assert main(["plan", "--recipe", str(workdir["recipe"]), "--out", str(plan_path)]) == 0
+    obj = json.loads(plan_path.read_text())
+    edit(obj)
+    plan_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    out = workdir["tmp"] / "m"
+    assert main(["merge", "--plan", str(plan_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_merge_plan_refuses_diffs(workdir, capsys):
+    plan_path = workdir["tmp"] / "plan.json"
+    assert main(["plan", "--recipe", str(workdir["recipe"]), "--out", str(plan_path)]) == 0
+    out = workdir["tmp"] / "m"
+    code = main(["merge", "--plan", str(plan_path), "--diffs", str(plan_path), "--out", str(out)])
+    assert code == 2
+    assert "--diffs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# --- one gate, classified with the recipe's scheme ---------------------------------------
+
+
+@pytest.fixture()
+def experts_to_other(workdir):
+    """An experts-only recipe whose scheme sends routed experts to `other`,
+    next to a diff cache written under the default scheme."""
+    tmp, pair = workdir["tmp"], workdir["pair"]
+    scheme = [{"pattern": "model.layers.{layer}.mlp.experts.**", "group": "other"}]
+    (tmp / "scheme.json").write_text(json.dumps(scheme + mm.DEFAULT_SCHEME.to_json_obj()))
+    recipe = json.loads(workdir["recipe"].read_text())
+    recipe.update(subset="experts-only", scheme="scheme.json")
+    rp = tmp / "experts.json"
+    rp.write_text(json.dumps(recipe))
+    cache = tmp / "default_diffs.json"
+    assert main(["diff", str(pair["base"].root), str(pair["variant"].root),
+                 "--out", str(cache)]) == 0
+    return {"tmp": tmp, "recipe": rp, "scheme": tmp / "scheme.json", "cache": cache, "pair": pair}
+
+
+def test_plan_with_and_without_diffs_classifies_with_the_recipe_scheme(experts_to_other):
+    w = experts_to_other
+    computed, cached = w["tmp"] / "computed.json", w["tmp"] / "cached.json"
+    assert main(["plan", "--recipe", str(w["recipe"]), "--out", str(computed)]) == 0
+    assert main(["plan", "--recipe", str(w["recipe"]), "--diffs", str(w["cache"]),
+                 "--out", str(cached)]) == 0
+    assert computed.read_bytes() == cached.read_bytes()
+    plan = mm.MergePlan.from_json_obj(json.loads(cached.read_text()))
+    assert plan.counts()["merged"] == 0
+
+
+def test_merge_and_sweep_with_diffs_classify_with_the_recipe_scheme(experts_to_other):
+    w = experts_to_other
+    recipe, cache = str(w["recipe"]), str(w["cache"])
+    assert main(["merge", "--recipe", recipe, "--out", str(w["tmp"] / "fused")]) == 0
+    assert main(["merge", "--recipe", recipe, "--diffs", cache,
+                 "--out", str(w["tmp"] / "cached")]) == 0
+
+    def outputs(root):
+        return {p.name: p.read_bytes() for p in root.iterdir() if p.name != "merge_report.json"}
+
+    assert outputs(w["tmp"] / "fused") == outputs(w["tmp"] / "cached")
+    for d in ("fused", "cached"):
+        report = json.loads((w["tmp"] / d / "merge_report.json").read_text())
+        assert report["counts"]["merged"] == 0
+    sweep = w["tmp"] / "sweep.csv"
+    assert main(["sweep", "--recipe", recipe, "--diffs", cache, "--deltas", "0",
+                 "--out", str(sweep)]) == 0
+    assert sweep.read_text().splitlines()[1].split(",")[-1] == "0"
+
+
+def test_diff_recomputes_a_cache_classified_under_another_scheme(experts_to_other, capsys):
+    w = experts_to_other
+    pair = w["pair"]
+    argv = ["diff", str(pair["base"].root), str(pair["variant"].root),
+            "--out", str(w["cache"]), "--scheme", str(w["scheme"])]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "up to date" not in capsys.readouterr().err
+    records, _ = mm.load_diff_cache(w["cache"])
+    groups = {r.category.group.value for r in records if ".mlp.experts." in r.name}
+    assert groups == {"other"}
+    assert main(argv) == 0
+    assert "up to date" in capsys.readouterr().err
+
+
 def test_merge_requires_exactly_one_source(workdir):
     assert main(["merge", "--out", str(workdir["tmp"] / "m")]) == 2
 

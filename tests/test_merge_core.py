@@ -1,10 +1,12 @@
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import moemerge as mm
+from moemerge import merge_core
 from moemerge.errors import MergeError, RecipeError
 from moemerge.merge_core import (
     ACTION_COPY_BASE,
@@ -14,6 +16,7 @@ from moemerge.merge_core import (
     MergeDecision,
     MergePlan,
 )
+from moemerge.recipe import Recipe
 from moemerge.taxonomy import EXPERTS_ONLY_SUBSET, TensorGroup
 from moemerge.tensor_math import BLOCK_ELEMS
 
@@ -473,7 +476,7 @@ def test_config_json_round_trip_includes_output_policy(tiny_pair):
         models=("a", "b"), lambdas=(0.5, 0.5),
         output=mm.OutputPolicy(mode="pack", max_shard_bytes=123, shard_template="s-{index}-{count}.safetensors"),
     )
-    again = mm.MergeConfig.from_json_obj(json.loads(json.dumps(cfg.to_json_obj())))
+    again = Recipe.from_json_obj(json.loads(json.dumps(cfg.to_json_obj()))).resolve(".")
     assert again == cfg
 
 
@@ -600,3 +603,55 @@ def test_diff_progress_does_not_change_the_cache(tiny_pair, tmp_path):
     mm.save_diff_cache(with_cb, tmp_path / "with.json", fingerprints(tiny_pair))
     mm.save_diff_cache(mm.compute_diffs(models), tmp_path / "without.json", fingerprints(tiny_pair))
     assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
+
+
+# --- the read pattern of the one tensor task ---------------------------------------------
+
+
+def count_calls(monkeypatch, name):
+    """Record the positional arguments of every call to a merge_core global."""
+    calls = []
+    real = getattr(merge_core, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(merge_core, name, wrapper)
+    return calls
+
+
+def test_copy_only_plan_reads_each_base_tensor_once_and_decodes_nothing(
+    tiny_pair, tmp_path, monkeypatch
+):
+    cfg = pair_config(tiny_pair, delta=1e9)
+    plan = mm.plan_merge(cfg, mm.compute_diffs([tiny_pair["base"], tiny_pair["variant"]]),
+                         fingerprints(tiny_pair))
+    reads = count_calls(monkeypatch, "read_tensor_raw")
+    decodes = count_calls(monkeypatch, "decode")
+    mm.execute_merge(plan, cfg, tmp_path / "m", workers=2)
+    base = tiny_pair["base"]
+    assert sorted(name for _, name in reads) == sorted(base.tensors)
+    assert {index.root for index, _ in reads} == {base.root}
+    assert decodes == []
+
+
+def test_reviewed_merge_reads_once_and_never_diffs(tiny_pair, tmp_path, monkeypatch):
+    cfg = pair_config(tiny_pair)
+    plan = mm.plan_merge(cfg, mm.compute_diffs([tiny_pair["base"], tiny_pair["variant"]]),
+                         fingerprints(tiny_pair))
+    counts = plan.counts()
+    assert counts["merged"] > 0 and counts["copied"] > 0
+    reads = count_calls(monkeypatch, "read_tensor_raw")
+    diffs = count_calls(monkeypatch, "squared_diff_sum")
+    mm.execute_merge(plan, cfg, tmp_path / "m")
+    assert diffs == []
+    assert len(reads) == 2 * counts["merged"] + counts["copied"]
+
+
+def test_fused_pass_reads_each_parent_once_per_tensor(tiny_trio, tmp_path, monkeypatch):
+    reads = count_calls(monkeypatch, "read_tensor_raw")
+    mm.execute_merge(None, trio_config(tiny_trio), tmp_path / "m", workers=2)
+    models = tiny_trio["models"]
+    expected = Counter((m.root, name) for m in models for name in models[0].tensors)
+    assert Counter((index.root, name) for index, name in reads) == expected

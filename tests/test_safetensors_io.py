@@ -363,18 +363,41 @@ def golden_indexed_base(root):
 def test_golden_pack_with_count_template(tmp_path):
     policy = mm.OutputPolicy(
         mode="pack", max_shard_bytes=200,
-        shard_template="part-{index}-of-{count}.safetensors", index_name="p.index.json",
+        shard_template="part-{index}-of-{count}.safetensors",
+        index_name="p.safetensors.index.json",
     )
     out = tmp_path / "packed"
     mm.write_checkpoint(golden_stream(), out, policy, base=golden_infos(),
                         metadata={"aoe.note": "golden"})
     assert file_hashes(out) == {
-        "p.index.json": "43aa3d8badaceff18fa05d0ad15fcc07fc06f760e14fcc003b66242b8416c35c",
+        "p.safetensors.index.json": "43aa3d8badaceff18fa05d0ad15fcc07fc06f760e14fcc003b66242b8416c35c",
         "part-1-of-4.safetensors": "3f29bdfdee75fd3d44422401dc467915f77a3a2e8390c0c5298ddc373e601cdd",
         "part-2-of-4.safetensors": "b508005463da2781d23cf5a6ceefcdd8ea755d5b18dbe459490632cbfe478e1d",
         "part-3-of-4.safetensors": "ce1d883d47239cfaab5afe986e9a2b66c64e4e8d60cb4a6d158987a4648a2f41",
         "part-4-of-4.safetensors": "c079c0c5ca60512537ebc0e1d50307e04ef6e47e4c3e4c5f438a4fcd2d85ab3a",
     }
+
+
+def test_pack_with_custom_index_name_reopens_and_mirrors(tmp_path):
+    policy = mm.OutputPolicy(mode="pack", max_shard_bytes=200, index_name="p.safetensors.index.json")
+    packed = mm.write_checkpoint(golden_stream(), tmp_path / "packed", policy, base=golden_infos())
+    again = mm.open_checkpoint(tmp_path / "packed")
+    assert packed.index_name == again.index_name == "p.safetensors.index.json"
+
+    def stream():
+        for name in again.layout_names():
+            yield again.tensors[name], mm.read_tensor_raw(again, name)
+
+    mirror = mm.write_checkpoint(stream(), tmp_path / "mirror", base=again)
+    assert (tmp_path / "mirror" / "p.safetensors.index.json").is_file()
+    assert mirror.index_name == "p.safetensors.index.json"
+
+
+def test_output_policy_rejects_index_name_open_would_ignore(tmp_path):
+    policy = mm.OutputPolicy(mode="pack", index_name="p.index.json")
+    with pytest.raises(ValueError, match="index_name must end with"):
+        mm.write_checkpoint(golden_stream(), tmp_path / "packed", policy, base=golden_infos())
+    assert not (tmp_path / "packed").exists()
 
 
 def test_golden_mirror_of_indexed_base(tmp_path):
