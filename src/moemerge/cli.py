@@ -48,10 +48,8 @@ def _floats_csv(text: str) -> list[float]:
 
 def _add_worker_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="worker threads for per-tensor work (default 1)")
-    p.add_argument("--max-resident-bytes", type=int, default=None, metavar="BYTES",
-                   help="cap on the estimated bytes of in-flight tensor tasks: "
-                        "parents' raw bytes, output bytes and fixed block scratch")
+                   help="worker threads for per-tensor work (default 1); at most "
+                        "2 x N tensors are in flight")
 
 
 def _progress(verb: str):
@@ -103,7 +101,6 @@ def cmd_diff(args) -> int:
             models,
             scheme,
             workers=args.threads,
-            max_resident_bytes=args.max_resident_bytes,
             progress=_progress("diffed"),
         )
         merge_core.save_diff_cache(records, args.out, fingerprints)
@@ -136,7 +133,6 @@ def _diffs_for_config(config, args):
         models,
         config.scheme,
         workers=args.threads,
-        max_resident_bytes=args.max_resident_bytes,
         progress=_progress("diffed"),
     )
     return records, fingerprints
@@ -241,7 +237,6 @@ def cmd_merge(args) -> int:
         config,
         out,
         workers=args.threads,
-        max_resident_bytes=args.max_resident_bytes,
         progress=_progress("merged"),
     )
     (out / "merge_plan.json").write_text(

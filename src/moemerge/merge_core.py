@@ -16,13 +16,15 @@ weights check the parents' compatibility once, up front. Planning, the
 fused gate and the threshold sweep share one gate and classify names with
 the config's scheme; a diff cache supplies only the numbers.
 
-Tasks run on a bounded worker pool; results are written in base layout
-order, so output is independent of the worker count.
+Tasks run on a worker pool whose window of ``2 * workers`` tasks is the
+only bound on in-flight work; results are written in base layout order,
+so output is independent of the worker count.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -93,14 +95,9 @@ class MergeConfig:
     def validate(self) -> None:
         if len(self.models) < 1:
             raise RecipeError("at least one model is required")
-        if len(self.lambdas) != len(self.models):
-            raise RecipeError(
-                f"{len(self.models)} models but {len(self.lambdas)} lambdas"
-            )
+        _check_lambdas(self.lambdas, self, "lambdas")
         if self.delta < 0:
             raise RecipeError(f"delta must be >= 0, got {self.delta}")
-        if self.convex_required:
-            _check_convex(self.lambdas, "lambdas")
         self.output.validated()
 
     def to_json_obj(self) -> dict:
@@ -115,7 +112,22 @@ class MergeConfig:
         }
 
 
-def _check_convex(lambdas: Sequence[float], what: str) -> None:
+def _check_lambdas(lambdas: object, config: MergeConfig, what: str) -> None:
+    """The one check on a weight vector: the config's, an override's or a plan's.
+
+    One number per model; non-negative and summing to 1 when the config
+    requires a convex merge.
+    """
+    if not isinstance(lambdas, (list, tuple)) or any(
+        not isinstance(lam, numbers.Real) or isinstance(lam, bool) for lam in lambdas
+    ):
+        raise RecipeError(f"{what} must be a list of numbers, got {lambdas!r}")
+    if len(lambdas) != len(config.models):
+        raise RecipeError(
+            f"{what} has {len(lambdas)} weights, expected {len(config.models)}"
+        )
+    if not config.convex_required:
+        return
     if any(lam < 0 for lam in lambdas):
         raise RecipeError(f"{what} must be non-negative for a convex merge: {list(lambdas)}")
     total = sum(lambdas)
@@ -182,7 +194,6 @@ class MergePlan:
                 merged[key] = merged.get(key, 0) + 1
             else:
                 copied[key] = copied.get(key, 0) + 1
-                assert d.reason is not None
                 by_reason[d.reason] += 1
         return {
             "tensors": len(self.decisions),
@@ -216,6 +227,7 @@ class MergePlan:
     def from_json_obj(cls, obj: dict) -> "MergePlan":
         if obj.get("version") != 1:
             raise MergeError(f"unsupported plan version {obj.get('version')!r}")
+        # Decisions are checked against the config by execute_merge.
         decisions = [
             MergeDecision(
                 name=e["name"],
@@ -223,7 +235,7 @@ class MergePlan:
                 action=e["action"],
                 reason=e["reason"],
                 max_diff=e["max_diff"],
-                lambdas=tuple(e["lambdas"]) if e["lambdas"] is not None else None,
+                lambdas=tuple(lams) if isinstance(lams := e["lambdas"], list) else lams,
                 base_preserving=e["base_preserving"],
             )
             for e in obj["decisions"]
@@ -293,16 +305,13 @@ def validate_compatibility(models: Sequence[CheckpointIndex]) -> list[str]:
 
 
 def _ordered_parallel(
-    items: Iterable[_T],
-    fn: Callable[[_T], _R],
-    workers: int,
-    cost: Callable[[_T], int],
-    budget: int | None,
+    items: Iterable[_T], fn: Callable[[_T], _R], workers: int
 ) -> Iterator[_R]:
     """Map fn over items with a worker pool, yielding results in input order.
 
-    In-flight work is bounded by the worker count and optionally by a byte
-    budget estimated via ``cost``. Results are order-stable regardless of
+    The only bound on in-flight work is the window: at most ``2 * workers``
+    items are pulled ahead of the results yielded so far (none with one
+    worker, which runs inline). Results are order-stable regardless of
     worker count.
     """
     if workers <= 1:
@@ -310,54 +319,19 @@ def _ordered_parallel(
             yield fn(item)
         return
     window: deque = deque()
-    inflight = 0
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for item in items:
-            c = cost(item)
-            while window and (
-                len(window) >= 2 * workers
-                or (budget is not None and inflight + c > budget)
-            ):
-                fut, fc = window.popleft()
-                inflight -= fc
-                yield fut.result()
-            window.append((pool.submit(fn, item), c))
-            inflight += c
+            if len(window) >= 2 * workers:
+                yield window.popleft().result()
+            window.append(pool.submit(fn, item))
         while window:
-            fut, _ = window.popleft()
-            yield fut.result()
+            yield window.popleft().result()
 
 
 def _check_compatible(models: Sequence[CheckpointIndex]) -> None:
     problems = validate_compatibility(models)
     if problems:
         raise CompatibilityError("incompatible parents: " + "; ".join(problems))
-
-
-def _resident_cost(
-    base: CheckpointIndex,
-    n_models: int,
-    *,
-    output: bool,
-    planned: dict[str, MergeDecision] | None = None,
-) -> Callable[[str], int]:
-    """Estimated peak bytes of one tensor task, by tensor name.
-
-    Every parent's raw bytes, the output buffer when the task builds one,
-    and the float64 scratch of one block (each parent's decoded values plus
-    the combine and diff temporaries). A planned copy holds only the base
-    bytes.
-    """
-
-    def cost(name: str) -> int:
-        info = base.tensors[name]
-        if planned is not None and planned[name].action == ACTION_COPY_BASE:
-            return info.nbytes
-        scratch = min(info.numel, BLOCK_ELEMS) * 8 * (2 * n_models + 2)
-        out = info.nbytes if output else 0
-        return max(info.nbytes * n_models + out + scratch, 1)
-
-    return cost
 
 
 def _decoded_blocks(raws: Sequence[bytes], info: TensorInfo) -> Iterator[list[np.ndarray]]:
@@ -450,7 +424,6 @@ def _tensor_task(
             decision = _decide(record, category, config)
         if decision.action == ACTION_COPY_BASE:
             return record, decision, raws[0] if raws else read_tensor_raw(base, name), []
-        assert decision.lambdas is not None
         raws = raws or [read_tensor_raw(model, name) for model in models]
         data, bad = _combine(raws, info, decision.lambdas, decoded)
         return record, decision, data, bad
@@ -463,10 +436,12 @@ def compute_diffs(
     scheme: NamingScheme = DEFAULT_SCHEME,
     *,
     workers: int = 1,
-    max_resident_bytes: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> list[DiffRecord]:
     """One DiffRecord per base tensor, streamed with bounded memory.
+
+    At most ``2 * workers`` tensors are in flight (one with one worker),
+    each holding every parent's raw bytes and one block of float64 scratch.
 
     The parents must share the base's tensor names, shapes and dtypes;
     they are checked before any tensor is read (CompatibilityError with
@@ -475,12 +450,10 @@ def compute_diffs(
     ``progress(done, total)`` is called in layout order as records arrive.
     """
     _check_compatible(models)
-    base = models[0]
-    names = base.layout_names()
+    names = models[0].layout_names()
     task = _tensor_task(models, scheme)
-    cost = _resident_cost(base, len(models), output=False)
     records = []
-    for record, _, _, _ in _ordered_parallel(names, task, workers, cost, max_resident_bytes):
+    for record, _, _, _ in _ordered_parallel(names, task, workers):
         records.append(record)
         if progress is not None:
             progress(len(records), len(names))
@@ -532,13 +505,7 @@ def plan_merge(
     config.validate()
     overrides = lambda_overrides or {}
     for name, lams in overrides.items():
-        if len(lams) != len(config.models):
-            raise RecipeError(
-                f"lambda override for {name!r} has {len(lams)} weights, "
-                f"expected {len(config.models)}"
-            )
-        if config.convex_required:
-            _check_convex(lams, f"lambda override for {name!r}")
+        _check_lambdas(lams, config, f"lambda override for {name!r}")
     unknown = set(overrides) - {r.name for r in diffs}
     if unknown:
         raise RecipeError(f"lambda overrides for unknown tensors: {sorted(unknown)}")
@@ -601,6 +568,17 @@ def _decide(
     )
 
 
+def _check_decisions(decisions: Sequence[MergeDecision], config: MergeConfig) -> None:
+    """Refuse a reviewed plan whose decisions its config could not have made."""
+    for d in decisions:
+        if d.action == ACTION_MERGE:
+            _check_lambdas(d.lambdas, config, f"plan lambdas for {d.name!r}")
+        elif d.action != ACTION_COPY_BASE:
+            raise RecipeError(f"plan decision for {d.name!r} has unknown action {d.action!r}")
+        elif d.reason not in (REASON_NOT_IN_SUBSET, REASON_BELOW_THRESHOLD):
+            raise RecipeError(f"plan copy of {d.name!r} has unknown reason {d.reason!r}")
+
+
 def _provenance_metadata(config: MergeConfig) -> dict[str, str]:
     return {
         "aoe.base": str(config.models[0]),
@@ -618,7 +596,6 @@ def execute_merge(
     out: str | Path,
     *,
     workers: int = 1,
-    max_resident_bytes: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> tuple[CheckpointIndex, MergeReport]:
     """Merge the parents in one streaming pass and write the checkpoint.
@@ -628,17 +605,24 @@ def execute_merge(
     gate runs inside the pass: each tensor's parents are read once, diffed,
     gated and then merged or copied, and the resolved plan (equal to
     ``plan_merge`` over ``compute_diffs``) is attached to the report as
-    ``report.plan``. With a reviewed plan, the parents must still have the
-    header hashes the plan was computed against; each decision is taken as
-    given, so copies read only the base and merges are not diffed.
+    ``report.plan``. A reviewed plan is checked against its config before
+    anything is opened (RecipeError on an unknown action or copy reason,
+    or merge weights the config's own lambdas would fail); the parents must
+    still have the header hashes the plan was computed against. Each
+    decision is then taken as given, so copies read only the base and
+    merges are not diffed.
 
     Merge decisions decode all parents block by block, combine in float64,
     and re-encode to the original dtype; copy decisions move the base
-    model's raw bytes untouched. Output tensor order follows the base
-    layout, so reruns are byte-identical.
+    model's raw bytes untouched. At most ``2 * workers`` tensors are in
+    flight (one with one worker); each holds its parents' raw bytes, its
+    output bytes and one block of float64 scratch. Output tensor order
+    follows the base layout, so reruns are byte-identical.
     """
     start = time.monotonic()
     config.validate()
+    if plan is not None:
+        _check_decisions(plan.decisions, config)
     models = [open_checkpoint(p) for p in config.models]
     fingerprints = [m.fingerprint() for m in models]
     base = models[0]
@@ -656,13 +640,12 @@ def execute_merge(
         if len(planned) != len(plan.decisions) or planned.keys() != set(layout):
             raise MergeError("plan does not cover exactly the base model's tensor set")
     task = _tensor_task(models, config.scheme, config, planned)
-    cost = _resident_cost(base, len(models), output=True, planned=planned)
 
     decisions: list[MergeDecision] = []
     nonfinite: list[dict] = []
 
     def stream():
-        results = _ordered_parallel(layout, task, workers, cost, max_resident_bytes)
+        results = _ordered_parallel(layout, task, workers)
         for name, (_, decision, data, bad_models) in zip(layout, results):
             if bad_models:
                 nonfinite.append({"name": name, "models": bad_models})

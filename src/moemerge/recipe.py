@@ -17,16 +17,14 @@ the file itself is the reproducibility record:
 
 ``models[0]`` is the base model; relative paths resolve against the recipe
 file's directory. ``subset`` is ``"full"``, ``"experts-only"``, or a custom
-object (see taxonomy). ``scheme`` is ``null`` (built-in DeepSeek-V3 rules,
-or the file named by ``$MOEMERGE_SCHEME`` when set), a path to a rule file,
-or an inline rule list. Unknown keys anywhere are an error: a typo must
-never silently change a merge.
+object (see taxonomy). ``scheme`` is ``null`` (built-in DeepSeek-V3 rules),
+a path to a rule file, or an inline rule list. Unknown keys anywhere are
+an error: a typo must never silently change a merge.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -34,8 +32,6 @@ from .errors import RecipeError
 from .merge_core import MergeConfig
 from .safetensors_io import OutputPolicy
 from .taxonomy import DEFAULT_SCHEME, NamingScheme, subset_from_json_obj
-
-SCHEME_ENV_VAR = "MOEMERGE_SCHEME"
 
 _RECIPE_KEYS = {
     "models", "lambdas", "delta", "subset", "scheme", "convex_required", "output",
@@ -158,13 +154,9 @@ def resolve_scheme(
 ) -> NamingScheme:
     """Resolve a scheme reference: inline rules, a path, or the default.
 
-    ``None`` falls back to ``$MOEMERGE_SCHEME`` (a rule-file path) when set,
-    else the built-in DeepSeek-V3 scheme.
+    ``None`` is the built-in DeepSeek-V3 scheme.
     """
     if scheme_obj is None:
-        env = os.environ.get(SCHEME_ENV_VAR)
-        if env:
-            return load_scheme_file(env)
         return DEFAULT_SCHEME
     if isinstance(scheme_obj, str):
         path = Path(scheme_obj)

@@ -476,6 +476,11 @@ class OutputPolicy:
     index_name: str = "model.safetensors.index.json"
 
     def validated(self) -> "OutputPolicy":
+        for name in ("mode", "shard_template", "index_name"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if not isinstance(self.max_shard_bytes, int) or isinstance(self.max_shard_bytes, bool):
+            raise ValueError(f"max_shard_bytes must be an integer, got {self.max_shard_bytes!r}")
         if self.mode not in ("mirror", "pack"):
             raise ValueError(f"unknown output mode {self.mode!r}")
         if self.max_shard_bytes < 1:

@@ -22,11 +22,11 @@ The normalized Frobenius difference is reduced in fixed blocks of
 ``BLOCK_ELEMS`` = 2**18 elements: ``np.sum`` (numpy's pairwise summation)
 of the squared differences inside each block, then ``math.fsum`` (exactly
 rounded, so independent of the partials' order) across the blocks. The
-block size is a constant, so a diff never depends on worker counts or
-memory budgets, and a streaming caller that decodes one block at a time
-gets the same bits as a whole-array call. A tensor of at most one block
-reduces exactly as a single ``np.sum``. Decode, encode and the linear
-combination are elementwise, so blocking them never changes a bit.
+block size is a constant, so a diff never depends on the worker count,
+and a streaming caller that decodes one block at a time gets the same
+bits as a whole-array call. A tensor of at most one block reduces exactly
+as a single ``np.sum``. Decode, encode and the linear combination are
+elementwise, so blocking them never changes a bit.
 """
 
 from __future__ import annotations

@@ -238,15 +238,29 @@ def test_merge_stale_plan_exits_1(workdir, tmp_path):
     assert code == 1
 
 
+def _first(obj, action):
+    return next(d for d in obj["decisions"] if d["action"] == action)
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
         (lambda obj: obj["config"]["output"].update(compress=True), "unknown output keys"),
         (lambda obj: obj["config"].update(lambdas="half"), "'lambdas' must be a list of numbers"),
+        (lambda obj: _first(obj, "merge").update(lambdas=None), "must be a list of numbers"),
+        (lambda obj: _first(obj, "merge").update(lambdas=[0.5, 0.25, 0.25]),
+         "has 3 weights, expected 2"),
+        (lambda obj: _first(obj, "copy_base").update(action="frobnicate"),
+         "unknown action 'frobnicate'"),
+        (lambda obj: _first(obj, "copy_base").update(reason="whim"), "unknown reason 'whim'"),
     ],
-    ids=["unknown-output-key", "lambdas-not-a-list"],
+    ids=[
+        "unknown-output-key", "lambdas-not-a-list", "decision-lambdas-null",
+        "decision-three-weights", "decision-unknown-action", "decision-unknown-copy-reason",
+    ],
 )
 def test_merge_plan_config_is_validated_like_a_recipe(workdir, capsys, edit, message):
+    """The config echo and every decision are checked before anything is written."""
     plan_path = workdir["tmp"] / "plan.json"
     assert main(["plan", "--recipe", str(workdir["recipe"]), "--out", str(plan_path)]) == 0
     obj = json.loads(plan_path.read_text())
@@ -255,6 +269,29 @@ def test_merge_plan_config_is_validated_like_a_recipe(workdir, capsys, edit, mes
     capsys.readouterr()
     out = workdir["tmp"] / "m"
     assert main(["merge", "--plan", str(plan_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "output,message",
+    [
+        ({"max_shard_bytes": "big"}, "max_shard_bytes must be an integer"),
+        ({"max_shard_bytes": True}, "max_shard_bytes must be an integer"),
+        ({"mode": 1}, "mode must be a string"),
+        ({"index_name": None}, "index_name must be a string"),
+        ({"shard_template": ["a"]}, "shard_template must be a string"),
+    ],
+    ids=["bytes-str", "bytes-bool", "mode-int", "index-null", "template-list"],
+)
+def test_merge_output_values_are_type_checked(workdir, capsys, output, message):
+    recipe = json.loads(workdir["recipe"].read_text())
+    recipe["output"] = output
+    rp = workdir["tmp"] / "typed.json"
+    rp.write_text(json.dumps(recipe))
+    out = workdir["tmp"] / "m"
+    assert main(["merge", "--recipe", str(rp), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not out.exists()
@@ -576,7 +613,6 @@ def test_merge_pack_output_mode(workdir):
         ["--threads", "1"],
         ["--threads", "2"],
         ["--threads", "8"],
-        ["--threads", "8", "--max-resident-bytes", "65536"],
     ],
 )
 def test_merge_recipe_matches_plan_then_merge_plan(tmp_path, tiny_trio, flags):

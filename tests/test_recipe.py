@@ -4,7 +4,7 @@ import pytest
 
 import moemerge as mm
 from moemerge.errors import RecipeError
-from moemerge.recipe import Recipe, load_recipe, resolve_scheme
+from moemerge.recipe import Recipe, load_recipe
 from moemerge.taxonomy import SubsetMode, TensorGroup
 
 
@@ -82,17 +82,6 @@ def test_recipe_scheme_from_file(tmp_path):
     (tmp_path / "scheme.json").write_text(json.dumps(rules))
     config = Recipe.from_json_obj(minimal_obj(scheme="scheme.json")).resolve(tmp_path)
     assert mm.classify("foo.4.bar", config.scheme).layer == 4
-
-
-def test_scheme_env_var_fallback(tmp_path, monkeypatch):
-    rules = [{"pattern": "env.{layer}.x", "group": "attention"}]
-    scheme_file = tmp_path / "env_scheme.json"
-    scheme_file.write_text(json.dumps(rules))
-    monkeypatch.setenv("MOEMERGE_SCHEME", str(scheme_file))
-    scheme = resolve_scheme(None)
-    assert mm.classify("env.2.x", scheme).group is TensorGroup.ATTENTION
-    monkeypatch.delenv("MOEMERGE_SCHEME")
-    assert resolve_scheme(None) is mm.DEFAULT_SCHEME
 
 
 def test_recipe_overrides():
