@@ -41,7 +41,8 @@ def main():
         "delta": 0.0,
     }
     (OUT / "recipe.json").write_text(json.dumps(recipe, indent=2))
-    # --force: a rerun writes over the previous run's child/
+    # --force: a rerun replaces the previous run's child/ as a whole, and only
+    # once the new child is complete
     code = cli([
         "merge", "--recipe", str(OUT / "recipe.json"), "--out", str(OUT / "child"), "--force",
     ])

@@ -182,15 +182,6 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _check_out_dir(out: Path, force: bool) -> None:
-    if out.exists():
-        if out.is_file() or any(out.iterdir()):
-            if not force:
-                raise MoemergeError(
-                    f"output {out} exists and is not empty (use --force)"
-                )
-
-
 def cmd_merge(args) -> int:
     if bool(args.recipe) == bool(args.plan):
         raise RecipeError("give exactly one of --recipe or --plan")
@@ -228,22 +219,17 @@ def cmd_merge(args) -> int:
         return EXIT_OK
 
     out = Path(args.out)
-    _check_out_dir(out, args.force)
+    if out.exists() and not args.force and (out.is_file() or any(out.iterdir())):
+        raise MoemergeError(f"output {out} exists and is not empty (use --force)")
 
     # execute_merge opens and compat-checks the parents; without a plan it
     # also gates inside its single pass.
-    index, report = merge_core.execute_merge(
+    index, _ = merge_core.execute_merge(
         plan,
         config,
         out,
         workers=args.threads,
         progress=_progress("merged"),
-    )
-    (out / "merge_plan.json").write_text(
-        json.dumps(report.plan.to_json_obj(), indent=1) + "\n", "utf-8"
-    )
-    (out / "merge_report.json").write_text(
-        json.dumps(report.to_json_obj(), indent=2) + "\n", "utf-8"
     )
     _msg(
         f"wrote merged checkpoint to {out} "
@@ -377,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", type=_floats_csv, default=None, metavar="L1,L2,...",
                    help="override recipe lambdas")
     p.add_argument("--force", action="store_true",
-                   help="write into a non-empty directory; an earlier output's shards "
-                        "are written over, other shard or index files are refused")
+                   help="replace an earlier output in a non-empty --out as a whole; "
+                        "other files or subdirectories there are refused")
     p.add_argument("--dry-run", action="store_true",
                    help="print the plan and a report skeleton; write nothing")
     _add_worker_flags(p)

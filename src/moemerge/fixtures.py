@@ -237,8 +237,8 @@ def _emit_checkpoint(
     spec: FixtureSpec,
     path: str | Path,
     perturbations: tuple[PerturbationSpec, ...],
+    sidecar: str,
 ) -> tuple[CheckpointIndex, list[dict], dict[str, dict]]:
-    path = Path(path)
     manifest: list[dict] = []
     expected: dict[str, dict] = {}
     matched: set[int] = set()
@@ -299,23 +299,21 @@ def _emit_checkpoint(
                 }
             yield info, data
 
+    def render(_shards: list[str]) -> str:
+        unmatched = [p.selector for i, p in enumerate(perturbations) if i not in matched]
+        if unmatched:
+            raise FixtureError(f"perturbation selectors matched nothing: {unmatched}")
+        return json.dumps(manifest if sidecar == MANIFEST_NAME else expected, indent=2) + "\n"
+
     policy = OutputPolicy(mode="pack", max_shard_bytes=spec.max_shard_bytes)
-    index = write_checkpoint(stream(), path, policy, base=infos)
-    unmatched = [
-        p.selector for i, p in enumerate(perturbations) if i not in matched
-    ]
-    if unmatched:
-        raise FixtureError(f"perturbation selectors matched nothing: {unmatched}")
+    index = write_checkpoint(stream(), path, policy, base=infos, sidecars={sidecar: render})
     return index, manifest, expected
 
 
 def generate_base(spec: FixtureSpec, path: str | Path) -> tuple[CheckpointIndex, list[dict]]:
     """Write a fixture checkpoint and its manifest; returns (index, manifest)."""
     base_spec = replace(spec, perturbations=())
-    index, manifest, _ = _emit_checkpoint(base_spec, path, ())
-    (Path(path) / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2) + "\n", "utf-8"
-    )
+    index, manifest, _ = _emit_checkpoint(base_spec, path, (), MANIFEST_NAME)
     return index, manifest
 
 
@@ -329,11 +327,8 @@ def generate_variant(
     The returned expected-diff table maps every tensor name to
     ``{"expected_diff", "kind", "bound"}``; ``bound`` is relative for
     planted tensors and 0.0 (exact) for untouched ones. Raises if a
-    selector matches no tensor.
+    selector matches no tensor, and then writes nothing.
     """
     perts = tuple(perturbations)
-    index, _, expected = _emit_checkpoint(spec, path, perts)
-    (Path(path) / EXPECTED_DIFFS_NAME).write_text(
-        json.dumps(expected, indent=2) + "\n", "utf-8"
-    )
+    index, _, expected = _emit_checkpoint(spec, path, perts, EXPECTED_DIFFS_NAME)
     return index, expected

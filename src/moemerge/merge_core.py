@@ -598,8 +598,10 @@ def execute_merge(
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> tuple[CheckpointIndex, MergeReport]:
-    """Merge the parents in one streaming pass and write the checkpoint.
+    """Merge the parents in one streaming pass into the directory ``out``.
 
+    One ``write_checkpoint`` gives ``out`` the shards, ``merge_plan.json``
+    and ``merge_report.json``, so a failed merge leaves ``out`` as it was.
     The parents are opened and checked for compatibility once, before any
     tensor is read (CompatibilityError otherwise). With ``plan=None`` the
     gate runs inside the pass: each tensor's parents are read once, diffed,
@@ -654,23 +656,33 @@ def execute_merge(
                 progress(len(decisions), len(layout))
             yield base.tensors[name], data
 
+    if plan is None:
+        plan = MergePlan(decisions, fingerprints, config.to_json_obj())  # filled by stream()
+    report: MergeReport | None = None
+
+    def report_json(shard_names: list[str]) -> str:
+        nonlocal report
+        report = MergeReport(
+            counts=plan.counts(),
+            nonfinite=nonfinite,
+            elapsed_seconds=time.monotonic() - start,
+            model_fingerprints=fingerprints,
+            output_files=shard_names,
+            config_echo=plan.config_echo,
+            plan=plan,
+        )
+        return json.dumps(report.to_json_obj(), indent=2) + "\n"
+
     out_index = write_checkpoint(
         stream(),
         out,
         config.output,
         base=base,
         metadata=_provenance_metadata(config),
-    )
-    if plan is None:
-        plan = MergePlan(decisions, fingerprints, config.to_json_obj())
-    report = MergeReport(
-        counts=plan.counts(),
-        nonfinite=nonfinite,
-        elapsed_seconds=time.monotonic() - start,
-        model_fingerprints=fingerprints,
-        output_files=[s.name for s in out_index.shards],
-        config_echo=plan.config_echo,
-        plan=plan,
+        sidecars={
+            "merge_plan.json": lambda _: json.dumps(plan.to_json_obj(), indent=1) + "\n",
+            "merge_report.json": report_json,
+        },
     )
     return out_index, report
 

@@ -19,9 +19,10 @@ that is not a gap (unused bytes in a data region, which opening tolerates);
 
 There is one writer (``write_checkpoint``). Its required ``base`` fixes
 every shard's name, tensors and header before the first byte is written,
-so each shard is written once: header first, then each tensor in place,
-into a temp file renamed into place when the shard is complete. It refuses
-a directory holding shard or index files it would not replace.
+so each shard is written once: header first, then each tensor in place.
+Every file of an output goes into a fresh hidden sibling directory that
+replaces the output as a whole when all are complete, so a failed write
+leaves the output as it was.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dtypes import DType
 from .errors import FormatError
@@ -522,13 +524,6 @@ _Shard = tuple[str, list[TensorInfo], dict[str, str] | None]
 _Index = tuple[str, dict | None]
 
 
-def _write_index_json(
-    path: Path, weight_map: dict[str, str], index_metadata: dict | None
-) -> None:
-    obj = {"metadata": index_metadata or {}, "weight_map": weight_map}
-    path.write_text(json.dumps(obj, indent=2) + "\n", "utf-8")
-
-
 def _merged_metadata(
     base: dict[str, str] | None, extra: dict[str, str] | None
 ) -> dict[str, str] | None:
@@ -597,30 +592,18 @@ def _next_planned(pairs: Iterator[tuple[TensorInfo, bytes]], want: TensorInfo) -
     return data
 
 
-def _write_shards(
-    stream: Iterable[tuple[TensorInfo, bytes]], directory: Path, shards: list[_Shard]
-) -> None:
-    """Write each shard once: its fixed header, then its tensors in place.
-
-    A shard is written to a hidden temp file and renamed to its final name
-    only when complete, after the last shard has checked that the stream
-    holds nothing more. On any error the open temp file is removed.
-    """
-    pairs = iter(stream)
-    for i, (name, entries, metadata) in enumerate(shards):
-        tmp = directory / f".{name}.tmp"
-        try:
-            with open(tmp, "wb") as f:
-                header = _serialize_header(entries, metadata)
-                f.write(_HEADER_PREFIX.pack(len(header)) + header)
-                for want in entries:
-                    f.write(_next_planned(pairs, want))
-            if i == len(shards) - 1 and (extra := next(pairs, None)) is not None:
-                raise FormatError(f"stream yields {extra[0].name!r} beyond the base tensor set")
-            os.replace(tmp, directory / name)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+def _check_replaceable(out: Path, sidecars: Mapping[str, object]) -> None:
+    """Raise FileExistsError for an ``out`` that ``write_checkpoint`` may not replace."""
+    if out.is_symlink() or out.exists() and not out.is_dir():
+        raise FileExistsError(f"{out} exists and is not a directory")
+    foreign = sorted(
+        p.name
+        for p in (out.iterdir() if out.exists() else ())
+        if p.is_symlink() or not p.is_file()
+        or not (p.name.endswith((".safetensors", INDEX_SUFFIX)) or p.name in sidecars)
+    )
+    if foreign:
+        raise FileExistsError(f"{out} holds entries no checkpoint write makes: {foreign}")
 
 
 def write_checkpoint(
@@ -630,6 +613,7 @@ def write_checkpoint(
     *,
     base: CheckpointIndex | Sequence[TensorInfo],
     metadata: dict[str, str] | None = None,
+    sidecars: Mapping[str, Callable[[list[str]], str]] | None = None,
 ) -> CheckpointIndex:
     """Write a checkpoint from an ordered stream of (info, bytes) pairs.
 
@@ -644,28 +628,32 @@ def write_checkpoint(
     the presence of an index file all mirror the base, with ``metadata``
     keys layered on top. In pack mode shards fill sequentially up to
     ``max_shard_bytes``, are named by ``shard_template`` and an index file
-    is always written.
+    is always written. ``sidecars`` names more files of a directory output,
+    each rendered from the sorted shard names after the last tensor.
 
-    Every header is fixed first, so each shard's data is written once, in
-    place, and the shard is renamed into place when complete. Layout
-    errors (empty layout, duplicate names, a tensor larger than a shard,
-    mirror mode without a base index) raise before any file is created. A
-    directory that holds ``*.safetensors`` or index files this write would
-    not replace raises FileExistsError, so they cannot join the output.
-    Returns the reopened index of what was written.
+    Every file is written once, into a fresh hidden sibling of ``out``
+    that replaces ``out`` as a whole only when all are complete; on any
+    error ``out`` is left as it was. Layout errors, sidecars for a file
+    output and an existing ``out`` holding anything but a directory of
+    regular shard, index or sidecar files (FileExistsError) raise before
+    any file is created. Returns the reopened index of what was written.
     """
     out = Path(out)
     policy = (policy or OutputPolicy()).validated()
+    sidecars = sidecars or {}
+    file_output = out.suffix == ".safetensors"
     if isinstance(base, CheckpointIndex):
         infos = [base.tensors[n] for n in base.layout_names()]
     else:
         infos = list(base)
-    if out.suffix == ".safetensors":
-        directory, shards, index = out.parent, [(out.name, infos, metadata)], None
+    if file_output and sidecars:
+        raise ValueError(f"a single-file output cannot hold {sorted(sidecars)}: {out}")
+    if file_output:
+        shards, index = [(out.name, infos, metadata)], None
     elif policy.mode == "pack":
-        directory, (shards, index) = out, _pack_layout(infos, policy, metadata)
+        shards, index = _pack_layout(infos, policy, metadata)
     elif isinstance(base, CheckpointIndex):
-        directory, (shards, index) = out, _mirror_layout(base, infos, metadata)
+        shards, index = _mirror_layout(base, infos, metadata)
     else:
         raise ValueError("mirror mode requires a base checkpoint index")
 
@@ -675,24 +663,42 @@ def write_checkpoint(
     repeated = sorted(n for n, k in Counter(names).items() if k > 1)
     if repeated:
         raise FormatError(f"duplicate tensor names in the layout: {repeated}")
-    if directory == out:
-        planned = {name for name, _, _ in shards}
-        if index is not None:
-            planned.add(index[0])
-        foreign = sorted(
-            p.name
-            for p in (out.iterdir() if out.is_dir() else ())
-            if p.name.endswith((".safetensors", INDEX_SUFFIX)) and p.name not in planned
-        )
-        if foreign:
-            raise FileExistsError(
-                f"{out} holds shard or index files this write would not replace: "
-                f"{foreign}; remove them first"
-            )
-        out.mkdir(parents=True, exist_ok=True)
+    if not file_output:
+        _check_replaceable(out, sidecars)
 
-    _write_shards(stream, directory, shards)
-    if index is not None:
-        weight_map = {info.name: name for name, entries, _ in shards for info in entries}
-        _write_index_json(out / index[0], weight_map, index[1])
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # mkdir, not tempfile.mkdtemp (mode 0700): the output gets the umask's mode.
+    stage = out.with_name(f".{out.name}.{os.urandom(8).hex()}")
+    stage.mkdir()
+    try:
+        pairs = iter(stream)
+        for name, entries, shard_metadata in shards:
+            with open(stage / name, "wb") as f:
+                header = _serialize_header(entries, shard_metadata)
+                f.write(_HEADER_PREFIX.pack(len(header)) + header)
+                for want in entries:
+                    f.write(_next_planned(pairs, want))
+        if (extra := next(pairs, None)) is not None:
+            raise FormatError(f"stream yields {extra[0].name!r} beyond the base tensor set")
+        if index is not None:
+            weight_map = {info.name: name for name, entries, _ in shards for info in entries}
+            obj = {"metadata": index[1] or {}, "weight_map": weight_map}
+            (stage / index[0]).write_text(json.dumps(obj, indent=2) + "\n", "utf-8")
+        for name, render in sidecars.items():
+            (stage / name).write_text(render(sorted(s[0] for s in shards)), "utf-8")
+        if file_output:
+            os.replace(stage / out.name, out)
+        elif not out.exists():
+            os.rename(stage, out)
+        else:
+            aside = stage.with_name(stage.name + ".old")
+            os.rename(out, aside)
+            try:
+                os.rename(stage, out)
+            except BaseException:
+                os.rename(aside, out)
+                raise
+            shutil.rmtree(aside)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return open_checkpoint(out)

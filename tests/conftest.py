@@ -4,6 +4,7 @@ import struct
 import pytest
 
 import moemerge as mm
+from moemerge import merge_core
 
 
 def pytest_configure(config):
@@ -82,6 +83,32 @@ def build_raw(header_obj, blob=b""):
 def read_values(index, name):
     """One tensor decoded to a flat float64 array."""
     return mm.decode(mm.read_tensor_raw(index, name), index.tensors[name].dtype)
+
+
+def tree_bytes(root):
+    """Every entry under ``root``: file bytes, or None for a directory."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+        for p in sorted(root.rglob("*"))
+    }
+
+
+def hidden_siblings(out):
+    """Hidden entries beside ``out``, such as a write's leftover stage."""
+    return sorted(p.name for p in out.parent.iterdir() if p.name.startswith("."))
+
+
+def fail_encode_after(monkeypatch, calls):
+    """Make the merge pass raise OSError on its encode call number ``calls + 1``."""
+    real, seen = merge_core.encode, []
+
+    def encode(*args):
+        seen.append(None)
+        if len(seen) > calls:
+            raise OSError("disk full")
+        return real(*args)
+
+    monkeypatch.setattr(merge_core, "encode", encode)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import moemerge as mm
+from moemerge import merge_core
 from moemerge.cli import main
 
-from conftest import TINY_SPEC, build_safetensors
+from conftest import TINY_SPEC, build_safetensors, fail_encode_after, hidden_siblings, tree_bytes
 
 
 @pytest.fixture()
@@ -194,23 +195,75 @@ def test_merge_refuses_nonempty_out_without_force(workdir, capsys):
     code = main(["merge", "--recipe", str(workdir["recipe"]), "--out", str(out)])
     assert code == 1
     assert "--force" in capsys.readouterr().err
+    # --force replaces only an earlier output, never a directory of other files
     assert main([
         "merge", "--recipe", str(workdir["recipe"]), "--out", str(out), "--force",
-    ]) == 0
+    ]) == 1
+    assert "keep.txt" in capsys.readouterr().err
+    assert tree_bytes(out) == {"keep.txt": b"x"}
 
 
-def test_merge_force_rewrites_own_output_but_refuses_foreign_shards(workdir, capsys):
+def test_merge_force_replaces_own_output_and_its_leftover_shards(workdir):
     out = workdir["tmp"] / "m"
     merge = ["merge", "--recipe", str(workdir["recipe"]), "--out", str(out), "--force"]
     assert main(merge) == 0
+    first = tree_bytes(out)
     assert main(merge) == 0
     (out / "old-leftover.safetensors").write_bytes(
         build_safetensors([("junk.weight", "F32", [1], bytes(4))])
     )
-    capsys.readouterr()
-    assert main(merge) == 1
-    assert "old-leftover.safetensors" in capsys.readouterr().err
+    assert main(merge) == 0
     assert "junk.weight" not in mm.open_checkpoint(out).tensors
+    assert tree_bytes(out).keys() == first.keys()
+    assert hidden_siblings(out) == []
+
+
+@pytest.mark.parametrize("entry", ["config.json", "subdir"])
+def test_merge_force_refuses_an_out_holding_other_entries(workdir, capsys, entry):
+    out = workdir["tmp"] / "m"
+    merge = ["merge", "--recipe", str(workdir["recipe"]), "--out", str(out), "--force"]
+    assert main(merge) == 0
+    if entry == "subdir":
+        (out / entry).mkdir()
+    else:
+        (out / entry).write_text("{}")
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert main([*merge, "--lambdas", "0.2,0.8"]) == 1
+    assert entry in capsys.readouterr().err
+    assert tree_bytes(out) == before
+    assert hidden_siblings(out) == []
+
+
+def test_failed_force_rerun_leaves_the_earlier_output_intact(workdir, monkeypatch, capsys):
+    out = workdir["tmp"] / "m"
+    merge = ["merge", "--recipe", str(workdir["recipe"]), "--out", str(out), "--force"]
+    assert main(merge) == 0
+    before = tree_bytes(out)
+    # 33 tensors merge, 29 of them in the first of two shards
+    fail_encode_after(monkeypatch, 30)
+    assert main([*merge, "--lambdas", "0.2,0.8"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert tree_bytes(out) == before
+    assert hidden_siblings(out) == []
+    index = mm.open_checkpoint(out)
+    report = json.loads((out / "merge_report.json").read_text())
+    plan = json.loads((out / "merge_plan.json").read_text())
+    assert report["output_files"] == [s.name for s in index.shards]
+    assert report["config"]["lambdas"] == plan["config"]["lambdas"] == [0.5, 0.5]
+    assert json.loads(index.metadata["aoe.lambdas"]) == [0.5, 0.5]
+
+
+def test_merge_to_a_single_file_exits_2_before_reading_a_tensor(workdir, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("a tensor was read")
+
+    monkeypatch.setattr(merge_core, "read_tensor_raw", unreachable)
+    out = workdir["tmp"] / "child.safetensors"
+    assert main(["merge", "--recipe", str(workdir["recipe"]), "--out", str(out)]) == 2
+    assert "single-file output" in capsys.readouterr().err
+    assert not out.exists()
+    assert hidden_siblings(out) == []
 
 
 def test_merge_recipe_with_stale_diff_cache_exits_1(workdir, capsys):

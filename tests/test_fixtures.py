@@ -125,6 +125,7 @@ def test_unmatched_selector_is_an_error(tmp_path):
     perts = (mm.PerturbationSpec("name:no.such.tensor.*", "shift", 0.01),)
     with pytest.raises(FixtureError, match="matched nothing"):
         mm.generate_variant(TINY_SPEC, perts, tmp_path / "var")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_name_glob_selector(tmp_path):

@@ -20,7 +20,14 @@ from moemerge.recipe import Recipe
 from moemerge.taxonomy import EXPERTS_ONLY_SUBSET, TensorGroup
 from moemerge.tensor_math import BLOCK_ELEMS
 
-from conftest import TINY_SPEC, build_safetensors, read_values
+from conftest import (
+    TINY_SPEC,
+    build_safetensors,
+    fail_encode_after,
+    hidden_siblings,
+    read_values,
+    tree_bytes,
+)
 
 
 def pair_config(pair, **kwargs):
@@ -405,7 +412,7 @@ def test_execute_copy_path_preserves_nan_payloads(tmp_path):
     assert mm.read_tensor_raw(out, "x") == bits.tobytes()
 
 
-def test_execute_refuses_foreign_shards_in_out(tmp_path):
+def test_execute_replaces_leftover_shards_in_out(tmp_path):
     # an index-less base: the output is found by globbing, so a stale shard
     # left in the directory would become part of the merged checkpoint
     data = np.arange(4, dtype="<f4").tobytes()
@@ -419,9 +426,23 @@ def test_execute_refuses_foreign_shards_in_out(tmp_path):
         build_safetensors([("junk.weight", "F32", [4], data)])
     )
     cfg = mm.MergeConfig(models=(str(a), str(b)), lambdas=(0.5, 0.5))
-    with pytest.raises(FileExistsError, match="old-leftover.safetensors"):
-        mm.execute_merge(None, cfg, out)
-    assert sorted(p.name for p in out.iterdir()) == ["old-leftover.safetensors"]
+    index, _ = mm.execute_merge(None, cfg, out)
+    assert "junk.weight" not in index.tensors
+    assert sorted(p.name for p in out.iterdir()) == [
+        "a.safetensors", "merge_plan.json", "merge_report.json",
+    ]
+
+
+def test_failed_rerun_leaves_the_earlier_output_byte_identical(tiny_pair, tmp_path, monkeypatch):
+    out = tmp_path / "m"
+    mm.execute_merge(None, pair_config(tiny_pair), out)
+    before = tree_bytes(out)
+    # 33 tensors merge, 29 of them in the first of two shards
+    fail_encode_after(monkeypatch, 30)
+    with pytest.raises(OSError, match="disk full"):
+        mm.execute_merge(None, pair_config(tiny_pair, lambdas=(0.2, 0.8)), out)
+    assert tree_bytes(out) == before
+    assert hidden_siblings(out) == []
 
 
 # --- threshold sweep ---------------------------------------------------------------------

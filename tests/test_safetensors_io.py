@@ -1,8 +1,11 @@
 import hashlib
 import io
 import json
+import os
+import stat
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from moemerge.cli import main
 from moemerge.errors import FormatError
 from moemerge.safetensors_io import _serialize_header
 
-from conftest import TINY_SPEC, build_raw, build_safetensors, read_values
+from conftest import TINY_SPEC, build_raw, build_safetensors, hidden_siblings, read_values, tree_bytes
 from test_fuzz_headers import definitely_malformed_cases, valid_bytes
 
 
@@ -437,7 +440,47 @@ def test_write_failure_mid_pack_leaves_only_complete_shards(tmp_path):
     policy = mm.OutputPolicy(mode="pack", max_shard_bytes=200)
     with pytest.raises(OSError, match="disk went away"):
         mm.write_checkpoint(stream(), out, policy, base=infos)
-    assert sorted(p.name for p in out.iterdir()) == ["model-00001-of-00003.safetensors"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pack_rerun_with_more_shards_replaces_the_output(tmp_path):
+    infos = [mm.TensorInfo(f"t{i}", mm.DType.U8, (100,), (0, 100)) for i in range(6)]
+    out = tmp_path / "packed"
+    for max_shard_bytes, count in ((200, 3), (100, 6)):
+        policy = mm.OutputPolicy(mode="pack", max_shard_bytes=max_shard_bytes)
+        stream = ((info, bytes([i]) * 100) for i, info in enumerate(infos))
+        mm.write_checkpoint(stream, out, policy, base=infos)
+        shards = [f"model-{i:05d}-of-{count:05d}.safetensors" for i in range(1, count + 1)]
+        assert sorted(p.name for p in out.iterdir()) == [*shards, "model.safetensors.index.json"]
+    assert hidden_siblings(out) == []
+
+
+def test_write_restores_the_earlier_output_when_the_swap_fails(tmp_path, monkeypatch):
+    infos = [mm.TensorInfo("t", mm.DType.U8, (4,), (0, 4))]
+    policy = mm.OutputPolicy(mode="pack")
+    out = tmp_path / "packed"
+    mm.write_checkpoint(iter([(infos[0], b"old!")]), out, policy, base=infos)
+    before = tree_bytes(out)
+    real = os.rename
+
+    def rename(src, dst):
+        if Path(dst) == out and not str(src).endswith(".old"):
+            raise OSError("rename refused")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "rename", rename)
+    with pytest.raises(OSError, match="rename refused"):
+        mm.write_checkpoint(iter([(infos[0], b"new!")]), out, policy, base=infos)
+    assert tree_bytes(out) == before
+    assert hidden_siblings(out) == []
+
+
+def test_output_directory_gets_the_mode_of_a_plain_mkdir(tmp_path):
+    info = mm.TensorInfo("t", mm.DType.U8, (1,), (0, 1))
+    out = tmp_path / "out"
+    mm.write_checkpoint(iter([(info, b"\x01")]), out, mm.OutputPolicy(mode="pack"), base=[info])
+    (tmp_path / "plain").mkdir()
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
 
 
 @pytest.mark.parametrize(
@@ -477,7 +520,8 @@ def test_write_rejects_a_tensor_unlike_its_planned_entry(tiny_base, tmp_path):
 
     with pytest.raises(FormatError, match="planned"):
         mm.write_checkpoint(stream(), tmp_path / "w", base=index)
-    assert list((tmp_path / "w").iterdir()) == []
+    assert not (tmp_path / "w").exists()
+    assert hidden_siblings(tmp_path / "w") == []
 
 def test_header_serialization_is_padded_and_compact():
     info = mm.TensorInfo("a", mm.DType.F32, (2,), (0, 8))
