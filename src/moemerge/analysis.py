@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .merge_core import DiffRecord
+from .planning import DiffRecord
 from .taxonomy import GROUP_ORDER, TensorGroup
 
 _PREFERRED_PROJ_ORDER = {"gate": 0, "up": 1, "down": 2}
@@ -111,8 +111,8 @@ def emit_histogram(diffs: Sequence[DiffRecord], spec: HistogramSpec) -> Histogra
     """Per-category counts of max diffs over the spec's bins.
 
     A record is included iff its diff is >= the cutoff and inside
-    [edges[0], edges[-1]]; everything else is excluded and counted, so bin
-    counts plus exclusions always equal the record count.
+    [edges[0], edges[-1]]; everything else, NaN included, is excluded and
+    counted, so bin counts plus exclusions always equal the record count.
     """
     below = 0
     out_of_range = 0
@@ -123,7 +123,7 @@ def emit_histogram(diffs: Sequence[DiffRecord], spec: HistogramSpec) -> Histogra
         if d < spec.cutoff:
             below += 1
             continue
-        if d < spec.edges[0] or d > spec.edges[-1]:
+        if not spec.edges[0] <= d <= spec.edges[-1]:  # also NaN
             out_of_range += 1
             continue
         idx = nbins - 1

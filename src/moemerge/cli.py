@@ -8,6 +8,11 @@ machine-readable output goes to files or, with ``--json``, to stdout.
 Exit codes are a stable scripting contract: 0 success, 1 operational
 error (I/O, stale plan), 2 validation or compatibility failure (bad
 recipe, malformed checkpoint, incompatible parents).
+
+Only the passes over weights need numpy, so ``merge_core`` and
+``fixtures`` are imported only inside the code paths that read or write
+tensors; ``plan``, ``sweep``, ``report`` and the other commands that
+work from a diff cache or a plan start without it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from . import analysis, fixtures, merge_core, recipe as recipe_mod
+from . import analysis, planning, recipe as recipe_mod
 from .errors import (
     CompatibilityError,
     FixtureError,
@@ -88,7 +93,7 @@ def cmd_diff(args) -> int:
     records = None
     if Path(args.out).exists():
         try:
-            records, _ = merge_core.load_diff_cache(args.out, fingerprints)
+            records, _ = planning.load_diff_cache(args.out, fingerprints)
         except (MoemergeError, OSError, json.JSONDecodeError, KeyError):
             records = None
         if records is not None and all(r.category == classify(r.name, scheme) for r in records):
@@ -97,13 +102,15 @@ def cmd_diff(args) -> int:
         else:
             records = None
     if records is None:
+        from . import merge_core
+
         records = merge_core.compute_diffs(
             models,
             scheme,
             workers=args.threads,
             progress=_progress("diffed"),
         )
-        merge_core.save_diff_cache(records, args.out, fingerprints)
+        planning.save_diff_cache(records, args.out, fingerprints)
         _msg(f"wrote {len(records)} diff records to {args.out}")
     summary = _summarize_diffs(records)
     if args.json:
@@ -127,8 +134,10 @@ def _diffs_for_config(config, args):
     models = [open_checkpoint(p) for p in config.models]
     fingerprints = [m.fingerprint() for m in models]
     if args.diffs:
-        records, _ = merge_core.load_diff_cache(args.diffs, fingerprints)
+        records, _ = planning.load_diff_cache(args.diffs, fingerprints)
         return records, fingerprints
+    from . import merge_core
+
     records = merge_core.compute_diffs(
         models,
         config.scheme,
@@ -175,7 +184,7 @@ def _config_from_recipe(args):
 def cmd_plan(args) -> int:
     config = _config_from_recipe(args)
     records, fingerprints = _diffs_for_config(config, args)
-    plan = merge_core.plan_merge(config, records, fingerprints)
+    plan = planning.plan_merge(config, records, fingerprints)
     Path(args.out).write_text(json.dumps(plan.to_json_obj(), indent=1) + "\n", "utf-8")
     _msg(f"wrote plan to {args.out}")
     _print_plan_table(plan)
@@ -189,7 +198,7 @@ def cmd_merge(args) -> int:
         if args.lambdas or args.delta is not None or args.diffs:
             raise RecipeError("--lambda/--delta/--diffs require --recipe, not --plan")
         plan_obj = json.loads(Path(args.plan).read_text("utf-8"))
-        plan = merge_core.MergePlan.from_json_obj(plan_obj)
+        plan = planning.MergePlan.from_json_obj(plan_obj)
         # The echo's model paths are already resolved; keep them cwd-relative.
         config = recipe_mod.Recipe.from_json_obj(plan.config_echo).resolve(".")
     else:
@@ -197,16 +206,16 @@ def cmd_merge(args) -> int:
         plan = None
         if args.dry_run:
             records, fingerprints = _diffs_for_config(config, args)
-            plan = merge_core.plan_merge(config, records, fingerprints)
+            plan = planning.plan_merge(config, records, fingerprints)
         elif args.diffs:
             # Plan with the cache's own fingerprints: execute_merge opens the
             # parents once and refuses them if they no longer match.
-            records, fingerprints = merge_core.load_diff_cache(args.diffs)
-            plan = merge_core.plan_merge(config, records, fingerprints)
+            records, fingerprints = planning.load_diff_cache(args.diffs)
+            plan = planning.plan_merge(config, records, fingerprints)
 
     if args.dry_run:
         _print_plan_table(plan)
-        skeleton = merge_core.MergeReport(
+        skeleton = planning.MergeReport(
             counts=plan.counts(),
             nonfinite=[],
             elapsed_seconds=0.0,
@@ -221,6 +230,8 @@ def cmd_merge(args) -> int:
     out = Path(args.out)
     if out.exists() and not args.force and (out.is_file() or any(out.iterdir())):
         raise MoemergeError(f"output {out} exists and is not empty (use --force)")
+
+    from . import merge_core
 
     # execute_merge opens and compat-checks the parents; without a plan it
     # also gates inside its single pass.
@@ -241,7 +252,7 @@ def cmd_merge(args) -> int:
 def cmd_sweep(args) -> int:
     config = _config_from_recipe(args)
     records, _ = _diffs_for_config(config, args)
-    rows = merge_core.threshold_sweep(records, config, args.deltas)
+    rows = planning.threshold_sweep(records, config, args.deltas)
     groups = [g.value for g in TensorGroup]
     lines = ["delta," + ",".join(groups) + ",total"]
     for row in rows:
@@ -260,7 +271,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records, _ = merge_core.load_diff_cache(args.diffs)
+    records, _ = planning.load_diff_cache(args.diffs)
     if args.kind == "heatmap":
         table = analysis.emit_heatmap(records, aggregate=args.aggregate)
         text = table.to_csv()
@@ -309,6 +320,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fixture(args) -> int:
+    from . import fixtures
+
     spec_obj = json.loads(Path(args.spec).read_text("utf-8"))
     spec = fixtures.FixtureSpec.from_json_obj(spec_obj)
     if args.variant:

@@ -1,10 +1,4 @@
-"""Per-tensor merge gating, planning, and streaming execution.
-
-The construction: for every tensor of the base model, compute the maximum
-normalized Frobenius difference against each other parent. A tensor is
-merged (weighted sum of all parents) iff it belongs to the configured
-subset AND that maximum strictly exceeds the threshold; otherwise the base
-model's raw bytes are copied bit-exactly.
+"""The passes over weights: diffs and streaming merge execution.
 
 A tensor's gate depends only on its own diff, so every pass over the
 weights runs one per-tensor task. ``compute_diffs`` reads each parent's
@@ -12,9 +6,10 @@ bytes once and diffs them in fixed blocks. A recipe merge also gates, then
 combines the blocks into the output or hands on the base bytes it holds;
 its plan comes out of the same pass as an audit record. A reviewed plan
 skips the diff: its copies read only the base. The functions that read
-weights check the parents' compatibility once, up front. Planning, the
-fused gate and the threshold sweep share one gate and classify names with
-the config's scheme; a diff cache supplies only the numbers.
+weights check the parents' compatibility once, up front. The gate, the
+configs, plans and diff caches live in ``planning``, which needs no
+numpy; numpy is imported only here, in ``tensor_math`` and in
+``fixtures``.
 
 Tasks run on a worker pool whose window of ``2 * workers`` tasks is the
 only bound on in-flight work; results are written in base layout order,
@@ -24,35 +19,43 @@ so output is independent of the worker count.
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from ._version import __version__
-from .errors import CompatibilityError, MergeError, RecipeError
+from .errors import CompatibilityError, MergeError
+from .planning import (
+    ACTION_COPY_BASE,
+    DiffRecord,
+    MergeConfig,
+    MergeDecision,
+    MergePlan,
+    MergeReport,
+    _check_decisions,
+    _decide,
+    load_diff_cache,  # noqa: F401  (patched by perfbench/spans.py)
+    plan_merge,  # noqa: F401  (patched by perfbench/spans.py)
+    save_diff_cache,  # noqa: F401  (patched by perfbench/spans.py)
+    threshold_sweep,  # noqa: F401  (patched by perfbench/spans.py)
+)
 from .safetensors_io import (
     CheckpointIndex,
-    OutputPolicy,
     TensorInfo,
     open_checkpoint,
     read_tensor_raw,
     write_checkpoint,
 )
 from .taxonomy import (
-    FULL_SUBSET,
     DEFAULT_SCHEME,
     NamingScheme,
-    SubsetSpec,
     TensorCategory,
-    TensorGroup,
     classify,
-    in_subset,
+    in_subset,  # noqa: F401  (patched by perfbench/spans.py)
     subset_to_json_obj,
 )
 from .tensor_math import (
@@ -65,209 +68,8 @@ from .tensor_math import (
     squared_diff_sum,
 )
 
-CONVEXITY_TOL = 1e-12
-
-ACTION_MERGE = "merge"
-ACTION_COPY_BASE = "copy_base"
-REASON_NOT_IN_SUBSET = "not_in_subset"
-REASON_BELOW_THRESHOLD = "below_threshold"
-
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-
-@dataclass(frozen=True)
-class MergeConfig:
-    """Everything that determines a merge: parents, weights, gates, output.
-
-    ``models[0]`` is the base model; every tensor not selected for merging
-    keeps its bytes.
-    """
-
-    models: tuple[str, ...]
-    lambdas: tuple[float, ...]
-    delta: float = 0.0
-    subset: SubsetSpec = FULL_SUBSET
-    scheme: NamingScheme = DEFAULT_SCHEME
-    convex_required: bool = True
-    output: OutputPolicy = field(default_factory=OutputPolicy)
-
-    def validate(self) -> None:
-        if len(self.models) < 1:
-            raise RecipeError("at least one model is required")
-        _check_lambdas(self.lambdas, self, "lambdas")
-        if self.delta < 0:
-            raise RecipeError(f"delta must be >= 0, got {self.delta}")
-        self.output.validated()
-
-    def to_json_obj(self) -> dict:
-        return {
-            "models": list(self.models),
-            "lambdas": list(self.lambdas),
-            "delta": self.delta,
-            "subset": subset_to_json_obj(self.subset),
-            "scheme": self.scheme.to_json_obj(),
-            "convex_required": self.convex_required,
-            "output": asdict(self.output),
-        }
-
-
-def _check_lambdas(lambdas: object, config: MergeConfig, what: str) -> None:
-    """The one check on a weight vector: the config's, an override's or a plan's.
-
-    One number per model; non-negative and summing to 1 when the config
-    requires a convex merge.
-    """
-    if not isinstance(lambdas, (list, tuple)) or any(
-        not isinstance(lam, numbers.Real) or isinstance(lam, bool) for lam in lambdas
-    ):
-        raise RecipeError(f"{what} must be a list of numbers, got {lambdas!r}")
-    if len(lambdas) != len(config.models):
-        raise RecipeError(
-            f"{what} has {len(lambdas)} weights, expected {len(config.models)}"
-        )
-    if not config.convex_required:
-        return
-    if any(lam < 0 for lam in lambdas):
-        raise RecipeError(f"{what} must be non-negative for a convex merge: {list(lambdas)}")
-    total = sum(lambdas)
-    if abs(total - 1.0) > CONVEXITY_TOL:
-        raise RecipeError(
-            f"{what} must sum to 1 within {CONVEXITY_TOL} for a convex merge "
-            f"(got {total!r}); set convex_required=false to allow this"
-        )
-
-
-@dataclass(frozen=True)
-class DiffRecord:
-    """Per-tensor normalized Frobenius differences against the base model."""
-
-    name: str
-    category: TensorCategory
-    per_model_diff: tuple[float, ...]  # one entry per non-base model
-    max_diff: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            **self.category.to_json_obj(),
-            "per_model_diff": list(self.per_model_diff),
-            "max_diff": self.max_diff,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "DiffRecord":
-        return cls(
-            name=obj["name"],
-            category=TensorCategory.from_json_obj(obj),
-            per_model_diff=tuple(obj["per_model_diff"]),
-            max_diff=obj["max_diff"],
-        )
-
-
-@dataclass(frozen=True)
-class MergeDecision:
-    name: str
-    category: TensorCategory
-    action: str  # ACTION_MERGE | ACTION_COPY_BASE
-    max_diff: float
-    reason: str | None = None  # set for copy decisions
-    lambdas: tuple[float, ...] | None = None  # set for merge decisions
-    base_preserving: bool = False  # provably equal to the base regardless
-
-
-@dataclass
-class MergePlan:
-    """The resolved per-tensor actions, bound to the input header hashes."""
-
-    decisions: list[MergeDecision]
-    model_fingerprints: list[str]
-    config_echo: dict
-
-    def counts(self) -> dict:
-        merged: dict[str, int] = {}
-        copied: dict[str, int] = {}
-        by_reason = {REASON_NOT_IN_SUBSET: 0, REASON_BELOW_THRESHOLD: 0}
-        for d in self.decisions:
-            key = d.category.group.value
-            if d.action == ACTION_MERGE:
-                merged[key] = merged.get(key, 0) + 1
-            else:
-                copied[key] = copied.get(key, 0) + 1
-                by_reason[d.reason] += 1
-        return {
-            "tensors": len(self.decisions),
-            "merged": sum(merged.values()),
-            "copied": sum(copied.values()),
-            "merged_by_group": dict(sorted(merged.items())),
-            "copied_by_group": dict(sorted(copied.items())),
-            "copied_by_reason": by_reason,
-        }
-
-    def to_json_obj(self) -> dict:
-        return {
-            "version": 1,
-            "models": list(self.model_fingerprints),
-            "config": self.config_echo,
-            "decisions": [
-                {
-                    "name": d.name,
-                    **d.category.to_json_obj(),
-                    "action": d.action,
-                    "reason": d.reason,
-                    "max_diff": d.max_diff,
-                    "lambdas": list(d.lambdas) if d.lambdas is not None else None,
-                    "base_preserving": d.base_preserving,
-                }
-                for d in self.decisions
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "MergePlan":
-        if obj.get("version") != 1:
-            raise MergeError(f"unsupported plan version {obj.get('version')!r}")
-        # Decisions are checked against the config by execute_merge.
-        decisions = [
-            MergeDecision(
-                name=e["name"],
-                category=TensorCategory.from_json_obj(e),
-                action=e["action"],
-                reason=e["reason"],
-                max_diff=e["max_diff"],
-                lambdas=tuple(lams) if isinstance(lams := e["lambdas"], list) else lams,
-                base_preserving=e["base_preserving"],
-            )
-            for e in obj["decisions"]
-        ]
-        return cls(
-            decisions=decisions,
-            model_fingerprints=list(obj["models"]),
-            config_echo=obj["config"],
-        )
-
-
-@dataclass
-class MergeReport:
-    counts: dict
-    nonfinite: list[dict]
-    elapsed_seconds: float
-    model_fingerprints: list[str]
-    output_files: list[str]
-    config_echo: dict
-    tool_version: str = __version__
-    plan: MergePlan | None = None  # the executed plan; not serialized
-
-    def to_json_obj(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "counts": self.counts,
-            "nonfinite_inputs": self.nonfinite,
-            "elapsed_seconds": self.elapsed_seconds,
-            "models": self.model_fingerprints,
-            "output_files": self.output_files,
-            "config": self.config_echo,
-        }
 
 
 def validate_compatibility(models: Sequence[CheckpointIndex]) -> list[str]:
@@ -460,125 +262,6 @@ def compute_diffs(
     return records
 
 
-def save_diff_cache(
-    records: Sequence[DiffRecord], path: str | Path, model_fingerprints: Sequence[str]
-) -> None:
-    obj = {
-        "version": 1,
-        "models": list(model_fingerprints),
-        "records": [r.to_json_obj() for r in records],
-    }
-    Path(path).write_text(json.dumps(obj, indent=1) + "\n", "utf-8")
-
-
-def load_diff_cache(
-    path: str | Path, expected_fingerprints: Sequence[str] | None = None
-) -> tuple[list[DiffRecord], list[str]]:
-    """Load a diff cache; verifies header hashes when expectations are given."""
-    obj = json.loads(Path(path).read_text("utf-8"))
-    if obj.get("version") != 1:
-        raise MergeError(f"unsupported diff cache version {obj.get('version')!r}")
-    fingerprints = list(obj["models"])
-    if expected_fingerprints is not None and fingerprints != list(expected_fingerprints):
-        raise MergeError(
-            f"diff cache {path} was computed from different checkpoints "
-            "(header hashes do not match); recompute with `diff`"
-        )
-    return [DiffRecord.from_json_obj(e) for e in obj["records"]], fingerprints
-
-
-def plan_merge(
-    config: MergeConfig,
-    diffs: Sequence[DiffRecord],
-    model_fingerprints: Sequence[str],
-    *,
-    lambda_overrides: dict[str, Sequence[float]] | None = None,
-) -> MergePlan:
-    """Resolve the per-tensor case split into an auditable plan.
-
-    A tensor merges iff it is in the subset and its max diff strictly
-    exceeds delta (ties copy the base). Each name is classified with
-    ``config.scheme``; the records supply only their diffs.
-    ``lambda_overrides`` may replace the weights for individual tensors;
-    overrides are validated like the global weights.
-    """
-    config.validate()
-    overrides = lambda_overrides or {}
-    for name, lams in overrides.items():
-        _check_lambdas(lams, config, f"lambda override for {name!r}")
-    unknown = set(overrides) - {r.name for r in diffs}
-    if unknown:
-        raise RecipeError(f"lambda overrides for unknown tensors: {sorted(unknown)}")
-
-    decisions = [
-        _decide(record, classify(record.name, config.scheme), config, overrides)
-        for record in diffs
-    ]
-    return MergePlan(
-        decisions=decisions,
-        model_fingerprints=list(model_fingerprints),
-        config_echo=config.to_json_obj(),
-    )
-
-
-def _copy_reason(
-    record: DiffRecord, category: TensorCategory, subset: SubsetSpec, delta: float
-) -> str | None:
-    """The one gate: None when the tensor merges, else why it keeps the base.
-
-    Merge iff the tensor is in the subset and its max diff strictly exceeds
-    delta (ties copy the base). ``category`` is the name classified with
-    the config's scheme, never the one a diff cache stored.
-    """
-    if not in_subset(category, subset, record.name):
-        return REASON_NOT_IN_SUBSET
-    return None if record.max_diff > delta else REASON_BELOW_THRESHOLD
-
-
-def _decide(
-    record: DiffRecord,
-    category: TensorCategory,
-    config: MergeConfig,
-    overrides: dict[str, Sequence[float]] | None = None,
-) -> MergeDecision:
-    """The per-tensor decision, shared by planning and the fused pass.
-
-    A merge is base-preserving when its weights are one-hot on the base or
-    the parents are identical.
-    """
-    reason = _copy_reason(record, category, config.subset, config.delta)
-    if reason is None:
-        lams = tuple((overrides or {}).get(record.name, config.lambdas))
-        one_hot = lams[0] == 1.0 and all(lam == 0.0 for lam in lams[1:])
-        return MergeDecision(
-            name=record.name,
-            category=category,
-            action=ACTION_MERGE,
-            max_diff=record.max_diff,
-            lambdas=lams,
-            base_preserving=one_hot or record.max_diff == 0.0,
-        )
-    return MergeDecision(
-        name=record.name,
-        category=category,
-        action=ACTION_COPY_BASE,
-        max_diff=record.max_diff,
-        reason=reason,
-        base_preserving=True,
-    )
-
-
-def _check_decisions(decisions: Sequence[MergeDecision], config: MergeConfig) -> None:
-    """Refuse a reviewed plan whose decisions its config could not have made."""
-    for d in decisions:
-        if d.action == ACTION_MERGE:
-            _check_lambdas(d.lambdas, config, f"plan lambdas for {d.name!r}")
-        elif d.action != ACTION_COPY_BASE:
-            raise RecipeError(f"plan decision for {d.name!r} has unknown action {d.action!r}")
-        elif d.reason not in (REASON_NOT_IN_SUBSET, REASON_BELOW_THRESHOLD):
-            raise RecipeError(f"plan copy of {d.name!r} has unknown reason {d.reason!r}")
-
-
 def _provenance_metadata(config: MergeConfig) -> dict[str, str]:
     return {
         "aoe.base": str(config.models[0]),
@@ -685,33 +368,3 @@ def execute_merge(
         },
     )
     return out_index, report
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    delta: float
-    by_group: dict
-    total: int
-
-
-def threshold_sweep(
-    diffs: Sequence[DiffRecord],
-    config: MergeConfig,
-    deltas: Sequence[float],
-) -> list[SweepRow]:
-    """Would-merge tensor counts per category for each threshold; no I/O.
-
-    Uses the planning gate, so totals are non-increasing in delta. Each
-    name is classified once with ``config.scheme``.
-    """
-    if not deltas:
-        raise ValueError("no deltas given")
-    categories = [classify(record.name, config.scheme) for record in diffs]
-    rows = []
-    for delta in deltas:
-        by_group = {g.value: 0 for g in TensorGroup}
-        for record, category in zip(diffs, categories):
-            if _copy_reason(record, category, config.subset, delta) is None:
-                by_group[category.group.value] += 1
-        rows.append(SweepRow(delta=delta, by_group=by_group, total=sum(by_group.values())))
-    return rows

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import RecipeError
-from .merge_core import MergeConfig
+from .planning import MergeConfig
 from .safetensors_io import OutputPolicy
 from .taxonomy import DEFAULT_SCHEME, NamingScheme, subset_from_json_obj
 

@@ -633,12 +633,19 @@ def write_checkpoint(
 
     Every file is written once, into a fresh hidden sibling of ``out``
     that replaces ``out`` as a whole only when all are complete; on any
-    error ``out`` is left as it was. Layout errors, sidecars for a file
-    output and an existing ``out`` holding anything but a directory of
-    regular shard, index or sidecar files (FileExistsError) raise before
-    any file is created. Returns the reopened index of what was written.
+    error ``out`` is left as it was. So ``out`` must end in a name of its
+    own: ``.``, ``..`` and ``/`` raise ValueError. That, layout errors,
+    sidecars for a file output and an existing ``out`` holding anything
+    but a directory of regular shard, index or sidecar files
+    (FileExistsError) raise before any file is created. Returns the
+    reopened index of what was written.
     """
     out = Path(out)
+    if out.name in ("", ".."):
+        raise ValueError(
+            f"cannot write to {str(out)!r}: name the output directory by its own "
+            "path (for example ../child, not .)"
+        )
     policy = (policy or OutputPolicy()).validated()
     sidecars = sidecars or {}
     file_output = out.suffix == ".safetensors"

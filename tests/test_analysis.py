@@ -4,7 +4,7 @@ import pytest
 
 import moemerge as mm
 from moemerge.analysis import HistogramSpec, emit_heatmap, emit_histogram, reasoning_frequency
-from moemerge.merge_core import DiffRecord
+from moemerge.planning import DiffRecord
 from moemerge.taxonomy import TensorCategory, TensorGroup
 
 
@@ -149,6 +149,21 @@ def test_histogram_counts_plus_excluded_equals_total():
     assert binned + result.excluded == len(records)
     assert result.excluded_below_cutoff == 3
     assert result.excluded_out_of_range == 2
+
+
+def test_histogram_excludes_nan_and_inf_as_out_of_range():
+    spec = HistogramSpec(edges=(0.001, 0.01), cutoff=1e-3)
+    records = [
+        rec("nan", TensorGroup.ATTENTION, 0, float("nan")),
+        rec("inf", TensorGroup.ATTENTION, 0, float("inf")),
+        rec("in", TensorGroup.ATTENTION, 0, 0.005),
+    ]
+    result = emit_histogram(records, spec)
+    assert [c for _, _, _, c in result.rows] == [1]
+    assert result.excluded_out_of_range == 2
+    assert result.excluded_below_cutoff == 0
+    binned = sum(count for _, _, _, count in result.rows)
+    assert binned + result.excluded == len(records)
 
 
 def test_histogram_last_bin_inclusive():

@@ -266,6 +266,20 @@ def test_merge_to_a_single_file_exits_2_before_reading_a_tensor(workdir, monkeyp
     assert hidden_siblings(out) == []
 
 
+def test_merge_force_into_dot_exits_2_before_reading_a_tensor(workdir, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("a tensor was read")
+
+    monkeypatch.setattr(merge_core, "read_tensor_raw", unreachable)
+    cwd = workdir["tmp"] / "child"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    before = tree_bytes(workdir["tmp"])
+    assert main(["merge", "--recipe", str(workdir["recipe"]), "--out", ".", "--force"]) == 2
+    assert "name the output directory by its own path" in capsys.readouterr().err
+    assert tree_bytes(workdir["tmp"]) == before
+
+
 def test_merge_recipe_with_stale_diff_cache_exits_1(workdir, capsys):
     pair = workdir["pair"]
     cache = workdir["tmp"] / "cache.json"

@@ -8,7 +8,7 @@ import pytest
 import moemerge as mm
 from moemerge import merge_core
 from moemerge.errors import MergeError, RecipeError
-from moemerge.merge_core import (
+from moemerge.planning import (
     ACTION_COPY_BASE,
     ACTION_MERGE,
     REASON_BELOW_THRESHOLD,

@@ -523,6 +523,25 @@ def test_write_rejects_a_tensor_unlike_its_planned_entry(tiny_base, tmp_path):
     assert not (tmp_path / "w").exists()
     assert hidden_siblings(tmp_path / "w") == []
 
+
+@pytest.mark.parametrize("out", [".", "..", "sub/.."])
+def test_write_refuses_an_output_without_a_name_of_its_own(tiny_base, tmp_path, monkeypatch, out):
+    index, _ = tiny_base
+    cwd = tmp_path / "parent" / "cwd"
+    (cwd / "sub").mkdir(parents=True)
+    (cwd / "keep.txt").write_text("mine")
+    monkeypatch.chdir(cwd)
+    before = tree_bytes(tmp_path)
+
+    def stream():
+        raise AssertionError("a tensor was requested")
+        yield
+
+    with pytest.raises(ValueError, match="by its own path"):
+        mm.write_checkpoint(stream(), out, base=index)
+    assert tree_bytes(tmp_path) == before
+
+
 def test_header_serialization_is_padded_and_compact():
     info = mm.TensorInfo("a", mm.DType.F32, (2,), (0, 8))
     header = _serialize_header([info], None)
