@@ -1,11 +1,14 @@
 """The passes over weights: diffs and streaming merge execution.
 
 A tensor's gate depends only on its own diff, so every pass over the
-weights runs one per-tensor task. ``compute_diffs`` reads each parent's
-bytes once and diffs them in fixed blocks. A recipe merge also gates, then
-combines the blocks into the output or hands on the base bytes it holds;
-its plan comes out of the same pass as an audit record. A reviewed plan
-skips the diff: its copies read only the base. The functions that read
+weights runs one per-tensor task. A pass opens one read-only descriptor
+per shard of each parent and closes them all when it ends. ``compute_diffs``
+reads each parent's bytes once and diffs them in fixed blocks. A recipe
+merge also gates, then combines the blocks into the output or hands on the
+base bytes it holds; its plan comes out of the same pass as an audit
+record. A reviewed plan skips the diff: a copy hands the writer the base
+tensor's byte range, which is copied file to file without entering
+Python, and only merged tensors are read. The functions that read
 weights check the parents' compatibility once, up front. The gate, the
 configs, plans and diff caches live in ``planning``, which needs no
 numpy; numpy is imported only here, in ``tensor_math`` and in
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
+from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -46,8 +50,11 @@ from .planning import (
 from .safetensors_io import (
     CheckpointIndex,
     TensorInfo,
+    TensorRange,
     open_checkpoint,
     read_tensor_raw,
+    shard_handles,
+    tensor_range,
     write_checkpoint,
 )
 from .taxonomy import (
@@ -190,25 +197,33 @@ def _combine(
     return out, sorted(bad)
 
 
-_Outcome = tuple[DiffRecord | None, MergeDecision | None, bytes | bytearray | None, list[int]]
+_Outcome = tuple[
+    DiffRecord | None, MergeDecision | None, bytes | bytearray | TensorRange | None, list[int]
+]
 
 
 def _tensor_task(
     models: Sequence[CheckpointIndex],
+    handles: Sequence[dict[str, int]],
     scheme: NamingScheme,
     config: MergeConfig | None = None,
     planned: dict[str, MergeDecision] | None = None,
 ) -> Callable[[str], _Outcome]:
     """The one pass over a tensor, for diffs, the fused merge and a reviewed plan.
 
-    A planned decision is looked up before any read: a copy reads only the
-    base, a merge reads every parent and combines without diffing.
-    Otherwise each parent is read once and diffed; without a config the
-    task stops there, with one it gates, then combines a merged tensor
-    block by block or hands on the base bytes already read. Returns
-    (record, decision, output bytes, non-finite parents).
+    ``handles`` holds the pass's open shards, one map per model. A planned
+    decision is looked up before any read: a copy reads nothing and
+    yields the base tensor's range, a merge reads every parent and
+    combines without diffing. Otherwise each parent is read once and
+    diffed; without a config the task stops there, with one it gates,
+    then combines a merged tensor block by block or hands on the base
+    bytes already read. Returns (record, decision, output bytes or range,
+    non-finite parents).
     """
     base = models[0]
+
+    def read(name: str) -> list[bytes]:
+        return [read_tensor_raw(model, name, handles=fds) for model, fds in zip(models, handles)]
 
     def task(name: str) -> _Outcome:
         info = base.tensors[name]
@@ -219,14 +234,15 @@ def _tensor_task(
             if len(models) == 1 or info.numel == 0:
                 record = DiffRecord(name, category, (0.0,) * (len(models) - 1), 0.0)
             else:
-                raws = [read_tensor_raw(model, name) for model in models]
+                raws = read(name)
                 record, decoded = _diff_parents(name, category, raws, info)
             if config is None:
                 return record, None, None, []
             decision = _decide(record, category, config)
         if decision.action == ACTION_COPY_BASE:
-            return record, decision, raws[0] if raws else read_tensor_raw(base, name), []
-        raws = raws or [read_tensor_raw(model, name) for model in models]
+            data = raws[0] if raws else tensor_range(base, name, handles=handles[0])
+            return record, decision, data, []
+        raws = raws or read(name)
         data, bad = _combine(raws, info, decision.lambdas, decoded)
         return record, decision, data, bad
 
@@ -253,12 +269,15 @@ def compute_diffs(
     """
     _check_compatible(models)
     names = models[0].layout_names()
-    task = _tensor_task(models, scheme)
     records = []
-    for record, _, _, _ in _ordered_parallel(names, task, workers):
-        records.append(record)
-        if progress is not None:
-            progress(len(records), len(names))
+    # closing() stops the pool before the descriptors close, on error too.
+    with shard_handles(models) as handles, closing(
+        _ordered_parallel(names, _tensor_task(models, handles, scheme), workers)
+    ) as results:
+        for record, _, _, _ in results:
+            records.append(record)
+            if progress is not None:
+                progress(len(records), len(names))
     return records
 
 
@@ -299,10 +318,14 @@ def execute_merge(
 
     Merge decisions decode all parents block by block, combine in float64,
     and re-encode to the original dtype; copy decisions move the base
-    model's raw bytes untouched. At most ``2 * workers`` tensors are in
-    flight (one with one worker); each holds its parents' raw bytes, its
-    output bytes and one block of float64 scratch. Output tensor order
-    follows the base layout, so reruns are byte-identical.
+    model's raw bytes untouched: in the fused pass the bytes already read
+    for the diff, in a reviewed plan the base tensor's byte range, copied
+    file to file by the writer. The pass holds one read-only descriptor
+    per shard of each parent and closes them all when it ends. At most
+    ``2 * workers`` tensors are in flight (one with one worker); each holds
+    its parents' raw bytes, its output bytes and one block of float64
+    scratch. Output tensor order follows the base layout, so reruns are
+    byte-identical.
     """
     start = time.monotonic()
     config.validate()
@@ -324,13 +347,11 @@ def execute_merge(
         planned = {d.name: d for d in plan.decisions}
         if len(planned) != len(plan.decisions) or planned.keys() != set(layout):
             raise MergeError("plan does not cover exactly the base model's tensor set")
-    task = _tensor_task(models, config.scheme, config, planned)
 
     decisions: list[MergeDecision] = []
     nonfinite: list[dict] = []
 
-    def stream():
-        results = _ordered_parallel(layout, task, workers)
+    def stream(results: Iterable[_Outcome]):
         for name, (_, decision, data, bad_models) in zip(layout, results):
             if bad_models:
                 nonfinite.append({"name": name, "models": bad_models})
@@ -356,15 +377,19 @@ def execute_merge(
         )
         return json.dumps(report.to_json_obj(), indent=2) + "\n"
 
-    out_index = write_checkpoint(
-        stream(),
-        out,
-        config.output,
-        base=base,
-        metadata=_provenance_metadata(config),
-        sidecars={
-            "merge_plan.json": lambda _: json.dumps(plan.to_json_obj(), indent=1) + "\n",
-            "merge_report.json": report_json,
-        },
-    )
+    # closing() stops the pool before the descriptors close, on error too.
+    with shard_handles(models) as handles, closing(_ordered_parallel(
+        layout, _tensor_task(models, handles, config.scheme, config, planned), workers
+    )) as results:
+        out_index = write_checkpoint(
+            stream(results),
+            out,
+            config.output,
+            base=base,
+            metadata=_provenance_metadata(config),
+            sidecars={
+                "merge_plan.json": lambda _: json.dumps(plan.to_json_obj(), indent=1) + "\n",
+                "merge_report.json": report_json,
+            },
+        )
     return out_index, report

@@ -11,22 +11,30 @@ an index (headers are unioned). With an index, the checkpoint is exactly the
 shards it references.
 
 Reading a tensor touches only that tensor's byte range, so memory stays
-O(tensor), never O(shard). There is one header scan (``_scan_header``) and
-one checkpoint walk (``_scan_checkpoint``); both collect every issue instead
-of raising. ``read_header`` and ``open_checkpoint`` raise the first issue
-that is not a gap (unused bytes in a data region, which opening tolerates);
+O(tensor), never O(shard). A pass over weights opens one read-only
+descriptor per shard (``shard_handles``) and reads each tensor from it
+with one positioned read, so threads share descriptors without seeking.
+There is one header scan (``_scan_header``) and one checkpoint walk
+(``_scan_checkpoint``); both collect every issue instead of raising.
+``read_header`` and ``open_checkpoint`` raise the first issue that is not
+a gap (unused bytes in a data region, which opening tolerates);
 ``validate_checkpoint`` returns them all.
 
 There is one writer (``write_checkpoint``). Its required ``base`` fixes
 every shard's name, tensors and header before the first byte is written,
 so each shard is written once: header first, then each tensor in place.
-Every file of an output goes into a fresh hidden sibling directory that
-replaces the output as a whole when all are complete, so a failed write
-leaves the output as it was.
+A tensor arrives as bytes or as a ``TensorRange`` of an open shard; each
+run of adjacent ranges is copied file to file in the kernel, without
+passing through Python. The writer returns the index of what it laid
+out, so the output is never scanned again. Every file of an output goes
+into a fresh hidden sibling directory that replaces the output as a
+whole when all are complete, so a failed write leaves the output as it
+was.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -34,7 +42,9 @@ import os
 import shutil
 import struct
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -98,10 +108,15 @@ class CheckpointIndex:
     index_metadata: dict | None = None  # the index JSON's "metadata" object
 
     def shard(self, name: str) -> ShardInfo:
-        for s in self.shards:
-            if s.name == name:
-                return s
-        raise KeyError(f"no shard named {name!r}")
+        try:
+            return self._shards_by_name[name]
+        except KeyError:
+            raise KeyError(f"no shard named {name!r}") from None
+
+    @cached_property
+    def _shards_by_name(self) -> dict[str, ShardInfo]:
+        # Built on first lookup; an index's shard list is complete by then.
+        return {s.name: s for s in self.shards}
 
     def layout_names(self) -> list[str]:
         """Tensor names in physical order: shard order, then data offset."""
@@ -441,22 +456,82 @@ def validate_checkpoint(target: CheckpointIndex | str | Path) -> list[Validation
     return _scan_checkpoint(root)[1]
 
 
-def read_tensor_raw(index: CheckpointIndex, name: str) -> bytes:
-    """Read exactly one tensor's bytes (seek + bounded read, never the shard)."""
+@contextmanager
+def shard_handles(indexes: Sequence[CheckpointIndex]) -> Iterator[list[dict[str, int]]]:
+    """One read-only descriptor per shard of each checkpoint, for one pass.
+
+    Yields one ``{shard name: descriptor}`` map per checkpoint, in order.
+    Every descriptor is closed when the block ends, on error too.
+    """
+    handles: list[dict[str, int]] = []
+    try:
+        for index in indexes:
+            handles.append({})
+            for s in index.shards:
+                handles[-1][s.name] = os.open(s.path, os.O_RDONLY)
+        yield handles
+    finally:
+        for fds in handles:
+            for fd in fds.values():
+                os.close(fd)
+
+
+@dataclass(frozen=True)
+class TensorRange:
+    """One tensor's bytes at rest: a shard's open descriptor, an absolute
+    offset and a length. ``write_checkpoint`` copies it file to file."""
+
+    fd: int
+    shard: str  # the shard's name, for errors
+    offset: int
+    length: int
+
+
+def _past_end(shard: str, name: str) -> FormatError:
+    return FormatError(f"{shard}: tensor {name!r} byte range ends past end of shard")
+
+
+def _locate(index: CheckpointIndex, name: str) -> tuple[ShardInfo, int, int]:
+    """The tensor's shard, absolute offset and byte length."""
     try:
         info = index.tensors[name]
     except KeyError:
         raise KeyError(f"no tensor named {name!r} in checkpoint {index.root}") from None
     shard = index.shard(info.shard)
-    begin, end = info.data_offsets
-    with open(shard.path, "rb") as f:
-        f.seek(shard.data_start + begin)
-        raw = f.read(end - begin)
-    if len(raw) != end - begin:
-        raise FormatError(
-            f"{shard.name}: tensor {name!r} byte range ends past end of shard"
-        )
-    return raw
+    return shard, shard.data_start + info.data_offsets[0], info.nbytes
+
+
+def tensor_range(index: CheckpointIndex, name: str, handles: Mapping[str, int]) -> TensorRange:
+    """Where one tensor's bytes rest, in a shard open in ``handles``."""
+    shard, offset, length = _locate(index, name)
+    return TensorRange(handles[shard.name], shard.name, offset, length)
+
+
+def read_tensor_raw(
+    index: CheckpointIndex, name: str, handles: Mapping[str, int] | None = None
+) -> bytes:
+    """Read exactly one tensor's bytes with a positioned read, never the shard.
+
+    ``handles`` maps shard names to the descriptors a pass holds open (see
+    ``shard_handles``); without it the shard is opened for this read alone.
+    """
+    shard, offset, length = _locate(index, name)
+    fd = handles[shard.name] if handles is not None else os.open(shard.path, os.O_RDONLY)
+    parts = []
+    try:
+        # One pread returns at most about 2 GiB on Linux; it is short
+        # otherwise only at the end of the file.
+        while length:
+            part = os.pread(fd, length, offset)
+            if not part:
+                raise _past_end(shard.name, name)
+            parts.append(part)
+            offset += len(part)
+            length -= len(part)
+    finally:
+        if handles is None:
+            os.close(fd)
+    return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +645,11 @@ def _pack_layout(
     return shards, (policy.index_name, {"total_size": total})
 
 
-def _next_planned(pairs: Iterator[tuple[TensorInfo, bytes]], want: TensorInfo) -> bytes:
-    """The stream's next tensor bytes, checked against the planned entry."""
+_Data = bytes | bytearray | TensorRange
+
+
+def _next_planned(pairs: Iterator[tuple[TensorInfo, _Data]], want: TensorInfo) -> _Data:
+    """The stream's next tensor bytes or range, checked against the planned entry."""
     try:
         info, data = next(pairs)
     except StopIteration:
@@ -585,11 +663,64 @@ def _next_planned(pairs: Iterator[tuple[TensorInfo, bytes]], want: TensorInfo) -
             f"tensor {info.name!r}: got {info.dtype.code} {list(info.shape)}, "
             f"planned {want.dtype.code} {list(want.shape)}"
         )
-    if len(data) != _data_len(want):
+    size = data.length if isinstance(data, TensorRange) else len(data)
+    if size != _data_len(want):
         raise FormatError(
-            f"tensor {info.name!r}: got {len(data)} bytes, expected {_data_len(want)}"
+            f"tensor {info.name!r}: got {size} bytes, expected {_data_len(want)}"
         )
     return data
+
+
+# The kernel refuses copy_file_range for these (across file systems, an
+# old kernel, an unsupported file system); a bounded read/write loop then
+# moves the bytes instead.
+_NO_KERNEL_COPY = (errno.EXDEV, errno.ENOSYS, errno.EINVAL, errno.EOPNOTSUPP)
+_COPY_CHUNK = 1 << 20
+
+
+def _extends(last: TensorRange, data: _Data) -> bool:
+    """Whether ``data`` is the range right after ``last`` in the same shard."""
+    return (
+        isinstance(data, TensorRange)
+        and data.fd == last.fd
+        and data.offset == last.offset + last.length
+    )
+
+
+def _copy_run(run: list[tuple[str, TensorRange]], f: BinaryIO) -> None:
+    """Append a run of adjacent ranges of one shard to ``f``, then empty ``run``.
+
+    Raises FormatError naming the first tensor the source cannot supply.
+    """
+    if not run:
+        return
+    src, offset = run[0][1].fd, run[0][1].offset
+    length = run[-1][1].offset + run[-1][1].length - offset
+    f.flush()
+    dst, start = f.fileno(), f.tell()
+    done = 0
+    kernel_copy = getattr(os, "copy_file_range", None)
+    try:
+        while kernel_copy is not None and done < length:
+            n = kernel_copy(src, dst, length - done, offset + done, start + done)
+            if n == 0:
+                break
+            done += n
+    except OSError as exc:
+        if exc.errno not in _NO_KERNEL_COPY:
+            raise
+        kernel_copy = None
+    f.seek(start + done)
+    while kernel_copy is None and done < length:
+        chunk = os.pread(src, min(_COPY_CHUNK, length - done), offset + done)
+        if not chunk:
+            break
+        f.write(chunk)
+        done += len(chunk)
+    if done < length:
+        name, r = next((n, r) for n, r in run if r.offset + r.length > offset + done)
+        raise _past_end(r.shard, name)
+    run.clear()
 
 
 def _check_replaceable(out: Path, sidecars: Mapping[str, object]) -> None:
@@ -607,7 +738,7 @@ def _check_replaceable(out: Path, sidecars: Mapping[str, object]) -> None:
 
 
 def write_checkpoint(
-    stream: Iterable[tuple[TensorInfo, bytes]],
+    stream: Iterable[tuple[TensorInfo, _Data]],
     out: str | Path,
     policy: OutputPolicy | None = None,
     *,
@@ -615,13 +746,18 @@ def write_checkpoint(
     metadata: dict[str, str] | None = None,
     sidecars: Mapping[str, Callable[[list[str]], str]] | None = None,
 ) -> CheckpointIndex:
-    """Write a checkpoint from an ordered stream of (info, bytes) pairs.
+    """Write a checkpoint from an ordered stream of (info, data) pairs.
 
     ``base`` fixes the layout before any byte is written: a
     ``CheckpointIndex`` (its physical tensor order, and in mirror mode its
     shards) or the ordered ``TensorInfo`` list the stream will yield. The
     stream must follow that order exactly, and each tensor must match its
-    planned dtype, shape and byte length.
+    planned dtype, shape and byte length. Data is the tensor's bytes or a
+    ``TensorRange`` whose descriptor stays open until this returns. Each
+    run of ranges adjacent in one source shard is copied with
+    ``os.copy_file_range``, or with a bounded read/write loop where the
+    kernel cannot copy; a source too short raises FormatError naming the
+    shard and tensor.
 
     ``out`` may be a ``.safetensors`` file path (one shard, no index) or a
     directory. In mirror mode shard names, assignment, metadata blocks and
@@ -637,8 +773,9 @@ def write_checkpoint(
     own: ``.``, ``..`` and ``/`` raise ValueError. That, layout errors,
     sidecars for a file output and an existing ``out`` holding anything
     but a directory of regular shard, index or sidecar files
-    (FileExistsError) raise before any file is created. Returns the
-    reopened index of what was written.
+    (FileExistsError) raise before any file is created. Returns the index
+    of what was written, built from the layout; it equals
+    ``open_checkpoint(out)``.
     """
     out = Path(out)
     if out.name in ("", ".."):
@@ -673,18 +810,30 @@ def write_checkpoint(
     if not file_output:
         _check_replaceable(out, sidecars)
 
+    headers: dict[str, bytes] = {}  # each shard's length prefix and header
+    for name, entries, shard_metadata in shards:
+        header = _serialize_header(entries, shard_metadata)
+        headers[name] = _HEADER_PREFIX.pack(len(header)) + header
+
     out.parent.mkdir(parents=True, exist_ok=True)
     # mkdir, not tempfile.mkdtemp (mode 0700): the output gets the umask's mode.
     stage = out.with_name(f".{out.name}.{os.urandom(8).hex()}")
     stage.mkdir()
     try:
         pairs = iter(stream)
-        for name, entries, shard_metadata in shards:
+        for name, entries, _ in shards:
             with open(stage / name, "wb") as f:
-                header = _serialize_header(entries, shard_metadata)
-                f.write(_HEADER_PREFIX.pack(len(header)) + header)
+                f.write(headers[name])
+                run: list[tuple[str, TensorRange]] = []
                 for want in entries:
-                    f.write(_next_planned(pairs, want))
+                    data = _next_planned(pairs, want)
+                    if run and not _extends(run[-1][1], data):
+                        _copy_run(run, f)
+                    if isinstance(data, TensorRange):
+                        run.append((want.name, data))
+                    else:
+                        f.write(data)
+                _copy_run(run, f)
         if (extra := next(pairs, None)) is not None:
             raise FormatError(f"stream yields {extra[0].name!r} beyond the base tensor set")
         if index is not None:
@@ -708,4 +857,35 @@ def write_checkpoint(
             shutil.rmtree(aside)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
-    return open_checkpoint(out)
+    return _layout_index(out, shards, index, headers, file_output)
+
+
+def _layout_index(
+    out: Path, shards: list[_Shard], index: _Index | None, headers: dict[str, bytes],
+    file_output: bool,
+) -> CheckpointIndex:
+    """The index ``open_checkpoint(out)`` reads back from a written layout.
+
+    ``headers`` holds each shard's length prefix and header bytes.
+    """
+    written = CheckpointIndex(out, [], {})
+    if index is not None:
+        written.index_name, written.index_metadata = index[0], index[1] or {}
+    # Listed as open_checkpoint lists them: by name, not in write order.
+    for name, entries, metadata in sorted(shards, key=lambda s: s[0]):
+        offset = 0
+        for info in entries:
+            size = _data_len(info)
+            written.tensors[info.name] = TensorInfo(
+                info.name, info.dtype, info.shape, (offset, offset + size), name
+            )
+            offset += size
+        header = headers[name]
+        path = out if file_output else out / name
+        metadata = dict(metadata) if metadata else None
+        written.shards.append(
+            ShardInfo(name, path, len(header), offset, hashlib.sha256(header).hexdigest(), metadata)
+        )
+        if metadata:
+            written.metadata = {**(written.metadata or {}), **metadata}
+    return written

@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +156,29 @@ def test_merge_from_plan_file(workdir):
     out = workdir["tmp"] / "merged"
     assert main(["merge", "--plan", str(plan_path), "--out", str(out)]) == 0
     assert mm.open_checkpoint(out)
+
+
+def test_merge_plan_from_a_base_truncated_after_planning_exits_2(tiny_pair, tmp_path, capsys):
+    for key in ("base", "variant"):
+        shutil.copytree(tiny_pair[key].root, tmp_path / key)
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps({"models": [str(tmp_path / "base"), str(tmp_path / "variant")],
+                                  "lambdas": [0.5, 0.5]}))
+    plan, out = tmp_path / "plan.json", tmp_path / "merged"
+    assert main(["plan", "--recipe", str(recipe), "--out", str(plan)]) == 0
+    assert main(["merge", "--plan", str(plan), "--out", str(out)]) == 0
+    before = tree_bytes(out)
+    base = mm.open_checkpoint(tmp_path / "base")
+    shard = base.shards[-1]
+    last = max((info for info in base.tensors.values() if info.shard == shard.name),
+               key=lambda info: info.data_offsets[0])
+    os.truncate(shard.path, shard.data_start + last.data_offsets[0] + 1)
+    capsys.readouterr()
+    assert main(["merge", "--plan", str(plan), "--out", str(out), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert shard.name in err and last.name in err
+    assert tree_bytes(out) == before
+    assert hidden_siblings(out) == []
 
 
 def test_merge_expert_transplant(workdir):

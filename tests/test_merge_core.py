@@ -1,5 +1,8 @@
 import dataclasses
+import errno
 import json
+import os
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 
 import moemerge as mm
 from moemerge import merge_core
-from moemerge.errors import MergeError, RecipeError
+from moemerge.errors import FormatError, MergeError, RecipeError
 from moemerge.planning import (
     ACTION_COPY_BASE,
     ACTION_MERGE,
@@ -655,11 +658,14 @@ def test_copy_only_plan_reads_each_base_tensor_once_and_decodes_nothing(
     plan = mm.plan_merge(cfg, mm.compute_diffs([tiny_pair["base"], tiny_pair["variant"]]),
                          fingerprints(tiny_pair))
     reads = count_calls(monkeypatch, "read_tensor_raw")
+    ranges = count_calls(monkeypatch, "tensor_range")
     decodes = count_calls(monkeypatch, "decode")
     mm.execute_merge(plan, cfg, tmp_path / "m", workers=2)
     base = tiny_pair["base"]
-    assert sorted(name for _, name in reads) == sorted(base.tensors)
-    assert {index.root for index, _ in reads} == {base.root}
+    # each copy is one range of the base, moved by the writer unread
+    assert sorted(name for _, name in ranges) == sorted(base.tensors)
+    assert {index.root for index, _ in ranges} == {base.root}
+    assert reads == []
     assert decodes == []
 
 
@@ -670,10 +676,15 @@ def test_reviewed_merge_reads_once_and_never_diffs(tiny_pair, tmp_path, monkeypa
     counts = plan.counts()
     assert counts["merged"] > 0 and counts["copied"] > 0
     reads = count_calls(monkeypatch, "read_tensor_raw")
+    ranges = count_calls(monkeypatch, "tensor_range")
     diffs = count_calls(monkeypatch, "squared_diff_sum")
     mm.execute_merge(plan, cfg, tmp_path / "m")
     assert diffs == []
-    assert len(reads) == 2 * counts["merged"] + counts["copied"]
+    copied = [d.name for d in plan.decisions if d.action == ACTION_COPY_BASE]
+    assert sorted(name for _, name in ranges) == sorted(copied)
+    assert {index.root for index, _ in ranges} == {tiny_pair["base"].root}
+    assert len(reads) == 2 * counts["merged"]
+    assert not {name for _, name in reads} & set(copied)
 
 
 def test_fused_pass_reads_each_parent_once_per_tensor(tiny_trio, tmp_path, monkeypatch):
@@ -682,3 +693,121 @@ def test_fused_pass_reads_each_parent_once_per_tensor(tiny_trio, tmp_path, monke
     models = tiny_trio["models"]
     expected = Counter((m.root, name) for m in models for name in models[0].tensors)
     assert Counter((index.root, name) for index, name in reads) == expected
+
+
+# --- the I/O of a pass: handles, range copies, fallback ----------------------------------
+
+
+def reviewed_plan(pair, **kwargs):
+    cfg = pair_config(pair, **kwargs)
+    diffs = mm.compute_diffs([pair["base"], pair["variant"]])
+    return mm.plan_merge(cfg, diffs, fingerprints(pair)), cfg
+
+
+@pytest.mark.skipif(not hasattr(os, "copy_file_range"), reason="needs os.copy_file_range")
+def test_copy_only_plan_copies_each_shard_in_one_kernel_call(tiny_pair, tmp_path, monkeypatch):
+    plan, cfg = reviewed_plan(tiny_pair, delta=1e9)
+    calls = []
+    real = os.copy_file_range
+
+    def counting(src, dst, count, *offsets):
+        calls.append(count)
+        return real(src, dst, count, *offsets)
+
+    monkeypatch.setattr(os, "copy_file_range", counting)
+    out, _ = mm.execute_merge(plan, cfg, tmp_path / "m")
+    base = tiny_pair["base"]
+    assert calls == [s.data_size for s in base.shards]
+    for ours, theirs in zip(out.shards, base.shards, strict=True):
+        assert ours.path.read_bytes()[ours.data_start:] == theirs.path.read_bytes()[theirs.data_start:]
+
+
+def without_kernel_copy(monkeypatch, how):
+    if how == "exdev":
+        def refuse(*args):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        monkeypatch.setattr(os, "copy_file_range", refuse)
+    else:
+        monkeypatch.delattr(os, "copy_file_range", raising=False)
+
+
+@pytest.mark.parametrize("how", ["exdev", "missing"])
+def test_reviewed_plan_without_kernel_copy_writes_the_same_bytes(
+    tiny_pair, tmp_path, monkeypatch, how
+):
+    plan, cfg = reviewed_plan(tiny_pair)
+    counts = plan.counts()
+    assert counts["merged"] > 0 and counts["copied"] > 0
+    expected, _ = mm.execute_merge(plan, cfg, tmp_path / "kernel")
+    without_kernel_copy(monkeypatch, how)
+    got, _ = mm.execute_merge(plan, cfg, tmp_path / "fallback")
+    assert shard_bytes(got) == shard_bytes(expected)
+    assert (tmp_path / "fallback" / "merge_plan.json").read_bytes() == (
+        tmp_path / "kernel" / "merge_plan.json"
+    ).read_bytes()
+
+
+@pytest.fixture()
+def own_pair(tiny_pair, tmp_path):
+    """A private copy of the tiny pair, free to damage."""
+    pair = dict(tiny_pair)
+    for key in ("base", "variant"):
+        shutil.copytree(tiny_pair[key].root, tmp_path / key)
+        pair[key] = mm.open_checkpoint(tmp_path / key)
+    return pair
+
+
+@pytest.mark.parametrize("how", [None, "exdev"], ids=["kernel", "exdev"])
+def test_copy_from_a_shard_truncated_mid_pass_names_shard_and_tensor(
+    own_pair, tmp_path, monkeypatch, how
+):
+    plan, cfg = reviewed_plan(own_pair, delta=1e9)
+    out = tmp_path / "m"
+    mm.execute_merge(plan, cfg, out)
+    before = tree_bytes(out)
+    base = own_pair["base"]
+    shard = base.shards[0]
+    victim = [n for n in base.layout_names() if base.tensors[n].shard == shard.name][3]
+    cut = shard.data_start + base.tensors[victim].data_offsets[0] + 1
+
+    def truncate(done, total):  # after the parents are opened and checked
+        if done == 1:
+            os.truncate(shard.path, cut)
+
+    if how is not None:
+        without_kernel_copy(monkeypatch, how)
+    message = f"{shard.name}: tensor '{victim}' byte range ends past end of shard"
+    with pytest.raises(FormatError, match=message):
+        mm.execute_merge(plan, cfg, out, progress=truncate)
+    assert tree_bytes(out) == before
+    assert hidden_siblings(out) == []
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("run", ["diff", "fused", "reviewed", "fused-fails", "diff-fails"])
+def test_a_pass_leaves_no_descriptor_open(tiny_pair, tmp_path, monkeypatch, workers, run):
+    models = [tiny_pair["base"], tiny_pair["variant"]]
+    plan, cfg = reviewed_plan(tiny_pair)
+    before = open_descriptors()
+    if run == "diff":
+        mm.compute_diffs(models, workers=workers)
+    elif run == "diff-fails":
+        def stop(done, total):
+            if done == 5:
+                raise RuntimeError("stopped")
+
+        with pytest.raises(RuntimeError, match="stopped"):
+            mm.compute_diffs(models, workers=workers, progress=stop)
+    elif run == "fused-fails":
+        fail_encode_after(monkeypatch, 30)
+        with pytest.raises(OSError, match="disk full"):
+            mm.execute_merge(None, cfg, tmp_path / "m", workers=workers)
+    else:
+        mm.execute_merge(plan if run == "reviewed" else None, cfg, tmp_path / "m", workers=workers)
+    assert open_descriptors() == before

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -345,7 +346,7 @@ def file_hashes(root):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
 
 
-def golden_indexed_base(root):
+def golden_indexed_base(root, with_index=True):
     """A hand-built indexed base: two shards with their own metadata blocks."""
     root.mkdir()
     pairs = list(golden_stream())
@@ -357,9 +358,10 @@ def golden_indexed_base(root):
         (root / shard).write_bytes(build_safetensors(entries, metadata=meta))
     weight_map = {i.name: ("b-1.safetensors" if k < 4 else "b-2.safetensors")
                   for k, (i, _) in enumerate(pairs)}
-    (root / "b.safetensors.index.json").write_text(
-        json.dumps({"metadata": {"total_size": 1}, "weight_map": weight_map})
-    )
+    if with_index:
+        (root / "b.safetensors.index.json").write_text(
+            json.dumps({"metadata": {"total_size": 1}, "weight_map": weight_map})
+        )
     return mm.open_checkpoint(root)
 
 
@@ -394,6 +396,58 @@ def test_pack_with_custom_index_name_reopens_and_mirrors(tmp_path):
     mirror = mm.write_checkpoint(stream(), tmp_path / "mirror", base=again)
     assert (tmp_path / "mirror" / "p.safetensors.index.json").is_file()
     assert mirror.index_name == "p.safetensors.index.json"
+
+
+@pytest.mark.parametrize("metadata", [None, {"aoe.note": "extra"}], ids=["plain", "extra"])
+@pytest.mark.parametrize("layout", ["mirror-indexed", "mirror-index-less", "pack-12", "file"])
+def test_write_returns_the_index_open_reads_back(tmp_path, layout, metadata):
+    base = golden_indexed_base(tmp_path / "base", with_index=layout != "mirror-index-less")
+    stream, policy, out = stream_of(base), None, tmp_path / "out"
+    if layout == "pack-12":
+        # 9 to 12 bytes each, so no two share a 12-byte shard
+        infos = [mm.TensorInfo(f"t{i}", mm.DType.U8, (9 + i % 4,), (0, 9 + i % 4)) for i in range(12)]
+        stream = ((info, bytes([i]) * info.nbytes) for i, info in enumerate(infos))
+        policy = mm.OutputPolicy(mode="pack", max_shard_bytes=12, shard_template="s-{index}.safetensors")
+        base = infos
+    elif layout == "file":
+        out = tmp_path / "out.safetensors"
+    written = mm.write_checkpoint(stream, out, policy, base=base, metadata=metadata)
+    assert written == mm.open_checkpoint(out)
+    if layout == "pack-12":
+        # listed by name, as opening lists them, not in write order
+        assert [s.name for s in written.shards] == [
+            f"s-{i}.safetensors" for i in (1, 10, 11, 12, 2, 3, 4, 5, 6, 7, 8, 9)
+        ]
+
+
+def test_write_copies_ranges_like_the_bytes_they_name(tmp_path):
+    base = golden_indexed_base(tmp_path / "base")
+    names = base.layout_names()
+    policy = mm.OutputPolicy(mode="pack", max_shard_bytes=200)
+    expected = mm.write_checkpoint(stream_of(base), tmp_path / "bytes", policy, base=base)
+    with mm.safetensors_io.shard_handles([base]) as (handles,):
+        # ranges and bytes interleaved, so runs break and restart
+        mixed = (
+            (base.tensors[n], mm.read_tensor_raw(base, n) if i == 2
+             else mm.safetensors_io.tensor_range(base, n, handles=handles))
+            for i, n in enumerate(names)
+        )
+        got = mm.write_checkpoint(mixed, tmp_path / "mixed", policy, base=base)
+    assert [s.path.read_bytes() for s in got.shards] == [
+        s.path.read_bytes() for s in expected.shards
+    ]
+
+
+def test_write_checks_a_range_length(tmp_path):
+    base = golden_indexed_base(tmp_path / "base")
+    first = base.layout_names()[0]
+    with mm.safetensors_io.shard_handles([base]) as (handles,):
+        whole = mm.safetensors_io.tensor_range(base, first, handles=handles)
+        short = dataclasses.replace(whole, length=whole.length - 1)
+        with pytest.raises(FormatError, match="bytes, expected"):
+            mm.write_checkpoint(iter([(base.tensors[first], short)]), tmp_path / "o", base=base)
+    assert not (tmp_path / "o").exists()
+    assert hidden_siblings(tmp_path / "o") == []
 
 
 def test_output_policy_rejects_index_name_open_would_ignore(tmp_path):
