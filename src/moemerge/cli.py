@@ -9,10 +9,12 @@ Exit codes are a stable scripting contract: 0 success, 1 operational
 error (I/O, stale plan), 2 validation or compatibility failure (bad
 recipe, malformed checkpoint, incompatible parents).
 
-Only the passes over weights need numpy, so ``merge_core`` and
+Only the passes that decode tensor values need numpy. ``merge_core`` and
 ``fixtures`` are imported only inside the code paths that read or write
-tensors; ``plan``, ``sweep``, ``report`` and the other commands that
-work from a diff cache or a plan start without it.
+tensors, and ``merge_core`` loads numpy only when a pass decodes. So
+``plan``, ``sweep``, ``report``, the other commands that work from a
+diff cache or a plan, and a ``merge --plan`` whose every decision is a
+copy start without it.
 """
 
 from __future__ import annotations
@@ -51,9 +53,19 @@ def _floats_csv(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_worker_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="worker threads for per-tensor work (default 1); at most "
+    p.add_argument("--threads", type=_worker_count, default=1, metavar="N",
+                   help="worker threads for per-tensor work, at least 1 (default 1); at most "
                         "2 x N tensors are in flight")
 
 

@@ -11,12 +11,13 @@ tensor's byte range, which is copied file to file without entering
 Python, and only merged tensors are read. The functions that read
 weights check the parents' compatibility once, up front. The gate, the
 configs, plans and diff caches live in ``planning``, which needs no
-numpy; numpy is imported only here, in ``tensor_math`` and in
-``fixtures``.
+numpy. This module loads numpy and the ``tensor_math`` kernels only when
+a pass decodes, so a reviewed copy-only plan runs without them.
 
 Tasks run on a worker pool whose window of ``2 * workers`` tasks is the
 only bound on in-flight work; results are written in base layout order,
-so output is independent of the worker count.
+so output is independent of the worker count. The pool is started only
+with more than one worker.
 """
 
 from __future__ import annotations
@@ -25,11 +26,8 @@ import json
 import time
 from collections import deque
 from contextlib import closing
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ._version import __version__
 from .errors import CompatibilityError, MergeError
@@ -65,18 +63,57 @@ from .taxonomy import (
     in_subset,  # noqa: F401  (patched by perfbench/spans.py)
     subset_to_json_obj,
 )
-from .tensor_math import (
-    BLOCK_ELEMS,
-    decode,
-    encode,
-    linear_combination,
-    normalized_frobenius_diff,  # noqa: F401  (patched by perfbench/spans.py)
-    rms_from_partials,
-    squared_diff_sum,
-)
+
+if TYPE_CHECKING:  # bound at run time by _load_kernels
+    import numpy as np
+
+    from .tensor_math import (
+        BLOCK_ELEMS,
+        decode,
+        encode,
+        linear_combination,
+        normalized_frobenius_diff,
+        rms_from_partials,
+        squared_diff_sum,
+    )
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+
+# normalized_frobenius_diff is unused here; perfbench/spans.py patches it.
+_KERNELS = (
+    "BLOCK_ELEMS",
+    "decode",
+    "encode",
+    "linear_combination",
+    "normalized_frobenius_diff",
+    "rms_from_partials",
+    "squared_diff_sum",
+)
+
+
+def _load_kernels() -> None:
+    """Bind ``np`` and the ``tensor_math`` kernels as module globals.
+
+    Called once per pass that decodes. ``setdefault`` keeps a binding made
+    before the first load, such as a tracing wrapper.
+    """
+    import numpy
+
+    from . import tensor_math
+
+    namespace = globals()
+    namespace.setdefault("np", numpy)
+    for name in _KERNELS:
+        namespace.setdefault(name, getattr(tensor_math, name))
+
+
+def __getattr__(name: str):
+    """Load the kernels when one is looked up before any pass decodes."""
+    if name == "np" or name in _KERNELS:
+        _load_kernels()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def validate_compatibility(models: Sequence[CheckpointIndex]) -> list[str]:
@@ -127,6 +164,8 @@ def _ordered_parallel(
         for item in items:
             yield fn(item)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     window: deque = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for item in items:
@@ -135,6 +174,11 @@ def _ordered_parallel(
             window.append(pool.submit(fn, item))
         while window:
             yield window.popleft().result()
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def _check_compatible(models: Sequence[CheckpointIndex]) -> None:
@@ -218,9 +262,12 @@ def _tensor_task(
     diffed; without a config the task stops there, with one it gates,
     then combines a merged tensor block by block or hands on the base
     bytes already read. Returns (record, decision, output bytes or range,
-    non-finite parents).
+    non-finite parents). The kernels are loaded unless every planned
+    decision is a copy.
     """
     base = models[0]
+    if planned is None or any(d.action != ACTION_COPY_BASE for d in planned.values()):
+        _load_kernels()
 
     def read(name: str) -> list[bytes]:
         return [read_tensor_raw(model, name, handles=fds) for model, fds in zip(models, handles)]
@@ -266,7 +313,9 @@ def compute_diffs(
     every mismatch). With a single model every record is zero. Tensors with
     no elements also diff to zero. Records are classified with ``scheme``.
     ``progress(done, total)`` is called in layout order as records arrive.
+    ``workers`` below 1 is a ValueError, raised before any shard is opened.
     """
+    _check_workers(workers)
     _check_compatible(models)
     names = models[0].layout_names()
     records = []
@@ -325,9 +374,11 @@ def execute_merge(
     ``2 * workers`` tensors are in flight (one with one worker); each holds
     its parents' raw bytes, its output bytes and one block of float64
     scratch. Output tensor order follows the base layout, so reruns are
-    byte-identical.
+    byte-identical. ``workers`` below 1 is a ValueError, raised before
+    anything is opened.
     """
     start = time.monotonic()
+    _check_workers(workers)
     config.validate()
     if plan is not None:
         _check_decisions(plan.decisions, config)

@@ -739,3 +739,19 @@ def test_diff_prints_progress(workdir, capsys):
     lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("diffed")]
     assert lines[-1] == f"diffed {total}/{total} tensors"
     assert lines[:-1] == [f"diffed {n}/{total} tensors" for n in range(50, total, 50)]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["diff", "plan", "merge", "sweep"])
+def test_threads_below_one_exits_2_naming_the_flag(workdir, capsys, command, threads):
+    argv = {
+        "diff": ["diff", str(workdir["pair"]["base"].root), "--out", str(workdir["tmp"] / "d.json")],
+        "plan": ["plan", "--recipe", str(workdir["recipe"]), "--out", str(workdir["tmp"] / "p.json")],
+        "merge": ["merge", "--recipe", str(workdir["recipe"]), "--out", str(workdir["tmp"] / "m")],
+        "sweep": ["sweep", "--recipe", str(workdir["recipe"]), "--deltas", "0"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert sorted(p.name for p in workdir["tmp"].iterdir()) == ["recipe.json"]

@@ -1,9 +1,10 @@
-"""The commands that read no weights, and the package itself, never import numpy.
+"""The commands that decode no weights, and the package itself, never import numpy.
 
 Each check runs in a fresh interpreter with ``sys.modules["numpy"] = None``,
 so any ``import numpy`` raises ImportError and the command fails loudly.
 """
 
+import hashlib
 import importlib
 import json
 import os
@@ -16,6 +17,8 @@ import pytest
 
 import moemerge as mm
 from moemerge.cli import main
+
+from conftest import hidden_siblings, tree_bytes
 
 SRC = str(Path(mm.__file__).resolve().parent.parent)
 
@@ -33,7 +36,7 @@ sys.exit(code)
 """
 
 
-def run_without_numpy(code, *argv):
+def run_fresh(code, *argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
     return subprocess.run(
@@ -74,7 +77,7 @@ COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_command_that_reads_no_weights_never_imports_numpy(inputs, command):
-    result = run_without_numpy(NO_NUMPY, *COMMANDS[command](inputs))
+    result = run_fresh(NO_NUMPY, *COMMANDS[command](inputs))
     assert result.returncode == 0, result.stderr
     if command == "diff-up-to-date":
         assert "up to date" in result.stderr
@@ -82,10 +85,110 @@ def test_command_that_reads_no_weights_never_imports_numpy(inputs, command):
 
 def test_a_command_that_reads_weights_fails_loudly_without_numpy(inputs, tmp_path):
     cache = tmp_path / "fresh.json"
-    result = run_without_numpy(NO_NUMPY, "diff", *inputs["models"], "--out", str(cache))
+    result = run_fresh(NO_NUMPY, "diff", *inputs["models"], "--out", str(cache))
     assert result.returncode != 0
     assert "numpy" in result.stderr
     assert not cache.exists()
+
+
+@pytest.fixture(scope="module")
+def plans(inputs):
+    """A reviewed plan whose every decision is a copy, and one that merges."""
+    root = inputs["root"]
+    copy_recipe = root / "copy_recipe.json"
+    copy_recipe.write_text(json.dumps(
+        {"models": inputs["models"], "lambdas": [0.5, 0.5], "delta": 1e9}))
+    found = {}
+    for kind, recipe in (("copy", str(copy_recipe)), ("merge", inputs["recipe"])):
+        path = root / f"{kind}_plan.json"
+        assert main(["plan", "--recipe", recipe, "--diffs", inputs["diffs"],
+                     "--out", str(path)]) == 0
+        found[kind] = str(path)
+    actions = {kind: {d["action"] for d in json.loads(Path(path).read_text())["decisions"]}
+               for kind, path in found.items()}
+    assert actions == {"copy": {"copy_base"}, "merge": {"copy_base", "merge"}}
+    return found
+
+
+def digests(root):
+    """sha256 of every output file, the report's without ``elapsed_seconds``."""
+    found = {}
+    for path in sorted(root.iterdir()):
+        data = path.read_bytes()
+        if path.name == "merge_report.json":
+            report = json.loads(data)
+            del report["elapsed_seconds"]
+            data = json.dumps(report, sort_keys=True).encode()
+        found[path.name] = hashlib.sha256(data).hexdigest()
+    return found
+
+
+NO_NUMPY_NO_POOL = NO_NUMPY.replace(
+    "sys.exit(code)", 'assert "concurrent.futures" not in sys.modules\nsys.exit(code)')
+
+
+def test_copy_only_merge_plan_never_imports_numpy_or_a_thread_pool(plans, tmp_path):
+    blocked, plain = tmp_path / "blocked", tmp_path / "plain"
+    result = run_fresh(NO_NUMPY_NO_POOL, "merge", "--plan", plans["copy"], "--out", str(blocked))
+    assert result.returncode == 0, result.stderr
+    assert main(["merge", "--plan", plans["copy"], "--out", str(plain)]) == 0
+    assert digests(blocked) == digests(plain)
+
+
+def test_a_merge_plan_that_combines_fails_loudly_without_numpy(plans, tmp_path):
+    out = tmp_path / "child"
+    assert main(["merge", "--plan", plans["copy"], "--out", str(out)]) == 0
+    before = tree_bytes(out)
+    result = run_fresh(NO_NUMPY, "merge", "--plan", plans["merge"], "--out", str(out), "--force")
+    assert result.returncode != 0
+    assert "numpy" in result.stderr
+    assert tree_bytes(out) == before
+    assert hidden_siblings(out) == []
+
+
+def test_import_merge_core_loads_no_kernels_and_no_thread_pool():
+    code = """
+import sys
+import moemerge.merge_core
+assert "numpy" not in sys.modules
+assert "moemerge.tensor_math" not in sys.modules
+assert "concurrent.futures" not in sys.modules
+"""
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_kernel_wrappers_installed_before_the_first_pass_see_every_call(tiny_pair, tmp_path):
+    """A tracer wraps merge_core's kernels by attribute, as the bench's does."""
+    code = """
+import sys
+from moemerge import merge_core
+from moemerge.planning import MergeConfig
+
+calls = {}
+
+def wrap(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+names = ["decode", "encode", "linear_combination", "squared_diff_sum"]
+wrappers = {}
+for name in names:
+    wrappers[name] = wrap(name, getattr(merge_core, name))
+    setattr(merge_core, name, wrappers[name])
+config = MergeConfig(models=tuple(sys.argv[1:3]), lambdas=(0.5, 0.5))
+for out in sys.argv[3:]:
+    calls.clear()
+    _, report = merge_core.execute_merge(None, config, out)
+    assert report.counts["merged"] > 0
+    assert sorted(calls) == sorted(names), calls
+    assert all(getattr(merge_core, n) is wrappers[n] for n in names)
+"""
+    result = run_fresh(code, str(tiny_pair["base"].root), str(tiny_pair["variant"].root),
+                       str(tmp_path / "first"), str(tmp_path / "second"))
+    assert result.returncode == 0, result.stderr
 
 
 def test_import_moemerge_never_imports_numpy():
@@ -98,7 +201,7 @@ assert moemerge.__version__
 assert moemerge.MergeConfig is MergeConfig
 assert sys.modules["numpy"] is None
 """
-    result = run_without_numpy(code)
+    result = run_fresh(code)
     assert result.returncode == 0, result.stderr
 
 
@@ -129,7 +232,7 @@ import moemerge
 assert set(moemerge.__all__) <= set(dir(moemerge)), set(moemerge.__all__) - set(dir(moemerge))
 assert sys.modules["numpy"] is None
 """
-    result = run_without_numpy(code)
+    result = run_fresh(code)
     assert result.returncode == 0, result.stderr
 
 

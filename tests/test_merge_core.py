@@ -167,6 +167,22 @@ def test_ordered_parallel_window_bounds_items_in_flight(workers):
     assert received == [i * i for i in range(20)]
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_raise_before_anything_is_opened(tiny_pair, tmp_path, monkeypatch,
+                                                          workers):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("something was opened")
+
+    monkeypatch.setattr(merge_core, "open_checkpoint", unreachable)
+    monkeypatch.setattr(merge_core, "shard_handles", unreachable)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        mm.compute_diffs([tiny_pair["base"], tiny_pair["variant"]], workers=workers)
+    out = tmp_path / "child"
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        mm.execute_merge(None, pair_config(tiny_pair), out, workers=workers)
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- diff cache -----------------------------------------------------------------------
 
 
