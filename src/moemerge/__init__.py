@@ -29,9 +29,9 @@ _EXPORTS = {
     "merge_core": ("compute_diffs", "execute_merge", "validate_compatibility"),
     "planning": (
         "DiffRecord", "MergeConfig", "MergeDecision", "MergePlan", "MergeReport",
-        "load_diff_cache", "plan_merge", "save_diff_cache", "threshold_sweep",
+        "load_diff_cache", "load_recipe", "plan_merge", "save_diff_cache",
+        "threshold_sweep",
     ),
-    "recipe": ("Recipe", "load_recipe"),
     "safetensors_io": (
         "CheckpointIndex", "OutputPolicy", "TensorInfo", "open_checkpoint",
         "read_header", "read_tensor_raw", "validate_checkpoint", "write_checkpoint",

@@ -20,13 +20,14 @@ copy start without it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
 from pathlib import Path
 
 from ._version import __version__
-from . import analysis, planning, recipe as recipe_mod
+from . import analysis, planning
 from .errors import (
     CompatibilityError,
     FixtureError,
@@ -35,7 +36,7 @@ from .errors import (
     RecipeError,
 )
 from .safetensors_io import open_checkpoint, validate_checkpoint
-from .taxonomy import GROUP_ORDER, TensorGroup, census, classify
+from .taxonomy import GROUP_ORDER, TensorGroup, census, classify, resolve_scheme
 
 EXIT_OK = 0
 EXIT_OPERATIONAL = 1
@@ -101,7 +102,7 @@ def _summarize_diffs(records) -> list[dict]:
 def cmd_diff(args) -> int:
     models = [open_checkpoint(p) for p in args.models]
     fingerprints = [m.fingerprint() for m in models]
-    scheme = recipe_mod.resolve_scheme(args.scheme)
+    scheme = resolve_scheme(args.scheme)
     records = None
     if Path(args.out).exists():
         try:
@@ -186,18 +187,23 @@ def _print_plan_table(plan) -> None:
 
 
 def _config_from_recipe(args):
-    rec = recipe_mod.load_recipe(args.recipe)
-    lambdas = tuple(args.lambdas) if getattr(args, "lambdas", None) else None
-    delta = getattr(args, "delta", None)
-    rec = rec.with_overrides(lambdas=lambdas, delta=delta)
-    return rec.resolve(Path(args.recipe).parent)
+    """The recipe's config with ``--lambdas``/``--delta`` applied, validated."""
+    config = planning.load_recipe(args.recipe)
+    overrides = {}
+    if getattr(args, "lambdas", None):
+        overrides["lambdas"] = tuple(args.lambdas)
+    if getattr(args, "delta", None) is not None:
+        overrides["delta"] = args.delta
+    config = dataclasses.replace(config, **overrides)
+    config.validate()
+    return config
 
 
 def cmd_plan(args) -> int:
     config = _config_from_recipe(args)
     records, fingerprints = _diffs_for_config(config, args)
     plan = planning.plan_merge(config, records, fingerprints)
-    Path(args.out).write_text(json.dumps(plan.to_json_obj(), indent=1) + "\n", "utf-8")
+    Path(args.out).write_text(plan.to_json_text(), "utf-8")
     _msg(f"wrote plan to {args.out}")
     _print_plan_table(plan)
     return EXIT_OK
@@ -212,7 +218,7 @@ def cmd_merge(args) -> int:
         plan_obj = json.loads(Path(args.plan).read_text("utf-8"))
         plan = planning.MergePlan.from_json_obj(plan_obj)
         # The echo's model paths are already resolved; keep them cwd-relative.
-        config = recipe_mod.Recipe.from_json_obj(plan.config_echo).resolve(".")
+        config = planning.MergeConfig.from_json_obj(plan.config_echo)
     else:
         config = _config_from_recipe(args)
         plan = None

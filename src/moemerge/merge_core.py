@@ -439,7 +439,7 @@ def execute_merge(
             base=base,
             metadata=_provenance_metadata(config),
             sidecars={
-                "merge_plan.json": lambda _: json.dumps(plan.to_json_obj(), indent=1) + "\n",
+                "merge_plan.json": lambda _: plan.to_json_text(),
                 "merge_report.json": report_json,
             },
         )

@@ -1,5 +1,23 @@
 """Merge planning without weights: configs, diff caches, plans and sweeps.
 
+A recipe is one JSON document that pins everything a merge needs, so the
+file itself is the reproducibility record:
+
+.. code-block:: json
+
+    {
+      "models": ["base_ckpt", "other_ckpt"],
+      "lambdas": [0.5, 0.5],
+      "delta": 0.0,
+      "subset": "full",
+      "scheme": null,
+      "convex_required": true,
+      "output": {"mode": "mirror"}
+    }
+
+``MergeConfig.from_json_obj`` parses it, and a plan's config echo, straight
+into the one config type; ``MergeConfig.to_json_obj`` writes the echo.
+
 Everything here works from a diff cache or a plan and never reads a
 tensor, so ``plan``, ``sweep`` and ``report`` run without importing
 numpy. The per-tensor gate lives here too: a tensor merges iff it belongs
@@ -14,6 +32,7 @@ scheme; a diff cache supplies only the numbers.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -31,6 +50,9 @@ from .taxonomy import (
     TensorGroup,
     classify,
     in_subset,
+    load_json_file,
+    resolve_scheme,
+    subset_from_json_obj,
     subset_to_json_obj,
 )
 
@@ -41,13 +63,19 @@ ACTION_COPY_BASE = "copy_base"
 REASON_NOT_IN_SUBSET = "not_in_subset"
 REASON_BELOW_THRESHOLD = "below_threshold"
 
+_CONFIG_KEYS = {
+    "models", "lambdas", "delta", "subset", "scheme", "convex_required", "output",
+}
+_OUTPUT_KEYS = {"mode", "max_shard_bytes"}
+
 
 @dataclass(frozen=True)
 class MergeConfig:
     """Everything that determines a merge: parents, weights, gates, output.
 
     ``models[0]`` is the base model; every tensor not selected for merging
-    keeps its bytes.
+    keeps its bytes. ``validate`` is the one value check, whether the
+    config came from a recipe, a plan's echo, CLI overrides or code.
     """
 
     models: tuple[str, ...]
@@ -62,9 +90,70 @@ class MergeConfig:
         if len(self.models) < 1:
             raise RecipeError("at least one model is required")
         _check_lambdas(self.lambdas, self, "lambdas")
-        if self.delta < 0:
-            raise RecipeError(f"delta must be >= 0, got {self.delta}")
+        if not self.delta >= 0:  # also refuses NaN
+            raise RecipeError(f"delta must be a number >= 0, got {self.delta!r}")
         self.output.validated()
+
+    @classmethod
+    def from_json_obj(cls, obj: object, base_dir: str | Path = ".") -> "MergeConfig":
+        """Parse and validate a recipe document or a plan's config echo.
+
+        Unknown keys anywhere are an error: a typo must never silently
+        change a merge. Relative model and scheme paths resolve against
+        ``base_dir`` (a recipe file's directory; an echo's paths are
+        already resolved). ``subset`` is ``"full"``, ``"experts-only"`` or a
+        custom object (see taxonomy); ``scheme`` is ``null`` (the built-in
+        DeepSeek-V3 rules), a path to a rule file or an inline rule list.
+        """
+        if not isinstance(obj, dict):
+            raise RecipeError("recipe must be a JSON object")
+        unknown = set(obj) - _CONFIG_KEYS
+        if unknown:
+            raise RecipeError(f"unknown recipe keys {sorted(unknown)}")
+        for required in ("models", "lambdas"):
+            if required not in obj:
+                raise RecipeError(f"recipe is missing the {required!r} key")
+        models = obj["models"]
+        if (
+            not isinstance(models, list)
+            or not models
+            or any(not isinstance(m, str) for m in models)
+        ):
+            raise RecipeError("'models' must be a non-empty list of paths")
+        lambdas = obj["lambdas"]
+        if not isinstance(lambdas, list) or any(
+            not isinstance(x, (int, float)) or isinstance(x, bool) for x in lambdas
+        ):
+            raise RecipeError("'lambdas' must be a list of numbers")
+        delta = obj.get("delta", 0.0)
+        if not isinstance(delta, (int, float)) or isinstance(delta, bool):
+            raise RecipeError("'delta' must be a number")
+        convex = obj.get("convex_required", True)
+        if not isinstance(convex, bool):
+            raise RecipeError("'convex_required' must be a boolean")
+        scheme_obj = obj.get("scheme")
+        if scheme_obj is not None and not isinstance(scheme_obj, (str, list)):
+            raise RecipeError("'scheme' must be null, a path string, or a rule list")
+        output_obj = obj.get("output")
+        if output_obj is None:
+            output_obj = {}
+        elif not isinstance(output_obj, dict):
+            raise RecipeError("'output' must be an object")
+        unknown = set(output_obj) - _OUTPUT_KEYS
+        if unknown:
+            raise RecipeError(f"unknown output keys {sorted(unknown)}")
+        base_dir = Path(base_dir)
+        config = cls(
+            models=tuple(str(p if (p := Path(m)).is_absolute() else base_dir / m) for m in models),
+            lambdas=tuple(float(x) for x in lambdas),
+            delta=float(delta),
+            subset=subset_from_json_obj(obj.get("subset", "full")),
+            scheme=resolve_scheme(scheme_obj, base_dir),
+            convex_required=convex,
+            output=OutputPolicy(**output_obj),
+        )
+        config.validate()
+        return config
 
     def to_json_obj(self) -> dict:
         return {
@@ -81,13 +170,16 @@ class MergeConfig:
 def _check_lambdas(lambdas: object, config: MergeConfig, what: str) -> None:
     """The one check on a weight vector: the config's, an override's or a plan's.
 
-    One number per model; non-negative and summing to 1 when the config
-    requires a convex merge.
+    One finite number per model; non-negative and summing to 1 when the
+    config requires a convex merge.
     """
     if not isinstance(lambdas, (list, tuple)) or any(
         not isinstance(lam, numbers.Real) or isinstance(lam, bool) for lam in lambdas
     ):
         raise RecipeError(f"{what} must be a list of numbers, got {lambdas!r}")
+    if not all(math.isfinite(lam) for lam in lambdas):
+        # NaN passes both convexity comparisons below, so refuse it here.
+        raise RecipeError(f"{what} must be finite: {list(lambdas)}")
     if len(lambdas) != len(config.models):
         raise RecipeError(
             f"{what} has {len(lambdas)} weights, expected {len(config.models)}"
@@ -170,6 +262,14 @@ class MergePlan:
             "copied_by_reason": by_reason,
         }
 
+    def to_json_text(self) -> str:
+        """The plan file's bytes, as ``plan`` and every merge write them.
+
+        Compact on purpose: any ``indent`` sends ``json`` to its
+        pure-Python encoder, about twice as slow on a 3,143-tensor plan.
+        """
+        return json.dumps(self.to_json_obj()) + "\n"
+
     def to_json_obj(self) -> dict:
         return {
             "version": 1,
@@ -244,7 +344,12 @@ def save_diff_cache(
         "models": list(model_fingerprints),
         "records": [r.to_json_obj() for r in records],
     }
-    Path(path).write_text(json.dumps(obj, indent=1) + "\n", "utf-8")
+    Path(path).write_text(json.dumps(obj) + "\n", "utf-8")
+
+
+def load_recipe(path: str | Path) -> MergeConfig:
+    """Read a recipe file; its relative paths resolve against its directory."""
+    return MergeConfig.from_json_obj(load_json_file(path, "recipe"), Path(path).parent)
 
 
 def load_diff_cache(

@@ -542,29 +542,25 @@ def read_tensor_raw(
 class OutputPolicy:
     """How merged/written checkpoints are laid out on disk.
 
-    ``mirror`` reproduces the base checkpoint's shard assignment and tensor
-    order exactly; ``pack`` fills shards sequentially up to
-    ``max_shard_bytes``. Both are deterministic.
+    ``mirror`` reproduces the base checkpoint's shard and index names,
+    shard assignment and tensor order exactly; ``pack`` fills shards
+    sequentially up to ``max_shard_bytes``, names them
+    ``model-00001-of-0000N.safetensors`` and writes
+    ``model.safetensors.index.json``. Both are deterministic.
     """
 
     mode: str = "mirror"  # "mirror" | "pack"
     max_shard_bytes: int = 2 * 1024 * 1024 * 1024
-    shard_template: str = "model-{index:05d}-of-{count:05d}.safetensors"
-    index_name: str = "model.safetensors.index.json"
 
     def validated(self) -> "OutputPolicy":
-        for name in ("mode", "shard_template", "index_name"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if not isinstance(self.mode, str):
+            raise ValueError(f"mode must be a string, got {self.mode!r}")
         if not isinstance(self.max_shard_bytes, int) or isinstance(self.max_shard_bytes, bool):
             raise ValueError(f"max_shard_bytes must be an integer, got {self.max_shard_bytes!r}")
         if self.mode not in ("mirror", "pack"):
             raise ValueError(f"unknown output mode {self.mode!r}")
         if self.max_shard_bytes < 1:
             raise ValueError("max_shard_bytes must be positive")
-        if not self.index_name.endswith(INDEX_SUFFIX):
-            # open_checkpoint finds an index only by this suffix.
-            raise ValueError(f"index_name must end with {INDEX_SUFFIX!r}: {self.index_name!r}")
         return self
 
 
@@ -638,11 +634,11 @@ def _pack_layout(
         groups[-1].append(info)
         free -= size
     shards = [
-        (policy.shard_template.format(index=i + 1, count=len(groups)), group, metadata)
+        (f"model-{i + 1:05d}-of-{len(groups):05d}.safetensors", group, metadata)
         for i, group in enumerate(groups)
     ]
     total = sum(_data_len(info) for info in infos)
-    return shards, (policy.index_name, {"total_size": total})
+    return shards, ("model" + INDEX_SUFFIX, {"total_size": total})
 
 
 _Data = bytes | bytearray | TensorRange
@@ -759,23 +755,24 @@ def write_checkpoint(
     kernel cannot copy; a source too short raises FormatError naming the
     shard and tensor.
 
-    ``out`` may be a ``.safetensors`` file path (one shard, no index) or a
-    directory. In mirror mode shard names, assignment, metadata blocks and
-    the presence of an index file all mirror the base, with ``metadata``
-    keys layered on top. In pack mode shards fill sequentially up to
-    ``max_shard_bytes``, are named by ``shard_template`` and an index file
-    is always written. ``sidecars`` names more files of a directory output,
-    each rendered from the sorted shard names after the last tensor.
+    ``out`` is a directory. In mirror mode shard names, assignment,
+    metadata blocks and the index file's name and presence all mirror the
+    base, with ``metadata`` keys layered on top. In pack mode shards fill
+    sequentially up to ``max_shard_bytes``, are named
+    ``model-00001-of-0000N.safetensors`` and ``model.safetensors.index.json``
+    is always written. ``sidecars`` names more files of the output, each
+    rendered from the sorted shard names after the last tensor.
 
     Every file is written once, into a fresh hidden sibling of ``out``
     that replaces ``out`` as a whole only when all are complete; on any
     error ``out`` is left as it was. So ``out`` must end in a name of its
-    own: ``.``, ``..`` and ``/`` raise ValueError. That, layout errors,
-    sidecars for a file output and an existing ``out`` holding anything
-    but a directory of regular shard, index or sidecar files
-    (FileExistsError) raise before any file is created. Returns the index
-    of what was written, built from the layout; it equals
-    ``open_checkpoint(out)``.
+    own: ``.``, ``..`` and ``/`` raise ValueError. That, an empty or
+    duplicated tensor list (FormatError), an ``out`` ending in
+    ``.safetensors`` (ValueError: no single-file output), other layout
+    errors and an existing ``out`` holding anything but a directory of
+    regular shard, index or sidecar files (FileExistsError) raise before
+    any file is created. Returns the index of what was written, built from
+    the layout; it equals ``open_checkpoint(out)``.
     """
     out = Path(out)
     if out.name in ("", ".."):
@@ -785,30 +782,27 @@ def write_checkpoint(
         )
     policy = (policy or OutputPolicy()).validated()
     sidecars = sidecars or {}
-    file_output = out.suffix == ".safetensors"
     if isinstance(base, CheckpointIndex):
         infos = [base.tensors[n] for n in base.layout_names()]
     else:
         infos = list(base)
-    if file_output and sidecars:
-        raise ValueError(f"a single-file output cannot hold {sorted(sidecars)}: {out}")
-    if file_output:
-        shards, index = [(out.name, infos, metadata)], None
-    elif policy.mode == "pack":
+    if not infos:
+        raise FormatError("refusing to write an empty checkpoint")
+    repeated = sorted(n for n, k in Counter(info.name for info in infos).items() if k > 1)
+    if repeated:
+        raise FormatError(f"duplicate tensor names in the layout: {repeated}")
+    if out.suffix == ".safetensors":
+        raise ValueError(
+            f"cannot write {str(out)!r}: single-file output is not supported; "
+            "name an output directory"
+        )
+    if policy.mode == "pack":
         shards, index = _pack_layout(infos, policy, metadata)
     elif isinstance(base, CheckpointIndex):
         shards, index = _mirror_layout(base, infos, metadata)
     else:
         raise ValueError("mirror mode requires a base checkpoint index")
-
-    names = [info.name for _, entries, _ in shards for info in entries]
-    if not names:
-        raise FormatError("refusing to write an empty checkpoint")
-    repeated = sorted(n for n, k in Counter(names).items() if k > 1)
-    if repeated:
-        raise FormatError(f"duplicate tensor names in the layout: {repeated}")
-    if not file_output:
-        _check_replaceable(out, sidecars)
+    _check_replaceable(out, sidecars)
 
     headers: dict[str, bytes] = {}  # each shard's length prefix and header
     for name, entries, shard_metadata in shards:
@@ -842,9 +836,7 @@ def write_checkpoint(
             (stage / index[0]).write_text(json.dumps(obj, indent=2) + "\n", "utf-8")
         for name, render in sidecars.items():
             (stage / name).write_text(render(sorted(s[0] for s in shards)), "utf-8")
-        if file_output:
-            os.replace(stage / out.name, out)
-        elif not out.exists():
+        if not out.exists():
             os.rename(stage, out)
         else:
             aside = stage.with_name(stage.name + ".old")
@@ -857,12 +849,11 @@ def write_checkpoint(
             shutil.rmtree(aside)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
-    return _layout_index(out, shards, index, headers, file_output)
+    return _layout_index(out, shards, index, headers)
 
 
 def _layout_index(
-    out: Path, shards: list[_Shard], index: _Index | None, headers: dict[str, bytes],
-    file_output: bool,
+    out: Path, shards: list[_Shard], index: _Index | None, headers: dict[str, bytes]
 ) -> CheckpointIndex:
     """The index ``open_checkpoint(out)`` reads back from a written layout.
 
@@ -881,11 +872,9 @@ def _layout_index(
             )
             offset += size
         header = headers[name]
-        path = out if file_output else out / name
         metadata = dict(metadata) if metadata else None
-        written.shards.append(
-            ShardInfo(name, path, len(header), offset, hashlib.sha256(header).hexdigest(), metadata)
-        )
+        digest = hashlib.sha256(header).hexdigest()
+        written.shards.append(ShardInfo(name, out / name, len(header), offset, digest, metadata))
         if metadata:
             written.metadata = {**(written.metadata or {}), **metadata}
     return written

@@ -23,8 +23,10 @@ the router gate (``mlp.gate``) and the shared-expert gate projection
 from __future__ import annotations
 
 import enum
+import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import RecipeError
@@ -164,6 +166,34 @@ class NamingScheme:
                 )
             rules.append((entry["pattern"], entry["group"]))
         return cls.from_rules(rules)
+
+
+def load_json_file(path: str | Path, kind: str) -> object:
+    """Read a recipe or scheme file; RecipeError if missing or not JSON."""
+    try:
+        return json.loads(Path(path).read_text("utf-8"))
+    except FileNotFoundError:
+        raise RecipeError(f"{kind} file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise RecipeError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+
+
+def resolve_scheme(
+    scheme_obj: str | list | None, base_dir: str | Path = "."
+) -> NamingScheme:
+    """Resolve a scheme reference: inline rules, a path, or the default.
+
+    ``None`` is the built-in DeepSeek-V3 scheme; a relative path resolves
+    against ``base_dir``.
+    """
+    if scheme_obj is None:
+        return DEFAULT_SCHEME
+    if isinstance(scheme_obj, str):
+        path = Path(scheme_obj)
+        if not path.is_absolute():
+            path = Path(base_dir) / path
+        scheme_obj = load_json_file(path, "scheme")
+    return NamingScheme.from_json_obj(scheme_obj)
 
 
 DEFAULT_SCHEME = NamingScheme.from_rules(

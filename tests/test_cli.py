@@ -345,10 +345,14 @@ def _first(obj, action):
         (lambda obj: _first(obj, "copy_base").update(action="frobnicate"),
          "unknown action 'frobnicate'"),
         (lambda obj: _first(obj, "copy_base").update(reason="whim"), "unknown reason 'whim'"),
+        (lambda obj: _first(obj, "merge").update(lambdas=[float("nan")] * 2), "must be finite"),
+        (lambda obj: obj["config"]["output"].update(index_name="model.safetensors.index.json"),
+         "unknown output keys ['index_name']"),
     ],
     ids=[
         "unknown-output-key", "lambdas-not-a-list", "decision-lambdas-null",
         "decision-three-weights", "decision-unknown-action", "decision-unknown-copy-reason",
+        "decision-lambdas-nan", "echo-removed-output-key",
     ],
 )
 def test_merge_plan_config_is_validated_like_a_recipe(workdir, capsys, edit, message):
@@ -372,10 +376,8 @@ def test_merge_plan_config_is_validated_like_a_recipe(workdir, capsys, edit, mes
         ({"max_shard_bytes": "big"}, "max_shard_bytes must be an integer"),
         ({"max_shard_bytes": True}, "max_shard_bytes must be an integer"),
         ({"mode": 1}, "mode must be a string"),
-        ({"index_name": None}, "index_name must be a string"),
-        ({"shard_template": ["a"]}, "shard_template must be a string"),
     ],
-    ids=["bytes-str", "bytes-bool", "mode-int", "index-null", "template-list"],
+    ids=["bytes-str", "bytes-bool", "mode-int"],
 )
 def test_merge_output_values_are_type_checked(workdir, capsys, output, message):
     recipe = json.loads(workdir["recipe"].read_text())
@@ -387,6 +389,47 @@ def test_merge_output_values_are_type_checked(workdir, capsys, output, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "output",
+    [
+        {"mode": "pack", "shard_template": "../esc-{index}.safetensors"},
+        {"mode": "pack", "index_name": "p.safetensors.index.json"},
+    ],
+    ids=["shard_template", "index_name"],
+)
+def test_recipe_naming_a_removed_output_key_exits_2_and_writes_nothing(workdir, capsys, output):
+    """Pack names are fixed, so no template can escape the output or overwrite a shard."""
+    recipe = json.loads(workdir["recipe"].read_text())
+    recipe["output"] = output
+    rp = workdir["tmp"] / "named.json"
+    rp.write_text(json.dumps(recipe))
+    out = workdir["tmp"] / "m"
+    out.mkdir()
+    before = tree_bytes(workdir["tmp"])
+    assert main(["merge", "--recipe", str(rp), "--out", str(out), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown output keys" in err
+    assert tree_bytes(workdir["tmp"]) == before
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lambdas", "nan,nan"], "lambdas must be finite"),
+        (["--delta", "nan"], "delta must be a number >= 0"),
+    ],
+    ids=["lambdas-nan", "delta-nan"],
+)
+@pytest.mark.parametrize("command", ["plan", "merge"])
+def test_nonfinite_overrides_exit_2_and_write_nothing(workdir, capsys, command, flags, message):
+    before = tree_bytes(workdir["tmp"])
+    out = workdir["tmp"] / "out"
+    assert main([command, "--recipe", str(workdir["recipe"]), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert tree_bytes(workdir["tmp"]) == before
 
 
 def test_merge_plan_refuses_diffs(workdir, capsys):

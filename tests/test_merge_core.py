@@ -19,7 +19,6 @@ from moemerge.planning import (
     MergeDecision,
     MergePlan,
 )
-from moemerge.recipe import Recipe
 from moemerge.taxonomy import EXPERTS_ONLY_SUBSET, TensorGroup
 from moemerge.tensor_math import BLOCK_ELEMS
 
@@ -60,6 +59,8 @@ def test_config_validation():
         mm.MergeConfig(models=("a", "b"), lambdas=(1.5, -0.5)).validate()
     with pytest.raises(RecipeError, match="delta"):
         mm.MergeConfig(models=("a",), lambdas=(1.0,), delta=-1e-9).validate()
+    # an infinite threshold is a valid gate: nothing merges
+    mm.MergeConfig(models=("a",), lambdas=(1.0,), delta=float("inf")).validate()
     # non-convex weights allowed only behind the flag
     mm.MergeConfig(models=("a", "b"), lambdas=(1.5, -0.5), convex_required=False).validate()
     # convexity tolerance is 1e-12
@@ -525,9 +526,13 @@ def test_single_model_merge_copies_base(tiny_pair, tmp_path):
 def test_config_json_round_trip_includes_output_policy(tiny_pair):
     cfg = mm.MergeConfig(
         models=("a", "b"), lambdas=(0.5, 0.5),
-        output=mm.OutputPolicy(mode="pack", max_shard_bytes=123, shard_template="s-{index}-{count}.safetensors"),
+        subset=mm.SubsetSpec(
+            mm.SubsetMode.CUSTOM, frozenset({TensorGroup.ATTENTION}), (("lm_head.**", True),)
+        ),
+        scheme=mm.NamingScheme.from_rules([("model.layers.{layer}.attn.**", "attention")]),
+        output=mm.OutputPolicy(mode="pack", max_shard_bytes=123),
     )
-    again = Recipe.from_json_obj(json.loads(json.dumps(cfg.to_json_obj()))).resolve(".")
+    again = mm.MergeConfig.from_json_obj(json.loads(json.dumps(cfg.to_json_obj())))
     assert again == cfg
 
 

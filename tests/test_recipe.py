@@ -1,11 +1,13 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
 import moemerge as mm
 from moemerge.errors import RecipeError
-from moemerge.recipe import Recipe, load_recipe
-from moemerge.taxonomy import SubsetMode, TensorGroup
+from moemerge.planning import MergeConfig, load_recipe
+from moemerge.taxonomy import SubsetMode, TensorGroup, resolve_scheme
 
 
 def minimal_obj(**overrides):
@@ -19,51 +21,75 @@ def test_recipe_round_trip():
         "models": ["base", "other"],
         "lambdas": [0.3, 0.7],
         "delta": 0.001,
-        "subset": "experts-only",
-        "scheme": None,
+        "subset": {"groups": ["attention"], "patterns": [{"pattern": "lm_head.**", "include": True}]},
+        "scheme": [{"pattern": "model.layers.{layer}.attn.**", "group": "attention"}],
         "convex_required": True,
-        "output": {"mode": "mirror"},
+        "output": {"mode": "pack", "max_shard_bytes": 4096},
     }
-    recipe = Recipe.from_json_obj(obj)
-    assert Recipe.from_json_obj(recipe.to_json_obj()) == recipe
+    config = MergeConfig.from_json_obj(obj)
+    assert config.output == mm.OutputPolicy(mode="pack", max_shard_bytes=4096)
+    assert MergeConfig.from_json_obj(json.loads(json.dumps(config.to_json_obj()))) == config
 
 
 def test_recipe_unknown_key_is_an_error():
     with pytest.raises(RecipeError, match="lamdas"):
-        Recipe.from_json_obj(minimal_obj(lamdas=[1.0]))
+        MergeConfig.from_json_obj(minimal_obj(lamdas=[1.0]))
     with pytest.raises(RecipeError, match="unknown output keys.*compress"):
-        Recipe.from_json_obj(minimal_obj(output={"mode": "pack", "compress": True}))
+        MergeConfig.from_json_obj(minimal_obj(output={"mode": "pack", "compress": True}))
+    # output file names are fixed: pack names its files, mirror takes the base's
+    for key in ("shard_template", "index_name"):
+        with pytest.raises(RecipeError, match=f"unknown output keys.*{key}"):
+            MergeConfig.from_json_obj(minimal_obj(output={"mode": "pack", key: "x"}))
 
 
 def test_recipe_missing_required_key():
     with pytest.raises(RecipeError, match="'models'"):
-        Recipe.from_json_obj({"lambdas": [1.0]})
+        MergeConfig.from_json_obj({"lambdas": [1.0]})
     with pytest.raises(RecipeError, match="'lambdas'"):
-        Recipe.from_json_obj({"models": ["a"]})
+        MergeConfig.from_json_obj({"models": ["a"]})
 
 
 def test_recipe_field_types_checked():
     with pytest.raises(RecipeError, match="models"):
-        Recipe.from_json_obj(minimal_obj(models="base"))
+        MergeConfig.from_json_obj(minimal_obj(models="base"))
     with pytest.raises(RecipeError, match="lambdas"):
-        Recipe.from_json_obj(minimal_obj(lambdas=[0.5, "x"]))
+        MergeConfig.from_json_obj(minimal_obj(lambdas=[0.5, "x"]))
     with pytest.raises(RecipeError, match="delta"):
-        Recipe.from_json_obj(minimal_obj(delta="small"))
+        MergeConfig.from_json_obj(minimal_obj(delta="small"))
     with pytest.raises(RecipeError, match="convex_required"):
-        Recipe.from_json_obj(minimal_obj(convex_required="yes"))
+        MergeConfig.from_json_obj(minimal_obj(convex_required="yes"))
+    with pytest.raises(RecipeError, match="must be a JSON object"):
+        MergeConfig.from_json_obj([minimal_obj()])
 
 
 def test_recipe_resolves_relative_paths(tmp_path):
-    (tmp_path / "r.json").write_text(json.dumps(minimal_obj()))
-    recipe = load_recipe(tmp_path / "r.json")
-    config = recipe.resolve(tmp_path)
-    assert config.models == (str(tmp_path / "base"), str(tmp_path / "other"))
+    (tmp_path / "r.json").write_text(json.dumps(minimal_obj(models=["base", "/abs/other"])))
+    config = load_recipe(tmp_path / "r.json")
+    assert isinstance(config, MergeConfig)
+    assert config.models == (str(tmp_path / "base"), "/abs/other")
+    assert mm.load_recipe is load_recipe
 
 
 def test_recipe_resolve_validates_config():
-    recipe = Recipe.from_json_obj(minimal_obj(lambdas=[0.9, 0.9]))
     with pytest.raises(RecipeError, match="sum to 1"):
-        recipe.resolve(".")
+        MergeConfig.from_json_obj(minimal_obj(lambdas=[0.9, 0.9]))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (dict(lambdas=[math.nan, math.nan]), "must be finite"),
+        (dict(lambdas=[math.nan, 1.0], convex_required=False), "must be finite"),
+        (dict(lambdas=[math.inf, 0.0], convex_required=False), "must be finite"),
+        (dict(delta=math.nan), "delta must be a number >= 0"),
+    ],
+    ids=["lambdas-nan", "lambdas-nan-affine", "lambdas-inf-affine", "delta-nan"],
+)
+def test_recipe_refuses_nonfinite_weights_and_a_nan_threshold(tmp_path, edit, message):
+    """json.loads accepts NaN and Infinity, so a recipe file can carry them."""
+    (tmp_path / "r.json").write_text(json.dumps(minimal_obj(**edit)))
+    with pytest.raises(RecipeError, match=message):
+        load_recipe(tmp_path / "r.json")
 
 
 def test_recipe_custom_subset_and_inline_scheme():
@@ -71,7 +97,7 @@ def test_recipe_custom_subset_and_inline_scheme():
         subset={"groups": ["attention"], "patterns": [{"pattern": "lm_head.**", "include": True}]},
         scheme=[{"pattern": "model.layers.{layer}.attn.**", "group": "attention"}],
     )
-    config = Recipe.from_json_obj(obj).resolve(".")
+    config = MergeConfig.from_json_obj(obj)
     assert config.subset.mode is SubsetMode.CUSTOM
     assert mm.classify("model.layers.3.attn.q.weight", config.scheme).group is TensorGroup.ATTENTION
     assert mm.classify("model.embed_tokens.weight", config.scheme).group is TensorGroup.OTHER
@@ -80,22 +106,29 @@ def test_recipe_custom_subset_and_inline_scheme():
 def test_recipe_scheme_from_file(tmp_path):
     rules = [{"pattern": "foo.{layer}.bar", "group": "dense_mlp"}]
     (tmp_path / "scheme.json").write_text(json.dumps(rules))
-    config = Recipe.from_json_obj(minimal_obj(scheme="scheme.json")).resolve(tmp_path)
+    config = MergeConfig.from_json_obj(minimal_obj(scheme="scheme.json"), tmp_path)
     assert mm.classify("foo.4.bar", config.scheme).layer == 4
 
 
 def test_recipe_overrides():
-    recipe = Recipe.from_json_obj(minimal_obj())
-    changed = recipe.with_overrides(lambdas=(0.0, 1.0), delta=0.25)
+    config = MergeConfig.from_json_obj(minimal_obj())
+    changed = dataclasses.replace(config, lambdas=(0.0, 1.0), delta=0.25)
+    changed.validate()
     assert changed.lambdas == (0.0, 1.0)
     assert changed.delta == 0.25
-    assert recipe.lambdas == (0.5, 0.5)  # original untouched
+    assert config.lambdas == (0.5, 0.5)  # original untouched
+    with pytest.raises(RecipeError, match="must be finite"):
+        dataclasses.replace(config, lambdas=(math.nan, math.nan)).validate()
 
 
 def test_recipe_file_errors(tmp_path):
-    with pytest.raises(RecipeError, match="not found"):
+    with pytest.raises(RecipeError, match="recipe file not found"):
         load_recipe(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
-    with pytest.raises(RecipeError, match="not valid JSON"):
+    with pytest.raises(RecipeError, match="recipe file .* is not valid JSON"):
         load_recipe(bad)
+    with pytest.raises(RecipeError, match="scheme file not found"):
+        resolve_scheme("missing.json", tmp_path)
+    with pytest.raises(RecipeError, match="scheme file .* is not valid JSON"):
+        resolve_scheme(str(bad))

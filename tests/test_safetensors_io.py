@@ -342,8 +342,7 @@ def golden_infos():
 
 
 def file_hashes(root):
-    paths = [root] if root.is_file() else sorted(root.iterdir())
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.iterdir())}
 
 
 def golden_indexed_base(root, with_index=True):
@@ -366,40 +365,21 @@ def golden_indexed_base(root, with_index=True):
 
 
 def test_golden_pack_with_count_template(tmp_path):
-    policy = mm.OutputPolicy(
-        mode="pack", max_shard_bytes=200,
-        shard_template="part-{index}-of-{count}.safetensors",
-        index_name="p.safetensors.index.json",
-    )
+    policy = mm.OutputPolicy(mode="pack", max_shard_bytes=200)
     out = tmp_path / "packed"
     mm.write_checkpoint(golden_stream(), out, policy, base=golden_infos(),
                         metadata={"aoe.note": "golden"})
     assert file_hashes(out) == {
-        "p.safetensors.index.json": "43aa3d8badaceff18fa05d0ad15fcc07fc06f760e14fcc003b66242b8416c35c",
-        "part-1-of-4.safetensors": "3f29bdfdee75fd3d44422401dc467915f77a3a2e8390c0c5298ddc373e601cdd",
-        "part-2-of-4.safetensors": "b508005463da2781d23cf5a6ceefcdd8ea755d5b18dbe459490632cbfe478e1d",
-        "part-3-of-4.safetensors": "ce1d883d47239cfaab5afe986e9a2b66c64e4e8d60cb4a6d158987a4648a2f41",
-        "part-4-of-4.safetensors": "c079c0c5ca60512537ebc0e1d50307e04ef6e47e4c3e4c5f438a4fcd2d85ab3a",
+        "model.safetensors.index.json": "91882643861f6544bc2066c80f0069697eb98b8a189798ac109e31b628f1c85e",
+        "model-00001-of-00004.safetensors": "3f29bdfdee75fd3d44422401dc467915f77a3a2e8390c0c5298ddc373e601cdd",
+        "model-00002-of-00004.safetensors": "b508005463da2781d23cf5a6ceefcdd8ea755d5b18dbe459490632cbfe478e1d",
+        "model-00003-of-00004.safetensors": "ce1d883d47239cfaab5afe986e9a2b66c64e4e8d60cb4a6d158987a4648a2f41",
+        "model-00004-of-00004.safetensors": "c079c0c5ca60512537ebc0e1d50307e04ef6e47e4c3e4c5f438a4fcd2d85ab3a",
     }
 
 
-def test_pack_with_custom_index_name_reopens_and_mirrors(tmp_path):
-    policy = mm.OutputPolicy(mode="pack", max_shard_bytes=200, index_name="p.safetensors.index.json")
-    packed = mm.write_checkpoint(golden_stream(), tmp_path / "packed", policy, base=golden_infos())
-    again = mm.open_checkpoint(tmp_path / "packed")
-    assert packed.index_name == again.index_name == "p.safetensors.index.json"
-
-    def stream():
-        for name in again.layout_names():
-            yield again.tensors[name], mm.read_tensor_raw(again, name)
-
-    mirror = mm.write_checkpoint(stream(), tmp_path / "mirror", base=again)
-    assert (tmp_path / "mirror" / "p.safetensors.index.json").is_file()
-    assert mirror.index_name == "p.safetensors.index.json"
-
-
 @pytest.mark.parametrize("metadata", [None, {"aoe.note": "extra"}], ids=["plain", "extra"])
-@pytest.mark.parametrize("layout", ["mirror-indexed", "mirror-index-less", "pack-12", "file"])
+@pytest.mark.parametrize("layout", ["mirror-indexed", "mirror-index-less", "pack-12"])
 def test_write_returns_the_index_open_reads_back(tmp_path, layout, metadata):
     base = golden_indexed_base(tmp_path / "base", with_index=layout != "mirror-index-less")
     stream, policy, out = stream_of(base), None, tmp_path / "out"
@@ -407,16 +387,13 @@ def test_write_returns_the_index_open_reads_back(tmp_path, layout, metadata):
         # 9 to 12 bytes each, so no two share a 12-byte shard
         infos = [mm.TensorInfo(f"t{i}", mm.DType.U8, (9 + i % 4,), (0, 9 + i % 4)) for i in range(12)]
         stream = ((info, bytes([i]) * info.nbytes) for i, info in enumerate(infos))
-        policy = mm.OutputPolicy(mode="pack", max_shard_bytes=12, shard_template="s-{index}.safetensors")
+        policy = mm.OutputPolicy(mode="pack", max_shard_bytes=12)
         base = infos
-    elif layout == "file":
-        out = tmp_path / "out.safetensors"
     written = mm.write_checkpoint(stream, out, policy, base=base, metadata=metadata)
     assert written == mm.open_checkpoint(out)
     if layout == "pack-12":
-        # listed by name, as opening lists them, not in write order
         assert [s.name for s in written.shards] == [
-            f"s-{i}.safetensors" for i in (1, 10, 11, 12, 2, 3, 4, 5, 6, 7, 8, 9)
+            f"model-{i:05d}-of-00012.safetensors" for i in range(1, 13)
         ]
 
 
@@ -450,13 +427,6 @@ def test_write_checks_a_range_length(tmp_path):
     assert hidden_siblings(tmp_path / "o") == []
 
 
-def test_output_policy_rejects_index_name_open_would_ignore(tmp_path):
-    policy = mm.OutputPolicy(mode="pack", index_name="p.index.json")
-    with pytest.raises(ValueError, match="index_name must end with"):
-        mm.write_checkpoint(golden_stream(), tmp_path / "packed", policy, base=golden_infos())
-    assert not (tmp_path / "packed").exists()
-
-
 def test_golden_mirror_of_indexed_base(tmp_path):
     base = golden_indexed_base(tmp_path / "base")
 
@@ -473,13 +443,18 @@ def test_golden_mirror_of_indexed_base(tmp_path):
     }
 
 
-def test_golden_single_file(tmp_path):
+def test_write_refuses_a_single_file_output(tmp_path):
+    base = golden_indexed_base(tmp_path / "base")
+    before = tree_bytes(tmp_path)
     out = tmp_path / "one.safetensors"
-    mm.write_checkpoint(golden_stream(), out, base=golden_infos(), metadata={"k": "v"})
-    assert file_hashes(out) == {
-        "one.safetensors": "a587d83629464228afe3b28d598a0b2896e14f9e4ccd1a575f6ea757990a554a",
-    }
 
+    def stream():
+        raise AssertionError("a tensor was requested")
+        yield
+
+    with pytest.raises(ValueError, match="single-file output"):
+        mm.write_checkpoint(stream(), out, base=base)
+    assert tree_bytes(tmp_path) == before
 
 
 def test_write_failure_mid_pack_leaves_only_complete_shards(tmp_path):
