@@ -11,7 +11,6 @@ Equivalent CLI:
   moemerge merge --plan plan.json --out merged/
 """
 
-import json
 from pathlib import Path
 
 import moemerge as mm
@@ -42,7 +41,7 @@ def main():
     diffs = mm.compute_diffs([base, variant])
     fingerprints = [base.fingerprint(), variant.fingerprint()]
     plan = mm.plan_merge(config, diffs, fingerprints)
-    (OUT / "plan.json").write_text(json.dumps(plan.to_json_obj(), indent=1))
+    (OUT / "plan.json").write_text(plan.to_json_text())
     counts = plan.counts()
     print(f"plan: merge {counts['merged']}, copy {counts['copied']} "
           f"of {counts['tensors']} tensors (audit saved to plan.json)")

@@ -29,7 +29,7 @@ _EXPORTS = {
     "merge_core": ("compute_diffs", "execute_merge", "validate_compatibility"),
     "planning": (
         "DiffRecord", "MergeConfig", "MergeDecision", "MergePlan", "MergeReport",
-        "load_diff_cache", "load_recipe", "plan_merge", "save_diff_cache",
+        "load_diff_cache", "load_plan", "load_recipe", "plan_merge", "save_diff_cache",
         "threshold_sweep",
     ),
     "safetensors_io": (

@@ -36,7 +36,7 @@ from .errors import (
     RecipeError,
 )
 from .safetensors_io import open_checkpoint, validate_checkpoint
-from .taxonomy import GROUP_ORDER, TensorGroup, census, classify, resolve_scheme
+from .taxonomy import GROUP_ORDER, TensorGroup, census, resolve_scheme
 
 EXIT_OK = 0
 EXIT_OPERATIONAL = 1
@@ -99,32 +99,29 @@ def _summarize_diffs(records) -> list[dict]:
     return rows
 
 
-def cmd_diff(args) -> int:
-    models = [open_checkpoint(p) for p in args.models]
-    fingerprints = [m.fingerprint() for m in models]
-    scheme = resolve_scheme(args.scheme)
-    records = None
-    if Path(args.out).exists():
-        try:
-            records, _ = planning.load_diff_cache(args.out, fingerprints)
-        except (MoemergeError, OSError, json.JSONDecodeError, KeyError):
-            records = None
-        if records is not None and all(r.category == classify(r.name, scheme) for r in records):
-            _msg(f"{args.out} is up to date (header hashes and categories match); "
-                 "skipping recompute")
-        else:
-            records = None
-    if records is None:
-        from . import merge_core
+def _diffs(paths, scheme, threads: int, cache: str | None = None):
+    """Open the parents, then load ``cache`` (hash-checked) or compute the diffs.
 
-        records = merge_core.compute_diffs(
-            models,
-            scheme,
-            workers=args.threads,
-            progress=_progress("diffed"),
-        )
-        planning.save_diff_cache(records, args.out, fingerprints)
-        _msg(f"wrote {len(records)} diff records to {args.out}")
+    A cache reads no weights: its fingerprints pin the headers whose
+    compatibility ``compute_diffs`` checked.
+    """
+    models = [open_checkpoint(p) for p in paths]
+    fingerprints = [m.fingerprint() for m in models]
+    if cache:
+        records, _ = planning.load_diff_cache(cache, fingerprints)
+        return records, fingerprints
+    from . import merge_core
+
+    records = merge_core.compute_diffs(
+        models, scheme, workers=threads, progress=_progress("diffed")
+    )
+    return records, fingerprints
+
+
+def cmd_diff(args) -> int:
+    records, fingerprints = _diffs(args.models, resolve_scheme(args.scheme), args.threads)
+    planning.save_diff_cache(records, args.out, fingerprints)
+    _msg(f"wrote {len(records)} diff records to {args.out}")
     summary = _summarize_diffs(records)
     if args.json:
         print(json.dumps({"records": len(records), "by_group": summary}, indent=2))
@@ -136,28 +133,6 @@ def cmd_diff(args) -> int:
                 f"{row['min']:>14.6g}{row['median']:>14.6g}{row['max']:>14.6g}"
             )
     return EXIT_OK
-
-
-def _diffs_for_config(config, args):
-    """Load the diff cache if given (hash-checked), else compute.
-
-    A cache reads no weights: its fingerprints pin the headers whose
-    compatibility ``compute_diffs`` checked.
-    """
-    models = [open_checkpoint(p) for p in config.models]
-    fingerprints = [m.fingerprint() for m in models]
-    if args.diffs:
-        records, _ = planning.load_diff_cache(args.diffs, fingerprints)
-        return records, fingerprints
-    from . import merge_core
-
-    records = merge_core.compute_diffs(
-        models,
-        config.scheme,
-        workers=args.threads,
-        progress=_progress("diffed"),
-    )
-    return records, fingerprints
 
 
 def _print_plan_table(plan) -> None:
@@ -201,7 +176,7 @@ def _config_from_recipe(args):
 
 def cmd_plan(args) -> int:
     config = _config_from_recipe(args)
-    records, fingerprints = _diffs_for_config(config, args)
+    records, fingerprints = _diffs(config.models, config.scheme, args.threads, args.diffs)
     plan = planning.plan_merge(config, records, fingerprints)
     Path(args.out).write_text(plan.to_json_text(), "utf-8")
     _msg(f"wrote plan to {args.out}")
@@ -215,15 +190,13 @@ def cmd_merge(args) -> int:
     if args.plan:
         if args.lambdas or args.delta is not None or args.diffs:
             raise RecipeError("--lambda/--delta/--diffs require --recipe, not --plan")
-        plan_obj = json.loads(Path(args.plan).read_text("utf-8"))
-        plan = planning.MergePlan.from_json_obj(plan_obj)
-        # The echo's model paths are already resolved; keep them cwd-relative.
-        config = planning.MergeConfig.from_json_obj(plan.config_echo)
+        plan = planning.load_plan(args.plan)
+        config = plan.config
     else:
         config = _config_from_recipe(args)
         plan = None
         if args.dry_run:
-            records, fingerprints = _diffs_for_config(config, args)
+            records, fingerprints = _diffs(config.models, config.scheme, args.threads, args.diffs)
             plan = planning.plan_merge(config, records, fingerprints)
         elif args.diffs:
             # Plan with the cache's own fingerprints: execute_merge opens the
@@ -233,14 +206,7 @@ def cmd_merge(args) -> int:
 
     if args.dry_run:
         _print_plan_table(plan)
-        skeleton = planning.MergeReport(
-            counts=plan.counts(),
-            nonfinite=[],
-            elapsed_seconds=0.0,
-            model_fingerprints=plan.model_fingerprints,
-            output_files=[],
-            config_echo=plan.config_echo,
-        )
+        skeleton = planning.MergeReport(plan, [], 0.0, [])
         print(json.dumps(skeleton.to_json_obj(), indent=2))
         _msg("dry run: nothing written")
         return EXIT_OK
@@ -269,7 +235,7 @@ def cmd_merge(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _config_from_recipe(args)
-    records, _ = _diffs_for_config(config, args)
+    records, _ = _diffs(config.models, config.scheme, args.threads, args.diffs)
     rows = planning.threshold_sweep(records, config, args.deltas)
     groups = [g.value for g in TensorGroup]
     lines = ["delta," + ",".join(groups) + ",total"]

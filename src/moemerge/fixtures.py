@@ -166,11 +166,31 @@ class FixtureSpec:
         unknown = set(obj) - known
         if unknown:
             raise FixtureError(f"unknown fixture spec keys {sorted(unknown)}")
-        kwargs = {k: v for k, v in obj.items() if k != "perturbations"}
-        perts = tuple(
-            PerturbationSpec(**p) for p in obj.get("perturbations", [])
-        )
-        return cls(**kwargs, perturbations=perts)
+        kwargs = {}
+        for key, value in obj.items():
+            if key == "dtypes":
+                if not isinstance(value, dict) or not all(
+                    isinstance(v, str) for v in value.values()
+                ):
+                    raise FixtureError("'dtypes' must map group names to dtype codes")
+            elif key == "perturbations":
+                if not isinstance(value, list):
+                    raise FixtureError("'perturbations' must be a list")
+                value = tuple(_perturbation(p, i) for i, p in enumerate(value))
+            elif type(value) is not int:  # exact, so a JSON true is no size
+                raise FixtureError(f"{key!r} must be an integer, got {value!r}")
+            kwargs[key] = value
+        return cls(**kwargs)
+
+
+def _perturbation(obj: object, i: int) -> PerturbationSpec:
+    """Perturbation ``i`` of a spec file; FixtureError unless it has its shape."""
+    keys = {"selector", "kind", "magnitude"}
+    if not isinstance(obj, dict) or obj.keys() != keys:
+        raise FixtureError(f"perturbation {i} must have exactly the keys {sorted(keys)}")
+    if type(obj["selector"]) is not str or type(obj["magnitude"]) not in (int, float):
+        raise FixtureError(f"perturbation {i} needs a string selector and a numeric magnitude")
+    return PerturbationSpec(**obj)
 
 
 def iter_tensor_entries(spec: FixtureSpec) -> Iterator[tuple[str, TensorGroup, tuple[int, ...]]]:

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ._version import __version__
-from .errors import CompatibilityError, MergeError
+from .errors import CompatibilityError, MergeError, RecipeError
 from .planning import (
     ACTION_COPY_BASE,
     DiffRecord,
@@ -358,12 +358,13 @@ def execute_merge(
     gate runs inside the pass: each tensor's parents are read once, diffed,
     gated and then merged or copied, and the resolved plan (equal to
     ``plan_merge`` over ``compute_diffs``) is attached to the report as
-    ``report.plan``. A reviewed plan is checked against its config before
-    anything is opened (RecipeError on an unknown action or copy reason,
-    or merge weights the config's own lambdas would fail); the parents must
-    still have the header hashes the plan was computed against. Each
-    decision is then taken as given, so copies read only the base and
-    merges are not diffed.
+    ``report.plan``. A reviewed plan is checked against its own config
+    before anything is opened: ``config`` must equal ``plan.config``, and
+    RecipeError refuses an unknown action or copy reason, or merge weights
+    the config's own lambdas would fail. The parents must still have the
+    header hashes the plan was computed against. Each decision is then
+    taken as given, so copies read only the base and merges are not
+    diffed.
 
     Merge decisions decode all parents block by block, combine in float64,
     and re-encode to the original dtype; copy decisions move the base
@@ -379,6 +380,10 @@ def execute_merge(
     """
     start = time.monotonic()
     _check_workers(workers)
+    if plan is not None:
+        if config != plan.config:
+            raise RecipeError("a plan runs only with its own config: pass plan.config")
+        config = plan.config
     config.validate()
     if plan is not None:
         _check_decisions(plan.decisions, config)
@@ -412,20 +417,12 @@ def execute_merge(
             yield base.tensors[name], data
 
     if plan is None:
-        plan = MergePlan(decisions, fingerprints, config.to_json_obj())  # filled by stream()
+        plan = MergePlan(decisions, fingerprints, config)  # filled by stream()
     report: MergeReport | None = None
 
     def report_json(shard_names: list[str]) -> str:
         nonlocal report
-        report = MergeReport(
-            counts=plan.counts(),
-            nonfinite=nonfinite,
-            elapsed_seconds=time.monotonic() - start,
-            model_fingerprints=fingerprints,
-            output_files=shard_names,
-            config_echo=plan.config_echo,
-            plan=plan,
-        )
+        report = MergeReport(plan, nonfinite, time.monotonic() - start, shard_names)
         return json.dumps(report.to_json_obj(), indent=2) + "\n"
 
     # closing() stops the pool before the descriptors close, on error too.

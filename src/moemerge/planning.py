@@ -145,8 +145,8 @@ class MergeConfig:
         base_dir = Path(base_dir)
         config = cls(
             models=tuple(str(p if (p := Path(m)).is_absolute() else base_dir / m) for m in models),
-            lambdas=tuple(float(x) for x in lambdas),
-            delta=float(delta),
+            lambdas=tuple(_float(x, "lambdas") for x in lambdas),
+            delta=_float(delta, "delta"),
             subset=subset_from_json_obj(obj.get("subset", "full")),
             scheme=resolve_scheme(scheme_obj, base_dir),
             convex_required=convex,
@@ -167,6 +167,14 @@ class MergeConfig:
         }
 
 
+def _float(x: int | float, key: str) -> float:
+    """A JSON number as a float; RecipeError for an integer too large for one."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise RecipeError(f"{key!r} holds a number too large for a float") from None
+
+
 def _check_lambdas(lambdas: object, config: MergeConfig, what: str) -> None:
     """The one check on a weight vector: the config's, an override's or a plan's.
 
@@ -177,7 +185,11 @@ def _check_lambdas(lambdas: object, config: MergeConfig, what: str) -> None:
         not isinstance(lam, numbers.Real) or isinstance(lam, bool) for lam in lambdas
     ):
         raise RecipeError(f"{what} must be a list of numbers, got {lambdas!r}")
-    if not all(math.isfinite(lam) for lam in lambdas):
+    try:
+        finite = all(math.isfinite(lam) for lam in lambdas)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
         # NaN passes both convexity comparisons below, so refuse it here.
         raise RecipeError(f"{what} must be finite: {list(lambdas)}")
     if len(lambdas) != len(config.models):
@@ -194,6 +206,65 @@ def _check_lambdas(lambdas: object, config: MergeConfig, what: str) -> None:
             f"{what} must sum to 1 within {CONVEXITY_TOL} for a convex merge "
             f"(got {total!r}); set convex_required=false to allow this"
         )
+
+
+_NONE = type(None)
+
+# The keys of a diff record and of a plan decision, each with the exact JSON
+# types its value may have, so a bool is no number; a list holds numbers.
+_RECORD_FIELDS = {
+    "name": (str,),
+    "group": (str,),
+    "layer": (int, _NONE),
+    "expert": (int, _NONE),
+    "projection": (str, _NONE),
+    "max_diff": (int, float),
+}
+_DIFF_FIELDS = {**_RECORD_FIELDS, "per_model_diff": (list,)}
+_DECISION_FIELDS = {
+    **_RECORD_FIELDS,
+    "action": (str,),
+    "reason": (str, _NONE),
+    "lambdas": (list, _NONE),
+    "base_preserving": (bool,),
+}
+
+
+def _keys_error(obj: dict, keys, what: str) -> RecipeError:
+    missing, unknown = sorted(keys - obj.keys()), sorted(obj.keys() - keys)
+    return RecipeError(f"{what} has missing keys {missing} and unknown keys {unknown}")
+
+
+def _check_entry(entry: object, fields: dict, kind: str, i: int) -> None:
+    """Refuse entry ``i`` of a plan or diff cache unless it has exactly ``fields``."""
+    if not isinstance(entry, dict):
+        raise RecipeError(f"{kind} {i} must be a JSON object")
+    if entry.keys() != fields.keys():
+        raise _keys_error(entry, fields.keys(), f"{kind} {i}")
+    for key, types in fields.items():
+        value = entry[key]
+        if type(value) not in types or (
+            type(value) is list and not all(type(x) in (int, float) for x in value)
+        ):
+            raise RecipeError(f"{kind} {i} has an ill-typed {key!r}: {value!r}")
+
+
+def _check_document(obj: object, kind: str, keys: set[str], entries: str) -> None:
+    """Refuse a plan or diff cache whose top level has the wrong shape.
+
+    A wrong ``version`` is a MergeError: the file may be well formed for
+    another release.
+    """
+    if not isinstance(obj, dict):
+        raise RecipeError(f"{kind} must be a JSON object")
+    if obj.get("version") != 1:
+        raise MergeError(f"unsupported {kind} version {obj.get('version')!r}")
+    if obj.keys() != keys:
+        raise _keys_error(obj, keys, kind)
+    if not isinstance(obj["models"], list) or not all(isinstance(m, str) for m in obj["models"]):
+        raise RecipeError(f"{kind} 'models' must be a list of header hashes")
+    if not isinstance(obj[entries], list):
+        raise RecipeError(f"{kind} {entries!r} must be a list")
 
 
 @dataclass(frozen=True)
@@ -213,15 +284,6 @@ class DiffRecord:
             "max_diff": self.max_diff,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "DiffRecord":
-        return cls(
-            name=obj["name"],
-            category=TensorCategory.from_json_obj(obj),
-            per_model_diff=tuple(obj["per_model_diff"]),
-            max_diff=obj["max_diff"],
-        )
-
 
 @dataclass(frozen=True)
 class MergeDecision:
@@ -236,11 +298,15 @@ class MergeDecision:
 
 @dataclass
 class MergePlan:
-    """The resolved per-tensor actions, bound to the input header hashes."""
+    """The resolved per-tensor actions, bound to the input header hashes.
+
+    ``config`` is the config the plan was made from; a plan file holds it
+    as its config echo.
+    """
 
     decisions: list[MergeDecision]
     model_fingerprints: list[str]
-    config_echo: dict
+    config: MergeConfig
 
     def counts(self) -> dict:
         merged: dict[str, int] = {}
@@ -274,7 +340,7 @@ class MergePlan:
         return {
             "version": 1,
             "models": list(self.model_fingerprints),
-            "config": self.config_echo,
+            "config": self.config.to_json_obj(),
             "decisions": [
                 {
                     "name": d.name,
@@ -290,49 +356,51 @@ class MergePlan:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "MergePlan":
-        if obj.get("version") != 1:
-            raise MergeError(f"unsupported plan version {obj.get('version')!r}")
-        # Decisions are checked against the config by execute_merge.
-        decisions = [
-            MergeDecision(
+    def from_json_obj(cls, obj: object) -> "MergePlan":
+        """Parse a plan document; RecipeError unless every field has its shape.
+
+        The config echo gets a recipe's checks. Decisions are checked
+        against the config by ``execute_merge``.
+        """
+        _check_document(obj, "plan", {"version", "models", "config", "decisions"}, "decisions")
+        config = MergeConfig.from_json_obj(obj["config"])
+        decisions = []
+        for i, e in enumerate(obj["decisions"]):
+            _check_entry(e, _DECISION_FIELDS, "plan decision", i)
+            decisions.append(MergeDecision(
                 name=e["name"],
                 category=TensorCategory.from_json_obj(e),
                 action=e["action"],
                 reason=e["reason"],
                 max_diff=e["max_diff"],
-                lambdas=tuple(lams) if isinstance(lams := e["lambdas"], list) else lams,
+                lambdas=None if e["lambdas"] is None else tuple(e["lambdas"]),
                 base_preserving=e["base_preserving"],
-            )
-            for e in obj["decisions"]
-        ]
-        return cls(
-            decisions=decisions,
-            model_fingerprints=list(obj["models"]),
-            config_echo=obj["config"],
-        )
+            ))
+        return cls(decisions=decisions, model_fingerprints=obj["models"], config=config)
 
 
 @dataclass
 class MergeReport:
-    counts: dict
+    """What a merge alone knows; the rest of its JSON comes from its plan."""
+
+    plan: MergePlan
     nonfinite: list[dict]
     elapsed_seconds: float
-    model_fingerprints: list[str]
     output_files: list[str]
-    config_echo: dict
-    tool_version: str = __version__
-    plan: MergePlan | None = None  # the executed plan; not serialized
+
+    @property
+    def counts(self) -> dict:
+        return self.plan.counts()
 
     def to_json_obj(self) -> dict:
         return {
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "counts": self.counts,
             "nonfinite_inputs": self.nonfinite,
             "elapsed_seconds": self.elapsed_seconds,
-            "models": self.model_fingerprints,
+            "models": self.plan.model_fingerprints,
             "output_files": self.output_files,
-            "config": self.config_echo,
+            "config": self.plan.config.to_json_obj(),
         }
 
 
@@ -352,20 +420,36 @@ def load_recipe(path: str | Path) -> MergeConfig:
     return MergeConfig.from_json_obj(load_json_file(path, "recipe"), Path(path).parent)
 
 
+def load_plan(path: str | Path) -> MergePlan:
+    """Read a plan file; its config echo's paths are already resolved."""
+    return MergePlan.from_json_obj(json.loads(Path(path).read_text("utf-8")))
+
+
 def load_diff_cache(
     path: str | Path, expected_fingerprints: Sequence[str] | None = None
 ) -> tuple[list[DiffRecord], list[str]]:
-    """Load a diff cache; verifies header hashes when expectations are given."""
+    """Load a diff cache; verifies header hashes when expectations are given.
+
+    RecipeError unless every field has its shape.
+    """
     obj = json.loads(Path(path).read_text("utf-8"))
-    if obj.get("version") != 1:
-        raise MergeError(f"unsupported diff cache version {obj.get('version')!r}")
-    fingerprints = list(obj["models"])
+    _check_document(obj, "diff cache", {"version", "models", "records"}, "records")
+    fingerprints = obj["models"]
     if expected_fingerprints is not None and fingerprints != list(expected_fingerprints):
         raise MergeError(
             f"diff cache {path} was computed from different checkpoints "
             "(header hashes do not match); recompute with `diff`"
         )
-    return [DiffRecord.from_json_obj(e) for e in obj["records"]], fingerprints
+    records = []
+    for i, e in enumerate(obj["records"]):
+        _check_entry(e, _DIFF_FIELDS, "diff cache record", i)
+        records.append(DiffRecord(
+            name=e["name"],
+            category=TensorCategory.from_json_obj(e),
+            per_model_diff=tuple(e["per_model_diff"]),
+            max_diff=e["max_diff"],
+        ))
+    return records, fingerprints
 
 
 def plan_merge(
@@ -396,9 +480,7 @@ def plan_merge(
         for record in diffs
     ]
     return MergePlan(
-        decisions=decisions,
-        model_fingerprints=list(model_fingerprints),
-        config_echo=config.to_json_obj(),
+        decisions=decisions, model_fingerprints=list(model_fingerprints), config=config
     )
 
 

@@ -493,19 +493,25 @@ def test_merge_and_sweep_with_diffs_classify_with_the_recipe_scheme(experts_to_o
     assert sweep.read_text().splitlines()[1].split(",")[-1] == "0"
 
 
-def test_diff_recomputes_a_cache_classified_under_another_scheme(experts_to_other, capsys):
+def test_diff_recomputes_a_cache_classified_under_another_scheme(experts_to_other):
     w = experts_to_other
     pair = w["pair"]
     argv = ["diff", str(pair["base"].root), str(pair["variant"].root),
             "--out", str(w["cache"]), "--scheme", str(w["scheme"])]
-    capsys.readouterr()
     assert main(argv) == 0
-    assert "up to date" not in capsys.readouterr().err
     records, _ = mm.load_diff_cache(w["cache"])
     groups = {r.category.group.value for r in records if ".mlp.experts." in r.name}
     assert groups == {"other"}
-    assert main(argv) == 0
-    assert "up to date" in capsys.readouterr().err
+
+
+def test_diff_over_a_stale_out_recomputes(workdir):
+    """Header hashes cannot tell same-architecture weights apart, so --out is never reused."""
+    base, variant = str(workdir["pair"]["base"].root), str(workdir["pair"]["variant"].root)
+    stale, fresh = workdir["tmp"] / "stale.json", workdir["tmp"] / "fresh.json"
+    assert main(["diff", base, base, "--out", str(stale)]) == 0
+    assert main(["diff", base, variant, "--out", str(stale)]) == 0
+    assert main(["diff", base, variant, "--out", str(fresh)]) == 0
+    assert stale.read_bytes() == fresh.read_bytes()
 
 
 def test_merge_requires_exactly_one_source(workdir):
@@ -640,6 +646,90 @@ def test_report_missing_cache_errors(workdir):
     assert code == 1
 
 
+# --- malformed input documents ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def documents(tiny_pair, tmp_path_factory):
+    """A valid recipe, diff cache, plan and fixture spec, parsed, for the tiny pair."""
+    root = tmp_path_factory.mktemp("documents")
+    recipe = {"models": [str(tiny_pair["base"].root), str(tiny_pair["variant"].root)],
+              "lambdas": [0.5, 0.5]}
+    (root / "recipe.json").write_text(json.dumps(recipe))
+    assert main(["diff", *recipe["models"], "--out", str(root / "cache.json")]) == 0
+    assert main(["plan", "--recipe", str(root / "recipe.json"), "--out", str(root / "plan.json"),
+                 "--diffs", str(root / "cache.json")]) == 0
+    spec = dict(TINY_SPEC.to_json_obj(),
+                perturbations=[{"selector": "attention", "kind": "shift", "magnitude": 0.1}])
+    return {"root": root, "recipe": recipe, "spec": spec,
+            "cache": json.loads((root / "cache.json").read_text()),
+            "plan": json.loads((root / "plan.json").read_text())}
+
+
+def _with(obj, **changes):
+    return {**obj, **changes}
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _first_entry(obj, key, entry):
+    return {**obj, key: [entry(obj[key][0]), *obj[key][1:]]}
+
+
+_CACHE_EDITS = {
+    "list": lambda o: [o],
+    "string-max-diff": lambda o: _first_entry(o, "records", lambda r: _with(r, max_diff="0.5")),
+    "int-per-model-diff": lambda o: _first_entry(
+        o, "records", lambda r: _with(r, per_model_diff=0)),
+    "no-records": lambda o: _without(o, "records"),
+}
+_MALFORMED = [
+    *[(f"cache-{name}-{reader.split()[0]}", reader, "cache", edit)
+      for name, edit in _CACHE_EDITS.items() for reader in ("plan --diffs", "report")],
+    ("spec-string-layers", "fixture", "spec", lambda o: _with(o, layers="x")),
+    ("spec-perturbation-without-kind", "fixture", "spec", lambda o: _with(
+        o, perturbations=[{"selector": "attention", "magnitude": 0.1}])),
+    ("spec-int-perturbations", "fixture", "spec", lambda o: _with(o, perturbations=5)),
+    ("spec-string-dtypes", "fixture", "spec", lambda o: _with(o, dtypes="F32")),
+    ("plan-list", "merge --plan", "plan", lambda o: [o]),
+    ("plan-int-decisions", "merge --plan", "plan", lambda o: _with(o, decisions=5)),
+    ("plan-decision-without-name", "merge --plan", "plan",
+     lambda o: _first_entry(o, "decisions", lambda d: _without(d, "name"))),
+    ("plan-unknown-key", "merge --plan", "plan", lambda o: _with(o, comment="x")),
+    ("plan-string-base-preserving", "merge --plan", "plan",
+     lambda o: _first_entry(o, "decisions", lambda d: _with(d, base_preserving="yes"))),
+    ("plan-bool-max-diff", "merge --plan", "plan",
+     lambda o: _first_entry(o, "decisions", lambda d: _with(d, max_diff=True))),
+    ("recipe-huge-lambda", "plan --recipe", "recipe", lambda o: _with(o, lambdas=[10**400, 0])),
+    ("recipe-huge-delta", "plan --recipe", "recipe", lambda o: _with(o, delta=10**400)),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, kind, edit", [case[1:] for case in _MALFORMED], ids=[case[0] for case in _MALFORMED]
+)
+def test_a_malformed_document_exits_2_with_an_error_line(
+    documents, tmp_path, capsys, reader, kind, edit
+):
+    doc, out = tmp_path / f"{kind}.json", str(tmp_path / "out")
+    doc.write_text(json.dumps(edit(documents[kind])))
+    recipe = str(documents["root"] / "recipe.json")
+    argv = {
+        "plan --diffs": ["plan", "--recipe", recipe, "--diffs", str(doc), "--out", out],
+        "report": ["report", "--diffs", str(doc), "--kind", "heatmap"],
+        "fixture": ["fixture", "--spec", str(doc), "--out", out],
+        "merge --plan": ["merge", "--plan", str(doc), "--out", out],
+        "plan --recipe": ["plan", "--recipe", str(doc), "--out", out],
+    }[reader]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # --- think-freq -------------------------------------------------------------------
 
 
@@ -711,17 +801,6 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-
-
-def test_diff_reuses_up_to_date_cache(workdir, capsys):
-    pair = workdir["pair"]
-    cache = workdir["tmp"] / "c.json"
-    argv = ["diff", str(pair["base"].root), str(pair["variant"].root), "--out", str(cache)]
-    assert main(argv) == 0
-    first = cache.read_bytes()
-    assert main(argv) == 0
-    assert "up to date" in capsys.readouterr().err
-    assert cache.read_bytes() == first
 
 
 def test_merge_pack_output_mode(workdir):

@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter with ``sys.modules["numpy"] = None``,
 so any ``import numpy`` raises ImportError and the command fails loudly.
 """
 
+import ast
 import hashlib
 import importlib
 import json
@@ -46,7 +47,7 @@ def run_fresh(code, *argv):
 
 @pytest.fixture(scope="module")
 def inputs(tiny_pair, tmp_path_factory):
-    """A recipe, an up-to-date diff cache and a transcript for the tiny pair."""
+    """A recipe, a diff cache and a transcript for the tiny pair."""
     root = tmp_path_factory.mktemp("no_numpy")
     models = [str(tiny_pair["base"].root), str(tiny_pair["variant"].root)]
     recipe = root / "recipe.json"
@@ -71,7 +72,6 @@ COMMANDS = {
                                 "--diffs", i["diffs"], "--out", str(i["root"] / "m")],
     "validate": lambda i: ["validate", i["models"][0]],
     "think-freq": lambda i: ["think-freq", i["transcript"]],
-    "diff-up-to-date": lambda i: ["diff", *i["models"], "--out", i["diffs"]],
 }
 
 
@@ -79,8 +79,6 @@ COMMANDS = {
 def test_command_that_reads_no_weights_never_imports_numpy(inputs, command):
     result = run_fresh(NO_NUMPY, *COMMANDS[command](inputs))
     assert result.returncode == 0, result.stderr
-    if command == "diff-up-to-date":
-        assert "up to date" in result.stderr
 
 
 def test_a_command_that_reads_weights_fails_loudly_without_numpy(inputs, tmp_path):
@@ -239,3 +237,16 @@ assert sys.modules["numpy"] is None
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         mm.no_such_name
+
+
+def test_the_naive_oracle_imports_nothing_from_moemerge():
+    """The acceptance oracle stays independent of the code it checks."""
+    tree = ast.parse((Path(__file__).parent / "naive_oracle.py").read_text("utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    assert [m for m in imported if m.split(".")[0] in ("moemerge", "")] == []

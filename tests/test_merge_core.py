@@ -19,7 +19,12 @@ from moemerge.planning import (
     MergeDecision,
     MergePlan,
 )
-from moemerge.taxonomy import EXPERTS_ONLY_SUBSET, TensorGroup
+from moemerge.taxonomy import (
+    EXPERTS_ONLY_SUBSET,
+    NamingScheme,
+    TensorGroup,
+    subset_from_json_obj,
+)
 from moemerge.tensor_math import BLOCK_ELEMS
 
 from conftest import (
@@ -256,10 +261,25 @@ def test_plan_covers_each_tensor_once(tiny_pair):
 
 def test_plan_json_round_trip(tiny_pair, tmp_path):
     diffs = mm.compute_diffs([tiny_pair["base"], tiny_pair["variant"]])
-    plan = mm.plan_merge(pair_config(tiny_pair), diffs, fingerprints(tiny_pair))
+    cfg = pair_config(
+        tiny_pair,
+        subset=subset_from_json_obj({
+            "groups": ["routed_expert_mlp"],
+            "patterns": [{"pattern": "lm_head.**", "include": True}],
+        }),
+        scheme=NamingScheme.from_json_obj(
+            [{"pattern": "model.layers.{layer}.mlp.experts.{expert}.{proj}.weight",
+              "group": "routed_expert_mlp"}]
+        ),
+        output=mm.OutputPolicy(mode="pack", max_shard_bytes=4096),
+    )
+    plan = mm.plan_merge(cfg, diffs, fingerprints(tiny_pair))
     obj = plan.to_json_obj()
     again = MergePlan.from_json_obj(json.loads(json.dumps(obj)))
     assert again.to_json_obj() == obj
+    assert again.decisions == plan.decisions
+    assert again.model_fingerprints == plan.model_fingerprints
+    assert again.config == cfg
 
 
 def test_plan_lambda_overrides(tiny_pair):
@@ -293,6 +313,16 @@ def run_merge(pair, out, cfg=None, diffs=None, **exec_kwargs):
     diffs = diffs or mm.compute_diffs([pair["base"], pair["variant"]])
     plan = mm.plan_merge(cfg, diffs, fingerprints(pair))
     return mm.execute_merge(plan, cfg, out, **exec_kwargs)
+
+
+def test_execute_refuses_a_config_other_than_the_plans(tiny_pair, tmp_path):
+    diffs = mm.compute_diffs([tiny_pair["base"], tiny_pair["variant"]])
+    plan = mm.plan_merge(pair_config(tiny_pair), diffs, fingerprints(tiny_pair))
+    other = pair_config(tiny_pair, lambdas=(0.2, 0.8), subset=EXPERTS_ONLY_SUBSET)
+    out = tmp_path / "m"
+    with pytest.raises(RecipeError, match="its own config"):
+        mm.execute_merge(plan, other, out)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_execute_base_identity(tiny_pair, tmp_path):
@@ -334,7 +364,7 @@ def test_execute_zero_diff_neutrality_forced_merge(tiny_pair, tmp_path):
             for r in records
         ],
         model_fingerprints=[base.fingerprint()] * 2,
-        config_echo=cfg.to_json_obj(),
+        config=cfg,
     )
     out, _ = mm.execute_merge(forced, cfg, tmp_path / "m")
     for name in base.tensors:

@@ -119,6 +119,8 @@ def test_recipe_overrides():
     assert config.lambdas == (0.5, 0.5)  # original untouched
     with pytest.raises(RecipeError, match="must be finite"):
         dataclasses.replace(config, lambdas=(math.nan, math.nan)).validate()
+    with pytest.raises(RecipeError, match="must be finite"):  # too large for a float
+        dataclasses.replace(config, lambdas=(10**400, 0)).validate()
 
 
 def test_recipe_file_errors(tmp_path):
