@@ -33,8 +33,8 @@ _EXPORTS = {
         "threshold_sweep",
     ),
     "safetensors_io": (
-        "CheckpointIndex", "OutputPolicy", "TensorInfo", "open_checkpoint",
-        "read_header", "read_tensor_raw", "validate_checkpoint", "write_checkpoint",
+        "CheckpointIndex", "TensorInfo", "open_checkpoint", "read_header",
+        "read_tensor_raw", "validate_checkpoint", "write_checkpoint",
     ),
     "taxonomy": (
         "DEFAULT_SCHEME", "EXPERTS_ONLY_SUBSET", "FULL_SUBSET", "NamingScheme",

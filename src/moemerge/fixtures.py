@@ -9,7 +9,10 @@ Generation is a pure function of the spec. Every tensor's values come from
 bytes (little-endian) of ``sha256("{seed}:{name}")``; perturbation noise
 streams derive from ``sha256("{seed}:{name}:perturb")``. PCG64 streams are
 stable across platforms and numpy versions, so the same spec always yields
-byte-identical shards.
+byte-identical shards. A fixture is written as one packed checkpoint:
+shards of at most ``max_shard_bytes`` named
+``model-00001-of-0000N.safetensors``, with a
+``model.safetensors.index.json``, like a released model.
 
 Planted perturbations make diffs predictable: a constant shift ``c`` yields
 a normalized Frobenius difference of exactly ``|c|`` (up to the target
@@ -33,12 +36,7 @@ import numpy as np
 from . import tensor_math
 from .dtypes import DType
 from .errors import FixtureError, UnsupportedDTypeError
-from .safetensors_io import (
-    CheckpointIndex,
-    OutputPolicy,
-    TensorInfo,
-    write_checkpoint,
-)
+from .safetensors_io import CheckpointIndex, TensorInfo, write_checkpoint
 from .taxonomy import TensorGroup, classify
 
 MANIFEST_NAME = "fixture_manifest.json"
@@ -116,6 +114,8 @@ class FixtureSpec:
         ):
             if dim < 1:
                 raise FixtureError("all dimensions must be >= 1")
+        if self.max_shard_bytes < 1:
+            raise FixtureError("max_shard_bytes must be positive")
         known = {g.value for g in TensorGroup} | {"default"}
         for key, code in self.dtypes.items():
             if key not in known:
@@ -325,8 +325,10 @@ def _emit_checkpoint(
             raise FixtureError(f"perturbation selectors matched nothing: {unmatched}")
         return json.dumps(manifest if sidecar == MANIFEST_NAME else expected, indent=2) + "\n"
 
-    policy = OutputPolicy(mode="pack", max_shard_bytes=spec.max_shard_bytes)
-    index = write_checkpoint(stream(), path, policy, base=infos, sidecars={sidecar: render})
+    index = write_checkpoint(
+        stream(), path, base=infos, sidecars={sidecar: render},
+        max_shard_bytes=spec.max_shard_bytes,
+    )
     return index, manifest, expected
 
 

@@ -374,9 +374,9 @@ def execute_merge(
     per shard of each parent and closes them all when it ends. At most
     ``2 * workers`` tensors are in flight (one with one worker); each holds
     its parents' raw bytes, its output bytes and one block of float64
-    scratch. Output tensor order follows the base layout, so reruns are
-    byte-identical. ``workers`` below 1 is a ValueError, raised before
-    anything is opened.
+    scratch. The output mirrors the base's shards, tensor order and index,
+    so reruns are byte-identical. ``workers`` below 1 is a ValueError,
+    raised before anything is opened.
     """
     start = time.monotonic()
     _check_workers(workers)
@@ -432,7 +432,6 @@ def execute_merge(
         out_index = write_checkpoint(
             stream(results),
             out,
-            config.output,
             base=base,
             metadata=_provenance_metadata(config),
             sidecars={

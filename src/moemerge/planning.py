@@ -11,12 +11,12 @@ file itself is the reproducibility record:
       "delta": 0.0,
       "subset": "full",
       "scheme": null,
-      "convex_required": true,
-      "output": {"mode": "mirror"}
+      "convex_required": true
     }
 
 ``MergeConfig.from_json_obj`` parses it, and a plan's config echo, straight
 into the one config type; ``MergeConfig.to_json_obj`` writes the echo.
+There is no output setting: a child always takes its base's layout.
 
 Everything here works from a diff cache or a plan and never reads a
 tensor, so ``plan``, ``sweep`` and ``report`` run without importing
@@ -34,13 +34,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from ._version import __version__
 from .errors import MergeError, RecipeError
-from .safetensors_io import OutputPolicy
 from .taxonomy import (
     FULL_SUBSET,
     DEFAULT_SCHEME,
@@ -63,19 +63,20 @@ ACTION_COPY_BASE = "copy_base"
 REASON_NOT_IN_SUBSET = "not_in_subset"
 REASON_BELOW_THRESHOLD = "below_threshold"
 
-_CONFIG_KEYS = {
-    "models", "lambdas", "delta", "subset", "scheme", "convex_required", "output",
-}
-_OUTPUT_KEYS = {"mode", "max_shard_bytes"}
+_CONFIG_KEYS = {"models", "lambdas", "delta", "subset", "scheme", "convex_required"}
 
 
 @dataclass(frozen=True)
 class MergeConfig:
-    """Everything that determines a merge: parents, weights, gates, output.
+    """Everything that determines a merge: parents, weights and gates.
 
     ``models[0]`` is the base model; every tensor not selected for merging
-    keeps its bytes. ``validate`` is the one value check, whether the
-    config came from a recipe, a plan's echo, CLI overrides or code.
+    keeps its bytes, and the child takes its layout. A config is canonical
+    from the start: model paths are normalized strings and real weights
+    and thresholds are floats, so one built in code writes the same plan
+    and shard metadata as its echo parses back to. ``validate`` is the one
+    value check, whether the config came from a recipe, a plan's echo, CLI
+    overrides or code.
     """
 
     models: tuple[str, ...]
@@ -84,18 +85,32 @@ class MergeConfig:
     subset: SubsetSpec = FULL_SUBSET
     scheme: NamingScheme = DEFAULT_SCHEME
     convex_required: bool = True
-    output: OutputPolicy = field(default_factory=OutputPolicy)
+
+    def __post_init__(self) -> None:
+        # Ill-typed values stay as given, for validate() to refuse.
+        if isinstance(self.models, (list, tuple)):
+            models = tuple(
+                str(Path(m)) if isinstance(m, (str, os.PathLike)) else m for m in self.models
+            )
+            object.__setattr__(self, "models", models)
+        if isinstance(self.lambdas, (list, tuple)):
+            object.__setattr__(self, "lambdas", tuple(_as_float(x) for x in self.lambdas))
+        object.__setattr__(self, "delta", _as_float(self.delta))
 
     def validate(self) -> None:
+        if not isinstance(self.models, tuple) or not all(isinstance(m, str) for m in self.models):
+            raise RecipeError(f"models must be a list of paths, got {self.models!r}")
         if len(self.models) < 1:
             raise RecipeError("at least one model is required")
         _check_lambdas(self.lambdas, self, "lambdas")
-        if not self.delta >= 0:  # also refuses NaN
+        # A real delta is a float by now, unless it is too large for one.
+        if not isinstance(self.delta, float) or not self.delta >= 0:  # also refuses NaN
             raise RecipeError(f"delta must be a number >= 0, got {self.delta!r}")
-        self.output.validated()
 
     @classmethod
-    def from_json_obj(cls, obj: object, base_dir: str | Path = ".") -> "MergeConfig":
+    def from_json_obj(
+        cls, obj: object, base_dir: str | Path = ".", what: str = "recipe"
+    ) -> "MergeConfig":
         """Parse and validate a recipe document or a plan's config echo.
 
         Unknown keys anywhere are an error: a typo must never silently
@@ -104,15 +119,16 @@ class MergeConfig:
         already resolved). ``subset`` is ``"full"``, ``"experts-only"`` or a
         custom object (see taxonomy); ``scheme`` is ``null`` (the built-in
         DeepSeek-V3 rules), a path to a rule file or an inline rule list.
+        ``what`` names the document in error messages.
         """
         if not isinstance(obj, dict):
-            raise RecipeError("recipe must be a JSON object")
+            raise RecipeError(f"{what} must be a JSON object")
         unknown = set(obj) - _CONFIG_KEYS
         if unknown:
-            raise RecipeError(f"unknown recipe keys {sorted(unknown)}")
+            raise RecipeError(f"unknown {what} keys {sorted(unknown)}")
         for required in ("models", "lambdas"):
             if required not in obj:
-                raise RecipeError(f"recipe is missing the {required!r} key")
+                raise RecipeError(f"{what} is missing the {required!r} key")
         models = obj["models"]
         if (
             not isinstance(models, list)
@@ -134,23 +150,14 @@ class MergeConfig:
         scheme_obj = obj.get("scheme")
         if scheme_obj is not None and not isinstance(scheme_obj, (str, list)):
             raise RecipeError("'scheme' must be null, a path string, or a rule list")
-        output_obj = obj.get("output")
-        if output_obj is None:
-            output_obj = {}
-        elif not isinstance(output_obj, dict):
-            raise RecipeError("'output' must be an object")
-        unknown = set(output_obj) - _OUTPUT_KEYS
-        if unknown:
-            raise RecipeError(f"unknown output keys {sorted(unknown)}")
         base_dir = Path(base_dir)
         config = cls(
-            models=tuple(str(p if (p := Path(m)).is_absolute() else base_dir / m) for m in models),
+            models=tuple(base_dir / m for m in models),  # an absolute m stays as it is
             lambdas=tuple(_float(x, "lambdas") for x in lambdas),
             delta=_float(delta, "delta"),
             subset=subset_from_json_obj(obj.get("subset", "full")),
             scheme=resolve_scheme(scheme_obj, base_dir),
             convex_required=convex,
-            output=OutputPolicy(**output_obj),
         )
         config.validate()
         return config
@@ -163,8 +170,22 @@ class MergeConfig:
             "subset": subset_to_json_obj(self.subset),
             "scheme": self.scheme.to_json_obj(),
             "convex_required": self.convex_required,
-            "output": asdict(self.output),
         }
+
+
+def _is_real(x: object) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _as_float(x: object) -> object:
+    """A real number as a float; anything else, or an integer too large
+    for a float, as it is."""
+    if _is_real(x):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    return x
 
 
 def _float(x: int | float, key: str) -> float:
@@ -181,9 +202,7 @@ def _check_lambdas(lambdas: object, config: MergeConfig, what: str) -> None:
     One finite number per model; non-negative and summing to 1 when the
     config requires a convex merge.
     """
-    if not isinstance(lambdas, (list, tuple)) or any(
-        not isinstance(lam, numbers.Real) or isinstance(lam, bool) for lam in lambdas
-    ):
+    if not isinstance(lambdas, (list, tuple)) or not all(_is_real(lam) for lam in lambdas):
         raise RecipeError(f"{what} must be a list of numbers, got {lambdas!r}")
     try:
         finite = all(math.isfinite(lam) for lam in lambdas)
@@ -226,7 +245,6 @@ _DECISION_FIELDS = {
     "action": (str,),
     "reason": (str, _NONE),
     "lambdas": (list, _NONE),
-    "base_preserving": (bool,),
 }
 
 
@@ -293,7 +311,6 @@ class MergeDecision:
     max_diff: float
     reason: str | None = None  # set for copy decisions
     lambdas: tuple[float, ...] | None = None  # set for merge decisions
-    base_preserving: bool = False  # provably equal to the base regardless
 
 
 @dataclass
@@ -349,7 +366,6 @@ class MergePlan:
                     "reason": d.reason,
                     "max_diff": d.max_diff,
                     "lambdas": list(d.lambdas) if d.lambdas is not None else None,
-                    "base_preserving": d.base_preserving,
                 }
                 for d in self.decisions
             ],
@@ -363,7 +379,12 @@ class MergePlan:
         against the config by ``execute_merge``.
         """
         _check_document(obj, "plan", {"version", "models", "config", "decisions"}, "decisions")
-        config = MergeConfig.from_json_obj(obj["config"])
+        if isinstance(obj["config"], dict) and "output" in obj["config"]:
+            raise RecipeError(
+                "plan config names the removed 'output' key: the plan was written "
+                "by an older release; re-run `plan` to write it again"
+            )
+        config = MergeConfig.from_json_obj(obj["config"], what="plan config")
         decisions = []
         for i, e in enumerate(obj["decisions"]):
             _check_entry(e, _DECISION_FIELDS, "plan decision", i)
@@ -374,7 +395,6 @@ class MergePlan:
                 reason=e["reason"],
                 max_diff=e["max_diff"],
                 lambdas=None if e["lambdas"] is None else tuple(e["lambdas"]),
-                base_preserving=e["base_preserving"],
             ))
         return cls(decisions=decisions, model_fingerprints=obj["models"], config=config)
 
@@ -504,22 +524,15 @@ def _decide(
     config: MergeConfig,
     overrides: dict[str, Sequence[float]] | None = None,
 ) -> MergeDecision:
-    """The per-tensor decision, shared by planning and the fused pass.
-
-    A merge is base-preserving when its weights are one-hot on the base or
-    the parents are identical.
-    """
+    """The per-tensor decision, shared by planning and the fused pass."""
     reason = _copy_reason(record, category, config.subset, config.delta)
     if reason is None:
-        lams = tuple((overrides or {}).get(record.name, config.lambdas))
-        one_hot = lams[0] == 1.0 and all(lam == 0.0 for lam in lams[1:])
         return MergeDecision(
             name=record.name,
             category=category,
             action=ACTION_MERGE,
             max_diff=record.max_diff,
-            lambdas=lams,
-            base_preserving=one_hot or record.max_diff == 0.0,
+            lambdas=tuple((overrides or {}).get(record.name, config.lambdas)),
         )
     return MergeDecision(
         name=record.name,
@@ -527,7 +540,6 @@ def _decide(
         action=ACTION_COPY_BASE,
         max_diff=record.max_diff,
         reason=reason,
-        base_preserving=True,
     )
 
 

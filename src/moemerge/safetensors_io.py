@@ -21,8 +21,9 @@ a gap (unused bytes in a data region, which opening tolerates);
 ``validate_checkpoint`` returns them all.
 
 There is one writer (``write_checkpoint``). Its required ``base`` fixes
-every shard's name, tensors and header before the first byte is written,
-so each shard is written once: header first, then each tensor in place.
+every shard's name, tensors and header before the first byte is written
+(a checkpoint's layout is mirrored, a list of tensors is packed), so each
+shard is written once: header first, then each tensor in place.
 A tensor arrives as bytes or as a ``TensorRange`` of an open shard; each
 run of adjacent ranges is copied file to file in the kernel, without
 passing through Python. The writer returns the index of what it laid
@@ -538,32 +539,6 @@ def read_tensor_raw(
 # Writing
 
 
-@dataclass(frozen=True)
-class OutputPolicy:
-    """How merged/written checkpoints are laid out on disk.
-
-    ``mirror`` reproduces the base checkpoint's shard and index names,
-    shard assignment and tensor order exactly; ``pack`` fills shards
-    sequentially up to ``max_shard_bytes``, names them
-    ``model-00001-of-0000N.safetensors`` and writes
-    ``model.safetensors.index.json``. Both are deterministic.
-    """
-
-    mode: str = "mirror"  # "mirror" | "pack"
-    max_shard_bytes: int = 2 * 1024 * 1024 * 1024
-
-    def validated(self) -> "OutputPolicy":
-        if not isinstance(self.mode, str):
-            raise ValueError(f"mode must be a string, got {self.mode!r}")
-        if not isinstance(self.max_shard_bytes, int) or isinstance(self.max_shard_bytes, bool):
-            raise ValueError(f"max_shard_bytes must be an integer, got {self.max_shard_bytes!r}")
-        if self.mode not in ("mirror", "pack"):
-            raise ValueError(f"unknown output mode {self.mode!r}")
-        if self.max_shard_bytes < 1:
-            raise ValueError("max_shard_bytes must be positive")
-        return self
-
-
 def _data_len(info: TensorInfo) -> int:
     return info.dtype.byte_width * info.numel
 
@@ -616,21 +591,21 @@ def _mirror_layout(
 
 
 def _pack_layout(
-    infos: list[TensorInfo], policy: OutputPolicy, metadata: dict[str, str] | None
+    infos: list[TensorInfo], max_shard_bytes: int, metadata: dict[str, str] | None
 ) -> tuple[list[_Shard], _Index]:
     """Fill shards in order up to ``max_shard_bytes``; always with an index."""
     groups: list[list[TensorInfo]] = []
     free = 0
     for info in infos:
         size = _data_len(info)
-        if size > policy.max_shard_bytes:
+        if size > max_shard_bytes:
             raise FormatError(
                 f"tensor {info.name!r} ({size} bytes) exceeds "
-                f"max shard size {policy.max_shard_bytes}"
+                f"max shard size {max_shard_bytes}"
             )
         if not groups or size > free:
             groups.append([])
-            free = policy.max_shard_bytes
+            free = max_shard_bytes
         groups[-1].append(info)
         free -= size
     shards = [
@@ -736,43 +711,44 @@ def _check_replaceable(out: Path, sidecars: Mapping[str, object]) -> None:
 def write_checkpoint(
     stream: Iterable[tuple[TensorInfo, _Data]],
     out: str | Path,
-    policy: OutputPolicy | None = None,
     *,
     base: CheckpointIndex | Sequence[TensorInfo],
     metadata: dict[str, str] | None = None,
     sidecars: Mapping[str, Callable[[list[str]], str]] | None = None,
+    max_shard_bytes: int = 2 * 1024 * 1024 * 1024,
 ) -> CheckpointIndex:
     """Write a checkpoint from an ordered stream of (info, data) pairs.
 
-    ``base`` fixes the layout before any byte is written: a
-    ``CheckpointIndex`` (its physical tensor order, and in mirror mode its
-    shards) or the ordered ``TensorInfo`` list the stream will yield. The
-    stream must follow that order exactly, and each tensor must match its
-    planned dtype, shape and byte length. Data is the tensor's bytes or a
-    ``TensorRange`` whose descriptor stays open until this returns. Each
-    run of ranges adjacent in one source shard is copied with
-    ``os.copy_file_range``, or with a bounded read/write loop where the
-    kernel cannot copy; a source too short raises FormatError naming the
-    shard and tensor.
+    ``base`` fixes the layout before any byte is written. A
+    ``CheckpointIndex`` is mirrored, as every merge is: its physical tensor
+    order, shard names and assignment, its metadata blocks with
+    ``metadata`` keys layered on top, and its index file's name and
+    presence; ``max_shard_bytes`` plays no part. An ordered ``TensorInfo``
+    list is packed: shards fill in order up to ``max_shard_bytes``, are
+    named ``model-00001-of-0000N.safetensors`` and carry ``metadata``, and
+    ``model.safetensors.index.json`` is always written.
 
-    ``out`` is a directory. In mirror mode shard names, assignment,
-    metadata blocks and the index file's name and presence all mirror the
-    base, with ``metadata`` keys layered on top. In pack mode shards fill
-    sequentially up to ``max_shard_bytes``, are named
-    ``model-00001-of-0000N.safetensors`` and ``model.safetensors.index.json``
-    is always written. ``sidecars`` names more files of the output, each
-    rendered from the sorted shard names after the last tensor.
+    The stream must follow the layout's order exactly, and each tensor
+    must match its planned dtype, shape and byte length. Data is the
+    tensor's bytes or a ``TensorRange`` whose descriptor stays open until
+    this returns. Each run of ranges adjacent in one source shard is copied
+    with ``os.copy_file_range``, or with a bounded read/write loop where
+    the kernel cannot copy; a source too short raises FormatError naming
+    the shard and tensor.
+
+    ``out`` is a directory. ``sidecars`` names more files of the output,
+    each rendered from the sorted shard names after the last tensor.
 
     Every file is written once, into a fresh hidden sibling of ``out``
     that replaces ``out`` as a whole only when all are complete; on any
     error ``out`` is left as it was. So ``out`` must end in a name of its
     own: ``.``, ``..`` and ``/`` raise ValueError. That, an empty or
-    duplicated tensor list (FormatError), an ``out`` ending in
-    ``.safetensors`` (ValueError: no single-file output), other layout
-    errors and an existing ``out`` holding anything but a directory of
-    regular shard, index or sidecar files (FileExistsError) raise before
-    any file is created. Returns the index of what was written, built from
-    the layout; it equals ``open_checkpoint(out)``.
+    duplicated tensor list or a tensor larger than ``max_shard_bytes``
+    (FormatError), an ``out`` ending in ``.safetensors`` (ValueError: no
+    single-file output) and an existing ``out`` holding anything but a
+    directory of regular shard, index or sidecar files (FileExistsError)
+    raise before any file is created. Returns the index of what was
+    written, built from the layout; it equals ``open_checkpoint(out)``.
     """
     out = Path(out)
     if out.name in ("", ".."):
@@ -780,12 +756,9 @@ def write_checkpoint(
             f"cannot write to {str(out)!r}: name the output directory by its own "
             "path (for example ../child, not .)"
         )
-    policy = (policy or OutputPolicy()).validated()
     sidecars = sidecars or {}
-    if isinstance(base, CheckpointIndex):
-        infos = [base.tensors[n] for n in base.layout_names()]
-    else:
-        infos = list(base)
+    mirror = isinstance(base, CheckpointIndex)
+    infos = [base.tensors[n] for n in base.layout_names()] if mirror else list(base)
     if not infos:
         raise FormatError("refusing to write an empty checkpoint")
     repeated = sorted(n for n, k in Counter(info.name for info in infos).items() if k > 1)
@@ -796,12 +769,10 @@ def write_checkpoint(
             f"cannot write {str(out)!r}: single-file output is not supported; "
             "name an output directory"
         )
-    if policy.mode == "pack":
-        shards, index = _pack_layout(infos, policy, metadata)
-    elif isinstance(base, CheckpointIndex):
+    if mirror:
         shards, index = _mirror_layout(base, infos, metadata)
     else:
-        raise ValueError("mirror mode requires a base checkpoint index")
+        shards, index = _pack_layout(infos, max_shard_bytes, metadata)
     _check_replaceable(out, sidecars)
 
     headers: dict[str, bytes] = {}  # each shard's length prefix and header

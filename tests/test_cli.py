@@ -106,7 +106,8 @@ def test_plan_base_one_hot_annotated(workdir):
     ])
     assert code == 0
     obj = json.loads(plan_path.read_text())
-    assert all(d["base_preserving"] for d in obj["decisions"])
+    merges = [d for d in obj["decisions"] if d["action"] == "merge"]
+    assert merges and all(d["lambdas"] == [1.0, 0.0] for d in merges)
 
 
 def test_plan_delta_above_everything_copies_all(workdir):
@@ -337,7 +338,9 @@ def _first(obj, action):
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (lambda obj: obj["config"]["output"].update(compress=True), "unknown output keys"),
+        (lambda obj: obj.update(config=5), "plan config must be a JSON object"),
+        (lambda obj: obj["config"].update(lamdas=[0.5, 0.5]),
+         "unknown plan config keys ['lamdas']"),
         (lambda obj: obj["config"].update(lambdas="half"), "'lambdas' must be a list of numbers"),
         (lambda obj: _first(obj, "merge").update(lambdas=None), "must be a list of numbers"),
         (lambda obj: _first(obj, "merge").update(lambdas=[0.5, 0.25, 0.25]),
@@ -346,11 +349,10 @@ def _first(obj, action):
          "unknown action 'frobnicate'"),
         (lambda obj: _first(obj, "copy_base").update(reason="whim"), "unknown reason 'whim'"),
         (lambda obj: _first(obj, "merge").update(lambdas=[float("nan")] * 2), "must be finite"),
-        (lambda obj: obj["config"]["output"].update(index_name="model.safetensors.index.json"),
-         "unknown output keys ['index_name']"),
+        (lambda obj: obj["config"].update(output={"mode": "mirror"}), "re-run `plan`"),
     ],
     ids=[
-        "unknown-output-key", "lambdas-not-a-list", "decision-lambdas-null",
+        "echo-not-an-object", "echo-unknown-key", "lambdas-not-a-list", "decision-lambdas-null",
         "decision-three-weights", "decision-unknown-action", "decision-unknown-copy-reason",
         "decision-lambdas-nan", "echo-removed-output-key",
     ],
@@ -371,36 +373,16 @@ def test_merge_plan_config_is_validated_like_a_recipe(workdir, capsys, edit, mes
 
 
 @pytest.mark.parametrize(
-    "output,message",
-    [
-        ({"max_shard_bytes": "big"}, "max_shard_bytes must be an integer"),
-        ({"max_shard_bytes": True}, "max_shard_bytes must be an integer"),
-        ({"mode": 1}, "mode must be a string"),
-    ],
-    ids=["bytes-str", "bytes-bool", "mode-int"],
-)
-def test_merge_output_values_are_type_checked(workdir, capsys, output, message):
-    recipe = json.loads(workdir["recipe"].read_text())
-    recipe["output"] = output
-    rp = workdir["tmp"] / "typed.json"
-    rp.write_text(json.dumps(recipe))
-    out = workdir["tmp"] / "m"
-    assert main(["merge", "--recipe", str(rp), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
     "output",
     [
         {"mode": "pack", "shard_template": "../esc-{index}.safetensors"},
         {"mode": "pack", "index_name": "p.safetensors.index.json"},
+        {"mode": "mirror"},
     ],
-    ids=["shard_template", "index_name"],
+    ids=["shard_template", "index_name", "mode"],
 )
 def test_recipe_naming_a_removed_output_key_exits_2_and_writes_nothing(workdir, capsys, output):
-    """Pack names are fixed, so no template can escape the output or overwrite a shard."""
+    """A child takes its base's layout, so a recipe names no output settings at all."""
     recipe = json.loads(workdir["recipe"].read_text())
     recipe["output"] = output
     rp = workdir["tmp"] / "named.json"
@@ -410,7 +392,7 @@ def test_recipe_naming_a_removed_output_key_exits_2_and_writes_nothing(workdir, 
     before = tree_bytes(workdir["tmp"])
     assert main(["merge", "--recipe", str(rp), "--out", str(out), "--force"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "unknown output keys" in err
+    assert err.startswith("error:") and "unknown recipe keys ['output']" in err
     assert tree_bytes(workdir["tmp"]) == before
 
 
@@ -693,6 +675,7 @@ _MALFORMED = [
         o, perturbations=[{"selector": "attention", "magnitude": 0.1}])),
     ("spec-int-perturbations", "fixture", "spec", lambda o: _with(o, perturbations=5)),
     ("spec-string-dtypes", "fixture", "spec", lambda o: _with(o, dtypes="F32")),
+    ("spec-zero-max-shard-bytes", "fixture", "spec", lambda o: _with(o, max_shard_bytes=0)),
     ("plan-list", "merge --plan", "plan", lambda o: [o]),
     ("plan-int-decisions", "merge --plan", "plan", lambda o: _with(o, decisions=5)),
     ("plan-decision-without-name", "merge --plan", "plan",
@@ -803,21 +786,6 @@ def test_cli_version(capsys):
     assert exc.value.code == 0
 
 
-def test_merge_pack_output_mode(workdir):
-    recipe = json.loads(workdir["recipe"].read_text())
-    recipe["output"] = {"mode": "pack", "max_shard_bytes": 8 * 1024}
-    rp = workdir["tmp"] / "pack.json"
-    rp.write_text(json.dumps(recipe))
-    out = workdir["tmp"] / "packed"
-    assert main(["merge", "--recipe", str(rp), "--out", str(out)]) == 0
-    index = mm.open_checkpoint(out)
-    assert len(index.shards) > len(workdir["pair"]["base"].shards)
-    # payloads unaffected by the layout policy
-    mirror_out = workdir["tmp"] / "mirror"
-    assert main(["merge", "--recipe", str(workdir["recipe"]), "--out", str(mirror_out)]) == 0
-    assert read_all_bytes(out) == read_all_bytes(mirror_out)
-
-
 # --- fused merge and diff progress ---------------------------------------------------
 
 
@@ -851,6 +819,25 @@ def test_merge_recipe_matches_plan_then_merge_plan(tmp_path, tiny_trio, flags):
     reports = [json.loads((tmp_path / d / "merge_report.json").read_text()) for d in ("fused", "planned")]
     assert reports[0]["counts"] == reports[1]["counts"]
     assert reports[0]["counts"]["merged"] > 0 and reports[0]["counts"]["copied"] > 0
+
+
+def test_a_merge_from_a_config_built_in_code_re_executes_to_the_same_bytes(
+    tmp_path, tiny_pair, monkeypatch
+):
+    """Paths like ./base and integer weights are canonical from the start, so
+    the shard metadata and plan match what the plan's echo parses back to."""
+    for name in ("base", "variant"):
+        shutil.copytree(tiny_pair[name].root, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    config = mm.MergeConfig(models=("./base", "./variant"), lambdas=(0, 1))
+    merge_core.execute_merge(None, config, "child")
+    assert main(["merge", "--plan", "child/merge_plan.json", "--out", "again"]) == 0
+    child, again = tmp_path / "child", tmp_path / "again"
+    written = sorted(p.name for p in child.iterdir())
+    assert "merge_plan.json" in written and any(n.endswith(".index.json") for n in written)
+    for name in written:
+        if name != "merge_report.json":
+            assert (again / name).read_bytes() == (child / name).read_bytes()
 
 
 def test_diff_prints_progress(workdir, capsys):

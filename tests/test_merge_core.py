@@ -242,13 +242,6 @@ def test_plan_threshold_boundary_is_strict(tiny_pair):
     assert decision.reason == REASON_BELOW_THRESHOLD
 
 
-def test_plan_base_one_hot_is_annotated_base_preserving(tiny_pair):
-    diffs = mm.compute_diffs([tiny_pair["base"], tiny_pair["variant"]])
-    cfg = pair_config(tiny_pair, lambdas=(1.0, 0.0))
-    plan = mm.plan_merge(cfg, diffs, fingerprints(tiny_pair))
-    assert all(d.base_preserving for d in plan.decisions)
-
-
 def test_plan_covers_each_tensor_once(tiny_pair):
     diffs = mm.compute_diffs([tiny_pair["base"], tiny_pair["variant"]])
     plan = mm.plan_merge(pair_config(tiny_pair), diffs, fingerprints(tiny_pair))
@@ -271,7 +264,6 @@ def test_plan_json_round_trip(tiny_pair, tmp_path):
             [{"pattern": "model.layers.{layer}.mlp.experts.{expert}.{proj}.weight",
               "group": "routed_expert_mlp"}]
         ),
-        output=mm.OutputPolicy(mode="pack", max_shard_bytes=4096),
     )
     plan = mm.plan_merge(cfg, diffs, fingerprints(tiny_pair))
     obj = plan.to_json_obj()
@@ -553,14 +545,13 @@ def test_single_model_merge_copies_base(tiny_pair, tmp_path):
         assert mm.read_tensor_raw(out, name) == mm.read_tensor_raw(base, name)
 
 
-def test_config_json_round_trip_includes_output_policy(tiny_pair):
+def test_config_json_round_trip(tiny_pair):
     cfg = mm.MergeConfig(
         models=("a", "b"), lambdas=(0.5, 0.5),
         subset=mm.SubsetSpec(
             mm.SubsetMode.CUSTOM, frozenset({TensorGroup.ATTENTION}), (("lm_head.**", True),)
         ),
         scheme=mm.NamingScheme.from_rules([("model.layers.{layer}.attn.**", "attention")]),
-        output=mm.OutputPolicy(mode="pack", max_shard_bytes=123),
     )
     again = mm.MergeConfig.from_json_obj(json.loads(json.dumps(cfg.to_json_obj())))
     assert again == cfg

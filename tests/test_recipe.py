@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -24,22 +25,17 @@ def test_recipe_round_trip():
         "subset": {"groups": ["attention"], "patterns": [{"pattern": "lm_head.**", "include": True}]},
         "scheme": [{"pattern": "model.layers.{layer}.attn.**", "group": "attention"}],
         "convex_required": True,
-        "output": {"mode": "pack", "max_shard_bytes": 4096},
     }
     config = MergeConfig.from_json_obj(obj)
-    assert config.output == mm.OutputPolicy(mode="pack", max_shard_bytes=4096)
     assert MergeConfig.from_json_obj(json.loads(json.dumps(config.to_json_obj()))) == config
 
 
 def test_recipe_unknown_key_is_an_error():
     with pytest.raises(RecipeError, match="lamdas"):
         MergeConfig.from_json_obj(minimal_obj(lamdas=[1.0]))
-    with pytest.raises(RecipeError, match="unknown output keys.*compress"):
-        MergeConfig.from_json_obj(minimal_obj(output={"mode": "pack", "compress": True}))
-    # output file names are fixed: pack names its files, mirror takes the base's
-    for key in ("shard_template", "index_name"):
-        with pytest.raises(RecipeError, match=f"unknown output keys.*{key}"):
-            MergeConfig.from_json_obj(minimal_obj(output={"mode": "pack", key: "x"}))
+    # a child takes its base's layout, so there is nothing to set about the output
+    with pytest.raises(RecipeError, match=r"unknown recipe keys \['output'\]"):
+        MergeConfig.from_json_obj(minimal_obj(output={"mode": "mirror"}))
 
 
 def test_recipe_missing_required_key():
@@ -121,6 +117,25 @@ def test_recipe_overrides():
         dataclasses.replace(config, lambdas=(math.nan, math.nan)).validate()
     with pytest.raises(RecipeError, match="must be finite"):  # too large for a float
         dataclasses.replace(config, lambdas=(10**400, 0)).validate()
+
+
+def test_config_is_canonical_when_made():
+    config = MergeConfig(models=["./base", Path("dir/../other")], lambdas=[0, 1], delta=0)
+    assert config.models == ("base", "dir/../other")
+    assert config.lambdas == (0.0, 1.0) and all(type(x) is float for x in config.lambdas)
+    assert type(config.delta) is float
+    assert MergeConfig.from_json_obj(config.to_json_obj()) == config
+    # ill-typed values are left for validate() to refuse
+    for bad, message in (
+        (dict(models="ab"), "models must be a list of paths"),
+        (dict(models=("base", 5)), "models must be a list of paths"),
+        (dict(lambdas=("0.5", 0.5)), "must be a list of numbers"),
+        (dict(lambdas=(True, False)), "must be a list of numbers"),
+        (dict(delta="small"), "delta must be a number >= 0"),
+        (dict(delta=10**400), "delta must be a number >= 0"),
+    ):
+        with pytest.raises(RecipeError, match=message):
+            dataclasses.replace(config, **bad).validate()
 
 
 def test_recipe_file_errors(tmp_path):

@@ -273,8 +273,7 @@ def test_write_pack_shard_arithmetic(tmp_path):
         mm.TensorInfo(f"t{i}", mm.DType.U8, (1024,), (0, 1024)) for i in range(3)
     ]
     stream = ((info, bytes(1024)) for info in infos)
-    policy = mm.OutputPolicy(mode="pack", max_shard_bytes=2048)
-    out = mm.write_checkpoint(stream, tmp_path / "packed", policy, base=infos)
+    out = mm.write_checkpoint(stream, tmp_path / "packed", base=infos, max_shard_bytes=2048)
     assert len(out.shards) == 2
     assert [s.name for s in out.shards] == [
         "model-00001-of-00002.safetensors",
@@ -284,9 +283,10 @@ def test_write_pack_shard_arithmetic(tmp_path):
 
 def test_write_pack_tensor_larger_than_shard(tmp_path):
     info = mm.TensorInfo("t", mm.DType.U8, (4096,), (0, 4096))
-    policy = mm.OutputPolicy(mode="pack", max_shard_bytes=1024)
     with pytest.raises(FormatError, match="exceeds"):
-        mm.write_checkpoint(iter([(info, bytes(4096))]), tmp_path / "p", policy, base=[info])
+        mm.write_checkpoint(
+            iter([(info, bytes(4096))]), tmp_path / "p", base=[info], max_shard_bytes=1024
+        )
 
 
 def test_write_duplicate_name_in_stream(tmp_path):
@@ -365,10 +365,9 @@ def golden_indexed_base(root, with_index=True):
 
 
 def test_golden_pack_with_count_template(tmp_path):
-    policy = mm.OutputPolicy(mode="pack", max_shard_bytes=200)
     out = tmp_path / "packed"
-    mm.write_checkpoint(golden_stream(), out, policy, base=golden_infos(),
-                        metadata={"aoe.note": "golden"})
+    mm.write_checkpoint(golden_stream(), out, base=golden_infos(),
+                        metadata={"aoe.note": "golden"}, max_shard_bytes=200)
     assert file_hashes(out) == {
         "model.safetensors.index.json": "91882643861f6544bc2066c80f0069697eb98b8a189798ac109e31b628f1c85e",
         "model-00001-of-00004.safetensors": "3f29bdfdee75fd3d44422401dc467915f77a3a2e8390c0c5298ddc373e601cdd",
@@ -382,14 +381,14 @@ def test_golden_pack_with_count_template(tmp_path):
 @pytest.mark.parametrize("layout", ["mirror-indexed", "mirror-index-less", "pack-12"])
 def test_write_returns_the_index_open_reads_back(tmp_path, layout, metadata):
     base = golden_indexed_base(tmp_path / "base", with_index=layout != "mirror-index-less")
-    stream, policy, out = stream_of(base), None, tmp_path / "out"
+    stream, out = stream_of(base), tmp_path / "out"
     if layout == "pack-12":
         # 9 to 12 bytes each, so no two share a 12-byte shard
         infos = [mm.TensorInfo(f"t{i}", mm.DType.U8, (9 + i % 4,), (0, 9 + i % 4)) for i in range(12)]
         stream = ((info, bytes([i]) * info.nbytes) for i, info in enumerate(infos))
-        policy = mm.OutputPolicy(mode="pack", max_shard_bytes=12)
         base = infos
-    written = mm.write_checkpoint(stream, out, policy, base=base, metadata=metadata)
+    # a mirror ignores the limit: its tensors are larger than 12 bytes
+    written = mm.write_checkpoint(stream, out, base=base, metadata=metadata, max_shard_bytes=12)
     assert written == mm.open_checkpoint(out)
     if layout == "pack-12":
         assert [s.name for s in written.shards] == [
@@ -400,8 +399,7 @@ def test_write_returns_the_index_open_reads_back(tmp_path, layout, metadata):
 def test_write_copies_ranges_like_the_bytes_they_name(tmp_path):
     base = golden_indexed_base(tmp_path / "base")
     names = base.layout_names()
-    policy = mm.OutputPolicy(mode="pack", max_shard_bytes=200)
-    expected = mm.write_checkpoint(stream_of(base), tmp_path / "bytes", policy, base=base)
+    expected = mm.write_checkpoint(stream_of(base), tmp_path / "bytes", base=base)
     with mm.safetensors_io.shard_handles([base]) as (handles,):
         # ranges and bytes interleaved, so runs break and restart
         mixed = (
@@ -409,7 +407,7 @@ def test_write_copies_ranges_like_the_bytes_they_name(tmp_path):
              else mm.safetensors_io.tensor_range(base, n, handles=handles))
             for i, n in enumerate(names)
         )
-        got = mm.write_checkpoint(mixed, tmp_path / "mixed", policy, base=base)
+        got = mm.write_checkpoint(mixed, tmp_path / "mixed", base=base)
     assert [s.path.read_bytes() for s in got.shards] == [
         s.path.read_bytes() for s in expected.shards
     ]
@@ -466,9 +464,8 @@ def test_write_failure_mid_pack_leaves_only_complete_shards(tmp_path):
         raise OSError("disk went away")
 
     out = tmp_path / "packed"
-    policy = mm.OutputPolicy(mode="pack", max_shard_bytes=200)
     with pytest.raises(OSError, match="disk went away"):
-        mm.write_checkpoint(stream(), out, policy, base=infos)
+        mm.write_checkpoint(stream(), out, base=infos, max_shard_bytes=200)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -476,9 +473,8 @@ def test_pack_rerun_with_more_shards_replaces_the_output(tmp_path):
     infos = [mm.TensorInfo(f"t{i}", mm.DType.U8, (100,), (0, 100)) for i in range(6)]
     out = tmp_path / "packed"
     for max_shard_bytes, count in ((200, 3), (100, 6)):
-        policy = mm.OutputPolicy(mode="pack", max_shard_bytes=max_shard_bytes)
         stream = ((info, bytes([i]) * 100) for i, info in enumerate(infos))
-        mm.write_checkpoint(stream, out, policy, base=infos)
+        mm.write_checkpoint(stream, out, base=infos, max_shard_bytes=max_shard_bytes)
         shards = [f"model-{i:05d}-of-{count:05d}.safetensors" for i in range(1, count + 1)]
         assert sorted(p.name for p in out.iterdir()) == [*shards, "model.safetensors.index.json"]
     assert hidden_siblings(out) == []
@@ -486,9 +482,8 @@ def test_pack_rerun_with_more_shards_replaces_the_output(tmp_path):
 
 def test_write_restores_the_earlier_output_when_the_swap_fails(tmp_path, monkeypatch):
     infos = [mm.TensorInfo("t", mm.DType.U8, (4,), (0, 4))]
-    policy = mm.OutputPolicy(mode="pack")
     out = tmp_path / "packed"
-    mm.write_checkpoint(iter([(infos[0], b"old!")]), out, policy, base=infos)
+    mm.write_checkpoint(iter([(infos[0], b"old!")]), out, base=infos)
     before = tree_bytes(out)
     real = os.rename
 
@@ -499,7 +494,7 @@ def test_write_restores_the_earlier_output_when_the_swap_fails(tmp_path, monkeyp
 
     monkeypatch.setattr(os, "rename", rename)
     with pytest.raises(OSError, match="rename refused"):
-        mm.write_checkpoint(iter([(infos[0], b"new!")]), out, policy, base=infos)
+        mm.write_checkpoint(iter([(infos[0], b"new!")]), out, base=infos)
     assert tree_bytes(out) == before
     assert hidden_siblings(out) == []
 
@@ -507,7 +502,7 @@ def test_write_restores_the_earlier_output_when_the_swap_fails(tmp_path, monkeyp
 def test_output_directory_gets_the_mode_of_a_plain_mkdir(tmp_path):
     info = mm.TensorInfo("t", mm.DType.U8, (1,), (0, 1))
     out = tmp_path / "out"
-    mm.write_checkpoint(iter([(info, b"\x01")]), out, mm.OutputPolicy(mode="pack"), base=[info])
+    mm.write_checkpoint(iter([(info, b"\x01")]), out, base=[info])
     (tmp_path / "plain").mkdir()
     assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
 
@@ -525,17 +520,10 @@ def test_write_layout_errors_create_no_file(tmp_path, infos, match):
     out = tmp_path / "out"
     out.mkdir()
     stream = ((info, bytes(info.nbytes)) for info in infos)
-    policy = mm.OutputPolicy(mode="pack", max_shard_bytes=1024)
     with pytest.raises(FormatError, match=match):
-        mm.write_checkpoint(stream, out, policy, base=infos)
+        mm.write_checkpoint(stream, out, base=infos, max_shard_bytes=1024)
     assert list(out.iterdir()) == []
 
-
-def test_write_mirror_requires_a_base_index(tmp_path):
-    info = mm.TensorInfo("t", mm.DType.U8, (1,), (0, 1))
-    with pytest.raises(ValueError, match="mirror mode requires"):
-        mm.write_checkpoint(iter([(info, b"\x01")]), tmp_path / "m", base=[info])
-    assert not (tmp_path / "m").exists()
 
 
 def test_write_rejects_a_tensor_unlike_its_planned_entry(tiny_base, tmp_path):
