@@ -8,6 +8,7 @@ diff cache yields byte-identical CSV.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -77,7 +78,7 @@ def emit_heatmap(diffs: Sequence[DiffRecord], aggregate: str = "mean") -> Heatma
 
 @dataclass(frozen=True)
 class HistogramSpec:
-    """Strictly increasing bin edges plus a minimum-diff cutoff."""
+    """Strictly increasing bin edges plus a minimum-diff cutoff; no NaN."""
 
     edges: tuple[float, ...]
     cutoff: float = 1e-3
@@ -85,8 +86,10 @@ class HistogramSpec:
     def __post_init__(self):
         if len(self.edges) < 2:
             raise ValueError("need at least two bin edges")
-        if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
+        if not all(b > a for a, b in zip(self.edges, self.edges[1:])):  # also refuses NaN
             raise ValueError(f"bin edges must be strictly increasing: {self.edges}")
+        if math.isnan(self.cutoff):
+            raise ValueError("histogram cutoff must be a number, got nan")
 
 
 @dataclass

@@ -1,20 +1,31 @@
 """The passes over weights: diffs and streaming merge execution.
 
 A tensor's gate depends only on its own diff, so every pass over the
-weights runs one per-tensor task. A pass opens one read-only descriptor
-per shard of each parent and closes them all when it ends. ``compute_diffs``
-reads each parent's bytes once and diffs them in fixed blocks. A recipe
-merge also gates, then combines the blocks into the output or hands on the
-base bytes it holds; its plan comes out of the same pass as an audit
+weights runs one task per run of tensors. A run is a sequence of
+consecutive base-layout tensors of one dtype, each below
+``_RUN_TENSOR_ELEMS`` elements, byte-adjacent in one shard of every
+parent, and at most ``_RUN_ELEMS`` elements in all; every other tensor is
+a run of one. A run costs one read and one decode per parent, however
+many tensors it holds, and stays within one block of ``BLOCK_ELEMS``.
+
+A pass opens one read-only descriptor per shard of each parent and closes
+them all when it ends. ``compute_diffs`` reads each parent's bytes once
+and diffs them in fixed blocks; each tensor of a run is reduced over its
+own slice, so its record has the same bits as when it is diffed alone
+(see ``tensor_math``). A recipe merge also gates each tensor, then
+combines the merged tensors' elements into the output, with one
+finiteness check per parent, and hands on slices of the base bytes it
+holds for the copies; its plan comes out of the same pass as an audit
 record. A reviewed plan skips the diff: a copy hands the writer the base
 tensor's byte range, which is copied file to file without entering
-Python, and only merged tensors are read. The functions that read
-weights check the parents' compatibility once, up front. The gate, the
-configs, plans and diff caches live in ``planning``, which needs no
-numpy. This module loads numpy and the ``tensor_math`` kernels only when
-a pass decodes, so a reviewed copy-only plan runs without them.
+Python, and only merged tensors are read, consecutive merges with equal
+weights in runs. The functions that read weights check the parents'
+compatibility once, up front. The gate, the configs, plans and diff
+caches live in ``planning``, which needs no numpy. This module loads
+numpy and the ``tensor_math`` kernels only when a pass decodes, so a
+reviewed copy-only plan runs without them.
 
-Tasks run on a worker pool whose window of ``2 * workers`` tasks is the
+Tasks run on a worker pool whose window of ``2 * workers`` runs is the
 only bound on in-flight work; results are written in base layout order,
 so output is independent of the worker count. The pool is started only
 with more than one worker.
@@ -26,10 +37,12 @@ import json
 import time
 from collections import deque
 from contextlib import closing
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ._version import __version__
+from .dtypes import DType
 from .errors import CompatibilityError, MergeError, RecipeError
 from .planning import (
     ACTION_COPY_BASE,
@@ -74,7 +87,7 @@ if TYPE_CHECKING:  # bound at run time by _load_kernels
         linear_combination,
         normalized_frobenius_diff,
         rms_from_partials,
-        squared_diff_sum,
+        squared_diff_sums,
     )
 
 _T = TypeVar("_T")
@@ -88,8 +101,15 @@ _KERNELS = (
     "linear_combination",
     "normalized_frobenius_diff",
     "rms_from_partials",
-    "squared_diff_sum",
+    "squared_diff_sums",
 )
+
+# A tensor joins a run only below _RUN_TENSOR_ELEMS elements, and a run
+# holds at most _RUN_ELEMS: tensor_math.BLOCK_ELEMS / 16 and / 4, written
+# out because that constant lives beside numpy. Larger tensors are runs of
+# one, and a run's scratch stays a quarter of a block.
+_RUN_TENSOR_ELEMS = 1 << 14
+_RUN_ELEMS = 1 << 16
 
 
 def _load_kernels() -> None:
@@ -187,62 +207,152 @@ def _check_compatible(models: Sequence[CheckpointIndex]) -> None:
         raise CompatibilityError("incompatible parents: " + "; ".join(problems))
 
 
-def _decoded_blocks(raws: Sequence[bytes], info: TensorInfo) -> Iterator[list[np.ndarray]]:
+def _joins(
+    models: Sequence[CheckpointIndex],
+    planned: dict[str, MergeDecision] | None,
+    prev: str,
+    name: str,
+) -> bool:
+    """Whether tensor ``name`` may follow ``prev`` in a run."""
+    if planned is not None:
+        d, e = planned[prev], planned[name]
+        if ACTION_COPY_BASE in (d.action, e.action) or d.lambdas != e.lambdas:
+            return False
+    a, b = models[0].tensors[prev], models[0].tensors[name]
+    if a.dtype is not b.dtype or not (
+        0 < a.numel < _RUN_TENSOR_ELEMS and 0 < b.numel < _RUN_TENSOR_ELEMS
+    ):
+        return False
+    for model in models:
+        a, b = model.tensors[prev], model.tensors[name]
+        if a.shard != b.shard or a.data_offsets[1] != b.data_offsets[0]:
+            return False
+    return True
+
+
+def _runs(
+    models: Sequence[CheckpointIndex],
+    layout: Sequence[str],
+    planned: dict[str, MergeDecision] | None = None,
+) -> Iterator[list[str]]:
+    """The pass's units of work: ``layout`` cut into runs, in order.
+
+    In a reviewed plan only merges with equal weights join a run; a copy
+    stays a run of one and is never read.
+    """
+    run: list[str] = []
+    elems = 0
+    for name in layout:
+        if run and _joins(models, planned, run[-1], name):
+            numel = models[0].tensors[name].numel
+            if elems + numel <= _RUN_ELEMS:
+                run.append(name)
+                elems += numel
+                continue
+        if run:
+            yield run
+        run, elems = [name], models[0].tensors[name].numel
+    if run:
+        yield run
+
+
+def _decoded_blocks(
+    raws: Sequence[bytes], dtype: DType, numel: int
+) -> Iterator[list[np.ndarray]]:
     """Each parent's float64 values, one ``BLOCK_ELEMS`` block at a time."""
-    if info.numel <= BLOCK_ELEMS:
-        yield [decode(raw, info.dtype) for raw in raws]
+    if numel <= BLOCK_ELEMS:
+        yield [decode(raw, dtype) for raw in raws]
         return
-    width = info.dtype.byte_width
+    width = dtype.byte_width
     views = [memoryview(raw) for raw in raws]
-    for first in range(0, info.numel, BLOCK_ELEMS):
-        lo, hi = first * width, min(first + BLOCK_ELEMS, info.numel) * width
-        yield [decode(view[lo:hi], info.dtype) for view in views]
+    for first in range(0, numel, BLOCK_ELEMS):
+        lo, hi = first * width, min(first + BLOCK_ELEMS, numel) * width
+        yield [decode(view[lo:hi], dtype) for view in views]
 
 
 def _diff_parents(
-    name: str, category: TensorCategory, raws: Sequence[bytes], info: TensorInfo
-) -> tuple[DiffRecord, list[np.ndarray] | None]:
-    """The tensor's DiffRecord from one blocked pass over the parents.
+    run: Sequence[str],
+    categories: Sequence[TensorCategory],
+    raws: Sequence[bytes],
+    infos: Sequence[TensorInfo],
+) -> tuple[list[DiffRecord], list[np.ndarray] | None]:
+    """The run's DiffRecords from one blocked pass over its parents.
 
-    Also returns the decoded parents when the tensor is a single block, so
-    a merge can combine them without decoding again.
+    A run of several tensors is one block, and each tensor's partial sums
+    only its own slice of it. Also returns the decoded parents when the
+    run is a single block, so a merge can combine them without decoding
+    again.
     """
-    partials: list[list[float]] = [[] for _ in raws[1:]]
+    ends = list(accumulate(info.numel for info in infos))
+    single = ends[-1] <= BLOCK_ELEMS
+    partials: list[list[list[float]]] = [[[] for _ in raws[1:]] for _ in infos]
     blocks: list[np.ndarray] = []
-    for blocks in _decoded_blocks(raws, info):
-        for acc, other in zip(partials, blocks[1:]):
-            acc.append(squared_diff_sum(blocks[0], other))
-    diffs = tuple(rms_from_partials(acc, info.numel) for acc in partials)
-    single = info.numel <= BLOCK_ELEMS
-    return DiffRecord(name, category, diffs, max(diffs)), blocks if single else None
+    for blocks in _decoded_blocks(raws, infos[0].dtype, ends[-1]):
+        cuts = ends if single else [len(blocks[0])]
+        for k, other in enumerate(blocks[1:]):
+            for sums, part in zip(partials, squared_diff_sums(blocks[0], other, cuts)):
+                sums[k].append(part)
+    records = []
+    for name, category, info, sums in zip(run, categories, infos, partials):
+        diffs = tuple(rms_from_partials(acc, info.numel) for acc in sums)
+        records.append(DiffRecord(name, category, diffs, max(diffs)))
+    return records, blocks if single else None
+
+
+def _nonfinite(values: Sequence[np.ndarray]) -> list[int]:
+    """The 1-based parents whose values hold a non-finite element."""
+    return [i for i, v in enumerate(values, start=1) if not np.isfinite(v).all()]
 
 
 def _combine(
     raws: Sequence[bytes],
-    info: TensorInfo,
+    infos: Sequence[TensorInfo],
+    merged: Sequence[int],
     lambdas: Sequence[float],
     decoded: list[np.ndarray] | None = None,
-) -> tuple[bytearray, list[int]]:
-    """Weighted sum of the parents, block by block, into one output buffer.
+) -> tuple[bytes | bytearray, list[list[int]]]:
+    """Weighted sum of the parents over the run's tensors at ``merged``.
 
-    ``decoded`` is the single block already decoded by the diff, if any.
-    Also returns the 1-based parents that held a non-finite value.
+    ``decoded`` is the run's single block already decoded by the diff, if
+    any. A tensor of several blocks is combined block by block into one
+    output buffer. Returns the merged tensors' bytes back to back and, per
+    merged tensor, the 1-based parents that held a non-finite value. The
+    finiteness check runs once per parent; only a run that fails it is
+    searched tensor by tensor.
     """
-    out = bytearray(info.nbytes)
-    bad: set[int] = set()
-    pos = 0
-    for blocks in [decoded] if decoded is not None else _decoded_blocks(raws, info):
-        for i, values in enumerate(blocks, start=1):
-            if not np.isfinite(values).all():
-                bad.add(i)
-        data = encode(linear_combination(blocks, lambdas), info.dtype)
-        out[pos:pos + len(data)] = data
-        pos += len(data)
-    return out, sorted(bad)
+    dtype = infos[0].dtype
+    ends = list(accumulate(info.numel for info in infos))
+    if ends[-1] > BLOCK_ELEMS:  # a run of one
+        out = bytearray(infos[0].nbytes)
+        bad: set[int] = set()
+        pos = 0
+        for blocks in _decoded_blocks(raws, dtype, ends[-1]):
+            bad.update(_nonfinite(blocks))
+            data = encode(linear_combination(blocks, lambdas), dtype)
+            out[pos:pos + len(data)] = data
+            pos += len(data)
+        return out, [sorted(bad)]
+    values = decoded if decoded is not None else [decode(raw, dtype) for raw in raws]
+    if len(merged) < len(infos):
+        values = [
+            np.concatenate([v[ends[t] - infos[t].numel:ends[t]] for t in merged]) for v in values
+        ]
+    sizes = [infos[t].numel for t in merged]
+    bad_parents = _nonfinite(values)
+    found: list[list[int]] = [[] for _ in merged]
+    if bad_parents:
+        found = [
+            [i for i in bad_parents if not np.isfinite(values[i - 1][hi - size:hi]).all()]
+            for size, hi in zip(sizes, accumulate(sizes))
+        ]
+    return encode(linear_combination(values, lambdas), dtype), found
 
 
 _Outcome = tuple[
-    DiffRecord | None, MergeDecision | None, bytes | bytearray | TensorRange | None, list[int]
+    DiffRecord | None,
+    MergeDecision | None,
+    bytes | bytearray | memoryview | TensorRange | None,
+    list[int],
 ]
 
 
@@ -252,46 +362,66 @@ def _tensor_task(
     scheme: NamingScheme,
     config: MergeConfig | None = None,
     planned: dict[str, MergeDecision] | None = None,
-) -> Callable[[str], _Outcome]:
-    """The one pass over a tensor, for diffs, the fused merge and a reviewed plan.
+) -> Callable[[Sequence[str]], list[_Outcome]]:
+    """The one pass over a run, for diffs, the fused merge and a reviewed plan.
 
-    ``handles`` holds the pass's open shards, one map per model. A planned
-    decision is looked up before any read: a copy reads nothing and
-    yields the base tensor's range, a merge reads every parent and
-    combines without diffing. Otherwise each parent is read once and
-    diffed; without a config the task stops there, with one it gates,
-    then combines a merged tensor block by block or hands on the base
-    bytes already read. Returns (record, decision, output bytes or range,
-    non-finite parents). The kernels are loaded unless every planned
+    ``handles`` holds the pass's open shards, one map per model. Planned
+    decisions are looked up before any read: a copy reads nothing and
+    yields the base tensor's range, a run of merges reads every parent
+    once and combines without diffing. Otherwise each parent's run is
+    read once and diffed; without a config the task stops there, with one
+    it gates each tensor, then combines the merged ones and hands on
+    slices of the base bytes already read for the copies. Returns one
+    (record, decision, output bytes or range, non-finite parents) per
+    tensor of the run. The kernels are loaded unless every planned
     decision is a copy.
     """
     base = models[0]
     if planned is None or any(d.action != ACTION_COPY_BASE for d in planned.values()):
         _load_kernels()
 
-    def read(name: str) -> list[bytes]:
-        return [read_tensor_raw(model, name, handles=fds) for model, fds in zip(models, handles)]
+    def read(run: Sequence[str]) -> list[bytes]:
+        return [
+            read_tensor_raw(model, run[0], handles=fds, last=run[-1])
+            for model, fds in zip(models, handles)
+        ]
 
-    def task(name: str) -> _Outcome:
-        info = base.tensors[name]
-        decision = planned[name] if planned is not None else None
-        record, raws, decoded = None, None, None
-        if decision is None:
-            category = classify(name, scheme)
-            if len(models) == 1 or info.numel == 0:
-                record = DiffRecord(name, category, (0.0,) * (len(models) - 1), 0.0)
+    def task(run: Sequence[str]) -> list[_Outcome]:
+        infos = [base.tensors[name] for name in run]
+        records: list[DiffRecord | None] = [None] * len(run)
+        raws, decoded = None, None
+        if planned is not None:
+            decisions = [planned[name] for name in run]
+        else:
+            categories = [classify(name, scheme) for name in run]
+            if len(models) == 1 or infos[0].numel == 0:
+                zero = (0.0,) * (len(models) - 1)
+                records = [DiffRecord(name, c, zero, 0.0) for name, c in zip(run, categories)]
             else:
-                raws = read(name)
-                record, decoded = _diff_parents(name, category, raws, info)
+                raws = read(run)
+                records, decoded = _diff_parents(run, categories, raws, infos)
             if config is None:
-                return record, None, None, []
-            decision = _decide(record, category, config)
-        if decision.action == ACTION_COPY_BASE:
-            data = raws[0] if raws else tensor_range(base, name, handles=handles[0])
-            return record, decision, data, []
-        raws = raws or read(name)
-        data, bad = _combine(raws, info, decision.lambdas, decoded)
-        return record, decision, data, bad
+                return [(record, None, None, []) for record in records]
+            decisions = [_decide(r, c, config) for r, c in zip(records, categories)]
+        merged = [t for t, d in enumerate(decisions) if d.action != ACTION_COPY_BASE]
+        if merged:
+            raws = raws or read(run)
+            data, found = _combine(raws, infos, merged, decisions[merged[0]].lambdas, decoded)
+            combined, bad = memoryview(data), iter(found)
+        held = memoryview(raws[0]) if raws else None
+        outcomes: list[_Outcome] = []
+        lo = pos = 0  # byte offsets into held and combined
+        for name, info, record, decision in zip(run, infos, records, decisions):
+            if decision.action != ACTION_COPY_BASE:
+                out, bad_models = combined[pos:pos + info.nbytes], next(bad)
+                pos += info.nbytes
+            elif held is not None:
+                out, bad_models = held[lo:lo + info.nbytes], []
+            else:
+                out, bad_models = tensor_range(base, name, handles=handles[0]), []
+            outcomes.append((record, decision, out, bad_models))
+            lo += info.nbytes
+        return outcomes
 
     return task
 
@@ -305,8 +435,8 @@ def compute_diffs(
 ) -> list[DiffRecord]:
     """One DiffRecord per base tensor, streamed with bounded memory.
 
-    At most ``2 * workers`` tensors are in flight (one with one worker),
-    each holding every parent's raw bytes and one block of float64 scratch.
+    At most ``2 * workers`` runs are in flight (one with one worker), each
+    holding every parent's raw bytes and one block of float64 scratch.
 
     The parents must share the base's tensor names, shapes and dtypes;
     they are checked before any tensor is read (CompatibilityError with
@@ -321,9 +451,9 @@ def compute_diffs(
     records = []
     # closing() stops the pool before the descriptors close, on error too.
     with shard_handles(models) as handles, closing(
-        _ordered_parallel(names, _tensor_task(models, handles, scheme), workers)
+        _ordered_parallel(_runs(models, names), _tensor_task(models, handles, scheme), workers)
     ) as results:
-        for record, _, _, _ in results:
+        for record, _, _, _ in chain.from_iterable(results):
             records.append(record)
             if progress is not None:
                 progress(len(records), len(names))
@@ -372,7 +502,7 @@ def execute_merge(
     for the diff, in a reviewed plan the base tensor's byte range, copied
     file to file by the writer. The pass holds one read-only descriptor
     per shard of each parent and closes them all when it ends. At most
-    ``2 * workers`` tensors are in flight (one with one worker); each holds
+    ``2 * workers`` runs are in flight (one with one worker); each holds
     its parents' raw bytes, its output bytes and one block of float64
     scratch. The output mirrors the base's shards, tensor order and index,
     so reruns are byte-identical. ``workers`` below 1 is a ValueError,
@@ -427,10 +557,12 @@ def execute_merge(
 
     # closing() stops the pool before the descriptors close, on error too.
     with shard_handles(models) as handles, closing(_ordered_parallel(
-        layout, _tensor_task(models, handles, config.scheme, config, planned), workers
+        _runs(models, layout, planned),
+        _tensor_task(models, handles, config.scheme, config, planned),
+        workers,
     )) as results:
         out_index = write_checkpoint(
-            stream(results),
+            stream(chain.from_iterable(results)),
             out,
             base=base,
             metadata=_provenance_metadata(config),

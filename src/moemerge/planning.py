@@ -103,9 +103,7 @@ class MergeConfig:
         if len(self.models) < 1:
             raise RecipeError("at least one model is required")
         _check_lambdas(self.lambdas, self, "lambdas")
-        # A real delta is a float by now, unless it is too large for one.
-        if not isinstance(self.delta, float) or not self.delta >= 0:  # also refuses NaN
-            raise RecipeError(f"delta must be a number >= 0, got {self.delta!r}")
+        _check_delta(self.delta)
 
     @classmethod
     def from_json_obj(
@@ -194,6 +192,13 @@ def _float(x: int | float, key: str) -> float:
         return float(x)
     except OverflowError:
         raise RecipeError(f"{key!r} holds a number too large for a float") from None
+
+
+def _check_delta(delta: object) -> None:
+    """The one check on a threshold: a recipe's delta or a sweep's."""
+    # A real delta is a float by now, unless it is too large for one.
+    if not isinstance(delta, float) or not delta >= 0:  # also refuses NaN
+        raise RecipeError(f"delta must be a number >= 0, got {delta!r}")
 
 
 def _check_lambdas(lambdas: object, config: MergeConfig, what: str) -> None:
@@ -569,10 +574,13 @@ def threshold_sweep(
     """Would-merge tensor counts per category for each threshold; no I/O.
 
     Uses the planning gate, so totals are non-increasing in delta. Each
-    name is classified once with ``config.scheme``.
+    name is classified once with ``config.scheme``. Every delta must pass
+    the recipe's check (RecipeError otherwise, before any row is made).
     """
     if not deltas:
         raise ValueError("no deltas given")
+    for delta in deltas:
+        _check_delta(_as_float(delta))
     categories = [classify(record.name, config.scheme) for record in diffs]
     rows = []
     for delta in deltas:

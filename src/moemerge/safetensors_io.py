@@ -12,8 +12,9 @@ shards it references.
 
 Reading a tensor touches only that tensor's byte range, so memory stays
 O(tensor), never O(shard). A pass over weights opens one read-only
-descriptor per shard (``shard_handles``) and reads each tensor from it
-with one positioned read, so threads share descriptors without seeking.
+descriptor per shard (``shard_handles``) and reads each tensor, or each
+run of adjacent tensors, from it with one positioned read, so threads
+share descriptors without seeking.
 There is one header scan (``_scan_header``) and one checkpoint walk
 (``_scan_checkpoint``); both collect every issue instead of raising.
 ``read_header`` and ``open_checkpoint`` raise the first issue that is not
@@ -508,15 +509,42 @@ def tensor_range(index: CheckpointIndex, name: str, handles: Mapping[str, int]) 
     return TensorRange(handles[shard.name], shard.name, offset, length)
 
 
+def _cut_tensor(
+    index: CheckpointIndex, shard: ShardInfo, start: int, end: int, reached: int
+) -> str:
+    """The first tensor of ``shard`` in the absolute span [start, end) whose
+    bytes end past ``reached``, the shard's end."""
+    return min(
+        (info.data_offsets[0], info.name)
+        for info in index.tensors.values()
+        if info.shard == shard.name
+        and start <= shard.data_start + info.data_offsets[0] < end
+        and shard.data_start + info.data_offsets[1] > reached
+    )[1]
+
+
 def read_tensor_raw(
-    index: CheckpointIndex, name: str, handles: Mapping[str, int] | None = None
+    index: CheckpointIndex,
+    name: str,
+    handles: Mapping[str, int] | None = None,
+    *,
+    last: str | None = None,
 ) -> bytes:
     """Read exactly one tensor's bytes with a positioned read, never the shard.
 
     ``handles`` maps shard names to the descriptors a pass holds open (see
     ``shard_handles``); without it the shard is opened for this read alone.
+    With ``last``, the read spans a run of tensors adjacent in one shard:
+    every byte from ``name``'s first to ``last``'s final one. A shard too
+    short raises FormatError naming the first tensor it cannot supply.
     """
     shard, offset, length = _locate(index, name)
+    if last not in (None, name):
+        end_shard, end_offset, end_length = _locate(index, last)
+        if end_shard is not shard or end_offset < offset:
+            raise ValueError(f"tensor {last!r} does not follow {name!r} in one shard")
+        length = end_offset + end_length - offset
+    start, end = offset, offset + length
     fd = handles[shard.name] if handles is not None else os.open(shard.path, os.O_RDONLY)
     parts = []
     try:
@@ -525,7 +553,7 @@ def read_tensor_raw(
         while length:
             part = os.pread(fd, length, offset)
             if not part:
-                raise _past_end(shard.name, name)
+                raise _past_end(shard.name, _cut_tensor(index, shard, start, end, offset))
             parts.append(part)
             offset += len(part)
             length -= len(part)
@@ -616,7 +644,7 @@ def _pack_layout(
     return shards, ("model" + INDEX_SUFFIX, {"total_size": total})
 
 
-_Data = bytes | bytearray | TensorRange
+_Data = bytes | bytearray | memoryview | TensorRange
 
 
 def _next_planned(pairs: Iterator[tuple[TensorInfo, _Data]], want: TensorInfo) -> _Data:
@@ -730,8 +758,9 @@ def write_checkpoint(
 
     The stream must follow the layout's order exactly, and each tensor
     must match its planned dtype, shape and byte length. Data is the
-    tensor's bytes or a ``TensorRange`` whose descriptor stays open until
-    this returns. Each run of ranges adjacent in one source shard is copied
+    tensor's bytes (``bytes``, ``bytearray`` or a byte ``memoryview``) or
+    a ``TensorRange`` whose descriptor stays open until this returns.
+    Each run of ranges adjacent in one source shard is copied
     with ``os.copy_file_range``, or with a bounded read/write loop where
     the kernel cannot copy; a source too short raises FormatError naming
     the shard and tensor.

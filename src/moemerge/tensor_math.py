@@ -27,6 +27,13 @@ and a streaming caller that decodes one block at a time gets the same
 bits as a whole-array call. A tensor of at most one block reduces exactly
 as a single ``np.sum``. Decode, encode and the linear combination are
 elementwise, so blocking them never changes a bit.
+
+Small tensors that lie next to each other are decoded as one array, a
+run (see ``merge_core``). ``squared_diff_sums`` then squares the whole
+run's differences once and reduces each tensor's own slice with its own
+``np.sum``. numpy's pairwise summation of a contiguous slice depends only
+on the slice's values and length, so every tensor gets the same bits as
+when it is reduced alone.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ __all__ = [
     "linear_combination",
     "normalized_frobenius_diff",
     "rms_from_partials",
-    "squared_diff_sum",
+    "squared_diff_sums",
 ]
 
 BLOCK_ELEMS = 1 << 18
@@ -133,16 +140,23 @@ def encode(values: np.ndarray, dtype: DType) -> bytes:
         return buf.astype(_NUMPY_CODECS[dtype]).tobytes()
 
 
-def squared_diff_sum(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of squared element differences of one block, in float64.
+def squared_diff_sums(a: np.ndarray, b: np.ndarray, ends: Sequence[int]) -> list[float]:
+    """Sums of squared element differences, one per segment, in float64.
 
-    This is the per-block partial of the normalized Frobenius difference:
-    ``np.sum`` of ``(a - b)**2``. Callers keep blocks at most
-    ``BLOCK_ELEMS`` long and pass equal lengths.
+    ``(a - b)**2`` is formed once; segment ``i`` is ``[ends[i-1], ends[i])``
+    (the first starts at 0) and is reduced with its own ``np.sum``. These
+    are the per-block partials of the normalized Frobenius difference, or
+    the per-tensor ones of a run of small tensors decoded as one array.
+    Callers pass equal lengths and end the last segment at that length; a
+    streaming caller keeps ``a`` at most ``BLOCK_ELEMS`` long.
     """
     d = np.asarray(a, dtype=np.float64).reshape(-1) - np.asarray(b, dtype=np.float64).reshape(-1)
     np.square(d, out=d)
-    return float(np.sum(d))
+    sums, lo = [], 0
+    for hi in ends:
+        sums.append(float(np.sum(d[lo:hi])))
+        lo = hi
+    return sums
 
 
 def rms_from_partials(partials: Sequence[float], numel: int) -> float:
@@ -174,11 +188,8 @@ def normalized_frobenius_diff(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     if a.size == 0:
         raise ValueError("normalized Frobenius difference of empty tensors")
-    partials = [
-        squared_diff_sum(a[i:i + BLOCK_ELEMS], b[i:i + BLOCK_ELEMS])
-        for i in range(0, a.size, BLOCK_ELEMS)
-    ]
-    return rms_from_partials(partials, a.size)
+    ends = [*range(BLOCK_ELEMS, a.size, BLOCK_ELEMS), a.size]
+    return rms_from_partials(squared_diff_sums(a, b, ends), a.size)
 
 
 def linear_combination(

@@ -266,8 +266,9 @@ def test_failed_force_rerun_leaves_the_earlier_output_intact(workdir, monkeypatc
     merge = ["merge", "--recipe", str(workdir["recipe"]), "--out", str(out), "--force"]
     assert main(merge) == 0
     before = tree_bytes(out)
-    # 33 tensors merge, 29 of them in the first of two shards
-    fail_encode_after(monkeypatch, 30)
+    # the tensors form one run per shard; the second run's encode fails
+    # after the first shard is written
+    fail_encode_after(monkeypatch, 1)
     assert main([*merge, "--lambdas", "0.2,0.8"]) == 1
     assert "disk full" in capsys.readouterr().err
     assert tree_bytes(out) == before
@@ -578,6 +579,17 @@ def test_sweep_delta_zero_counts_all_in_subset(workdir):
     assert int(line[-1]) == sum(1 for r in diffs if r.max_diff > 0)
 
 
+@pytest.mark.parametrize("deltas", ["0.01,nan", "0.01,-1", "-0.5"])
+def test_sweep_refuses_a_delta_a_recipe_refuses(workdir, capsys, deltas):
+    out = workdir["tmp"] / "sweep.csv"
+    code = main([
+        "sweep", "--recipe", str(workdir["recipe"]), "--deltas", deltas, "--out", str(out),
+    ])
+    assert code == 2
+    assert "error: delta must be a number >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- report ----------------------------------------------------------------------
 
 
@@ -619,6 +631,20 @@ def test_report_histogram(diff_cache, workdir):
     attn_total = spec.layers * 7
     assert table[("routed_expert_mlp", 0.001)] == routed_total
     assert table[("attention", 0.015)] == attn_total
+
+
+@pytest.mark.parametrize(
+    "flags", [["--edges", "0.01,nan"], ["--edges", "nan,0.01,0.02"], ["--cutoff", "nan"]],
+    ids=["nan-last-edge", "nan-first-edge", "nan-cutoff"],
+)
+def test_report_histogram_refuses_nan(diff_cache, workdir, capsys, flags):
+    out = workdir["tmp"] / "hist.csv"
+    code = main([
+        "report", "--diffs", str(diff_cache), "--kind", "histogram", *flags, "--out", str(out),
+    ])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_missing_cache_errors(workdir):

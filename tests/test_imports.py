@@ -171,7 +171,7 @@ def wrap(name, fn):
         return fn(*args, **kwargs)
     return wrapper
 
-names = ["decode", "encode", "linear_combination", "squared_diff_sum"]
+names = ["decode", "encode", "linear_combination", "squared_diff_sums"]
 wrappers = {}
 for name in names:
     wrappers[name] = wrap(name, getattr(merge_core, name))

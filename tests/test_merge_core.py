@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,8 +480,9 @@ def test_failed_rerun_leaves_the_earlier_output_byte_identical(tiny_pair, tmp_pa
     out = tmp_path / "m"
     mm.execute_merge(None, pair_config(tiny_pair), out)
     before = tree_bytes(out)
-    # 33 tensors merge, 29 of them in the first of two shards
-    fail_encode_after(monkeypatch, 30)
+    # the tensors form one run per shard; the second run's encode fails
+    # after the first shard is written
+    fail_encode_after(monkeypatch, 1)
     with pytest.raises(OSError, match="disk full"):
         mm.execute_merge(None, pair_config(tiny_pair, lambdas=(0.2, 0.8)), out)
     assert tree_bytes(out) == before
@@ -693,6 +695,28 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def count_tensor_reads(monkeypatch):
+    """Count, per (checkpoint root, tensor name), how often a read covers the
+    tensor's bytes; a read of a run covers every tensor from its first to
+    its ``last``. Also returns the list of reads."""
+    covered, reads = Counter(), []
+    real = merge_core.read_tensor_raw
+
+    def wrapper(index, name, handles=None, *, last=None):
+        data = real(index, name, handles, last=last)
+        first, end = index.tensors[name], index.tensors[last or name]
+        lo, hi = first.data_offsets[0], end.data_offsets[1]
+        assert len(data) == hi - lo
+        reads.append((index.root, name))
+        for info in index.tensors.values():
+            if info.shard == first.shard and lo <= info.data_offsets[0] < hi:
+                covered[(index.root, info.name)] += 1
+        return data
+
+    monkeypatch.setattr(merge_core, "read_tensor_raw", wrapper)
+    return covered, reads
+
+
 def test_copy_only_plan_reads_each_base_tensor_once_and_decodes_nothing(
     tiny_pair, tmp_path, monkeypatch
 ):
@@ -717,24 +741,28 @@ def test_reviewed_merge_reads_once_and_never_diffs(tiny_pair, tmp_path, monkeypa
                          fingerprints(tiny_pair))
     counts = plan.counts()
     assert counts["merged"] > 0 and counts["copied"] > 0
-    reads = count_calls(monkeypatch, "read_tensor_raw")
+    covered, reads = count_tensor_reads(monkeypatch)
     ranges = count_calls(monkeypatch, "tensor_range")
-    diffs = count_calls(monkeypatch, "squared_diff_sum")
+    diffs = count_calls(monkeypatch, "squared_diff_sums")
     mm.execute_merge(plan, cfg, tmp_path / "m")
     assert diffs == []
     copied = [d.name for d in plan.decisions if d.action == ACTION_COPY_BASE]
     assert sorted(name for _, name in ranges) == sorted(copied)
     assert {index.root for index, _ in ranges} == {tiny_pair["base"].root}
-    assert len(reads) == 2 * counts["merged"]
-    assert not {name for _, name in reads} & set(copied)
+    # each parent's bytes of every merged tensor are read once, in runs
+    merged = [d.name for d in plan.decisions if d.action == ACTION_MERGE]
+    models = [tiny_pair["base"], tiny_pair["variant"]]
+    assert covered == Counter((m.root, name) for m in models for name in merged)
+    assert len(reads) < 2 * counts["merged"]
 
 
 def test_fused_pass_reads_each_parent_once_per_tensor(tiny_trio, tmp_path, monkeypatch):
-    reads = count_calls(monkeypatch, "read_tensor_raw")
+    # each parent's tensor bytes are read exactly once, a run at a time
+    covered, reads = count_tensor_reads(monkeypatch)
     mm.execute_merge(None, trio_config(tiny_trio), tmp_path / "m", workers=2)
     models = tiny_trio["models"]
-    expected = Counter((m.root, name) for m in models for name in models[0].tensors)
-    assert Counter((index.root, name) for index, name in reads) == expected
+    assert covered == Counter((m.root, name) for m in models for name in models[0].tensors)
+    assert len(reads) < len(models) * len(models[0].tensors)
 
 
 # --- the I/O of a pass: handles, range copies, fallback ----------------------------------
@@ -847,9 +875,236 @@ def test_a_pass_leaves_no_descriptor_open(tiny_pair, tmp_path, monkeypatch, work
         with pytest.raises(RuntimeError, match="stopped"):
             mm.compute_diffs(models, workers=workers, progress=stop)
     elif run == "fused-fails":
-        fail_encode_after(monkeypatch, 30)
+        fail_encode_after(monkeypatch, 1)  # in the second of two runs
         with pytest.raises(OSError, match="disk full"):
             mm.execute_merge(None, cfg, tmp_path / "m", workers=workers)
     else:
         mm.execute_merge(plan if run == "reviewed" else None, cfg, tmp_path / "m", workers=workers)
     assert open_descriptors() == before
+
+
+# --- runs of small adjacent tensors --------------------------------------------------------
+
+
+RUN_SIZES = [1, 7, 129, 1000, 4099, 333]  # most slices start off an 8-element boundary
+
+
+def to_raw(values, code):
+    """float32 values as the raw bytes of ``code`` (F32 or BF16, truncated)."""
+    bits = np.asarray(values, dtype="<f4")
+    return bits.tobytes() if code == "F32" else (bits.view("<u4") >> 16).astype("<u2").tobytes()
+
+
+def run_parents(tmp_path, n_parents, code="F32", seed=5, edit=None):
+    """Parent files holding tensors t0..t5 of RUN_SIZES, back to back in one run.
+
+    ``edit(parent, tensor, values)`` may change a parent's float32 values
+    before they are written. Returns the paths and each parent's raw bytes
+    per tensor.
+    """
+    rng = np.random.default_rng(seed)
+    first = [rng.standard_normal(n).astype("<f4") for n in RUN_SIZES]
+    paths, raws = [], []
+    for p in range(n_parents):
+        tensors = []
+        for t, values in enumerate(first):
+            values = values if p == 0 else values + np.float32(0.01 * (p + t + 1))
+            if edit is not None:
+                values = edit(p, t, values.copy())
+            tensors.append((f"t{t}", code, [values.size], to_raw(values, code)))
+        path = tmp_path / f"p{p}.safetensors"
+        path.write_bytes(build_safetensors(tensors))
+        paths.append(str(path))
+        raws.append([data for _, _, _, data in tensors])
+    return paths, raws
+
+
+def run_lengths(models, planned=None):
+    return [len(run) for run in merge_core._runs(models, models[0].layout_names(), planned)]
+
+
+def test_run_limits_derive_from_the_block(tmp_path):
+    small, most = merge_core._RUN_TENSOR_ELEMS, merge_core._RUN_ELEMS
+    assert (small, most) == (BLOCK_ELEMS // 16, BLOCK_ELEMS // 4)
+    for n, want in ((small, [1] * 5), (small - 1, [4, 1])):  # 4 * (small - 1) <= most
+        path = tmp_path / f"{n}.safetensors"
+        path.write_bytes(build_safetensors(
+            [(f"t{t}", "BF16", [n], bytes(2 * n)) for t in range(5)]
+        ))
+        model = mm.open_checkpoint(path)
+        assert run_lengths([model, model]) == want
+
+
+@pytest.mark.parametrize("code", ["F32", "BF16"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_records_equal_each_tensor_diffed_alone(tmp_path, code, workers):
+    paths, raws = run_parents(tmp_path, 3, code)
+    models = [mm.open_checkpoint(p) for p in paths]
+    assert run_lengths(models) == [len(RUN_SIZES)]
+    dtype = models[0].tensors["t0"].dtype
+    records = mm.compute_diffs(models, workers=workers)
+    for t, record in enumerate(records):
+        base, *others = (mm.decode(parent[t], dtype) for parent in raws)
+        want = tuple(mm.normalized_frobenius_diff(base, other) for other in others)
+        assert record.name == f"t{t}"
+        assert record.per_model_diff == want  # bit for bit
+        assert record.max_diff == max(want)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_nonfinite_value_in_a_run_is_reported_for_its_tensor_and_parent_only(tmp_path):
+    def edit(parent, tensor, values):
+        if (parent, tensor) == (2, 3):
+            values[17] = np.nan
+        if (parent, tensor) == (1, 5):
+            values[-1] = np.inf
+        return values
+
+    paths, _ = run_parents(tmp_path, 3, edit=edit)
+    cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.5, 0.25, 0.25))
+    models = [mm.open_checkpoint(p) for p in paths]
+    fused, fused_report = mm.execute_merge(None, cfg, tmp_path / "fused")
+    plan = mm.plan_merge(cfg, mm.compute_diffs(models), [m.fingerprint() for m in models])
+    assert all(d.action == ACTION_MERGE for d in plan.decisions)
+    assert run_lengths(models, {d.name: d for d in plan.decisions}) == [len(RUN_SIZES)]
+    reviewed, reviewed_report = mm.execute_merge(plan, cfg, tmp_path / "reviewed")
+    want = [{"name": "t3", "models": [3]}, {"name": "t5", "models": [2]}]
+    assert fused_report.nonfinite == reviewed_report.nonfinite == want
+    assert shard_bytes(fused) == shard_bytes(reviewed)
+
+
+@pytest.mark.parametrize(("code", "snan"), [("F32", 0x7FA12345), ("BF16", 0x7F81)])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_signaling_nan_copied_from_inside_a_run_stays_bit_exact(
+    tmp_path, monkeypatch, code, snan
+):
+    paths, raws = run_parents(tmp_path, 2, code)
+    width = 4 if code == "F32" else 2
+    payload = np.full(RUN_SIZES[2], snan, dtype=f"<u{width}").tobytes()
+    for path in paths:  # t2 becomes the same signaling NaNs in both parents
+        blob = bytearray(Path(path).read_bytes())
+        index = mm.open_checkpoint(path)
+        start = index.shards[0].data_start + index.tensors["t2"].data_offsets[0]
+        blob[start:start + len(payload)] = payload
+        Path(path).write_bytes(bytes(blob))
+    models = [mm.open_checkpoint(p) for p in paths]
+    assert run_lengths(models) == [len(RUN_SIZES)]
+    covered, reads = count_tensor_reads(monkeypatch)
+    cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.5, 0.5))
+    out, report = mm.execute_merge(None, cfg, tmp_path / "m")
+    assert len(reads) == 2  # one read of the run per parent
+    actions = {d.name: d.action for d in report.plan.decisions}
+    assert actions == {f"t{t}": ACTION_COPY_BASE if t == 2 else ACTION_MERGE for t in range(6)}
+    assert mm.read_tensor_raw(out, "t2") == payload
+    dtype = models[0].tensors["t0"].dtype
+    merged = mm.encode(
+        mm.linear_combination([mm.decode(r[3], dtype) for r in raws], (0.5, 0.5)), dtype
+    )
+    assert mm.read_tensor_raw(out, "t3") == merged
+
+
+def write_shards(root, shards):
+    """A checkpoint directory without an index: one file per list of entries."""
+    root.mkdir()
+    for i, entries in enumerate(shards):
+        (root / f"part-{i}.safetensors").write_bytes(build_safetensors(entries))
+    return mm.open_checkpoint(root)
+
+
+@pytest.mark.parametrize("layout", ["reversed", "two-shards"])
+def test_a_variant_in_another_layout_merges_as_per_tensor_reads(tmp_path, layout):
+    paths, raws = run_parents(tmp_path, 2)
+    entries = [(f"t{t}", "F32", [n], raws[1][t]) for t, n in enumerate(RUN_SIZES)]
+    shards = [entries[::-1]] if layout == "reversed" else [entries[:3], entries[3:]]
+    variant = write_shards(tmp_path / "variant", shards)
+    base = mm.open_checkpoint(paths[0])
+    assert run_lengths([base, variant]) == ([1] * 6 if layout == "reversed" else [3, 3])
+    cfg = mm.MergeConfig(models=(paths[0], str(variant.root)), lambdas=(0.25, 0.75))
+    out, report = mm.execute_merge(None, cfg, tmp_path / "m", workers=2)
+    dtype = base.tensors["t0"].dtype
+    for t in range(len(RUN_SIZES)):
+        values = [mm.decode(r[t], dtype) for r in raws]
+        assert report.plan.decisions[t].max_diff == mm.normalized_frobenius_diff(*values)
+        want = mm.encode(mm.linear_combination(values, (0.25, 0.75)), dtype)
+        assert mm.read_tensor_raw(out, f"t{t}") == want
+
+
+def test_a_plan_runs_only_merges_of_equal_weights(tmp_path, monkeypatch):
+    paths, raws = run_parents(tmp_path, 2)
+    models = [mm.open_checkpoint(p) for p in paths]
+    cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.5, 0.5), delta=0.045)
+    overrides = {"t4": (0.25, 0.75), "t5": (0.25, 0.75)}
+    plan = mm.plan_merge(cfg, mm.compute_diffs(models), [m.fingerprint() for m in models],
+                         lambda_overrides=overrides)
+    actions = [d.action for d in plan.decisions]
+    assert actions == [ACTION_COPY_BASE] * 3 + [ACTION_MERGE] * 3  # variant shift 0.01 * (t + 2)
+    assert run_lengths(models, {d.name: d for d in plan.decisions}) == [1, 1, 1, 1, 2]
+    covered, reads = count_tensor_reads(monkeypatch)
+    out, _ = mm.execute_merge(plan, cfg, tmp_path / "m")
+    assert len(reads) == 2 * 2
+    dtype = models[0].tensors["t0"].dtype
+    for t, decision in enumerate(plan.decisions[3:], start=3):
+        values = [mm.decode(r[t], dtype) for r in raws]
+        want = mm.encode(mm.linear_combination(values, decision.lambdas), dtype)
+        assert mm.read_tensor_raw(out, f"t{t}") == want
+
+
+def test_a_shard_truncated_mid_run_names_shard_and_tensor(own_pair, tmp_path):
+    cfg = pair_config(own_pair)
+    out = tmp_path / "m"
+    mm.execute_merge(None, cfg, out)
+    before = tree_bytes(out)
+    models = [own_pair["base"], own_pair["variant"]]
+    runs = list(merge_core._runs(models, models[0].layout_names()))
+    later = next(run for run in runs[1:] if len(run) >= 4)
+    victim = later[3]
+    variant = own_pair["variant"]
+    shard = variant.shard(variant.tensors[victim].shard)
+    cut = shard.data_start + variant.tensors[victim].data_offsets[0] + 1
+
+    def truncate(done, total):  # the first run is written, the later one not yet read
+        if done == 1:
+            os.truncate(shard.path, cut)
+
+    message = f"{shard.name}: tensor '{victim}' byte range ends past end of shard"
+    with pytest.raises(FormatError, match=message):
+        mm.execute_merge(None, cfg, out, progress=truncate)
+    assert tree_bytes(out) == before
+    assert hidden_siblings(out) == []
+
+
+def test_many_experts_merge_identically_at_every_worker_count(tmp_path):
+    spec = dataclasses.replace(TINY_SPEC, layers=2, dense_layers=0, experts=64)
+    base, _ = mm.generate_base(spec, tmp_path / "base")
+    perts = (
+        mm.PerturbationSpec("routed_expert_mlp", "gaussian", 0.01),
+        mm.PerturbationSpec("attention", "shift", 0.002),
+    )
+    variant, _ = mm.generate_variant(spec, perts, tmp_path / "variant")
+    models = [base, variant]
+    assert max(run_lengths(models)) >= 32  # runs end at shard boundaries too
+    cfg = mm.MergeConfig(
+        models=(str(base.root), str(variant.root)), lambdas=(0.5, 0.5),
+        subset=EXPERTS_ONLY_SUBSET,
+    )
+
+    def outputs(workers):
+        records = mm.compute_diffs(models, workers=workers)
+        plan = mm.plan_merge(cfg, records, [m.fingerprint() for m in models])
+        fused, report = mm.execute_merge(None, cfg, tmp_path / f"fused{workers}", workers=workers)
+        reviewed, _ = mm.execute_merge(plan, cfg, tmp_path / f"reviewed{workers}", workers=workers)
+        report = report.to_json_obj()
+        report.pop("elapsed_seconds")
+        return (
+            [r.to_json_obj() for r in records],
+            plan.to_json_text(),
+            report,
+            shard_bytes(fused),
+            shard_bytes(reviewed),
+            (tmp_path / f"fused{workers}" / "merge_plan.json").read_bytes(),
+        )
+
+    first = outputs(1)
+    assert first[3] == first[4]
+    assert outputs(2) == first
+    assert outputs(8) == first

@@ -207,6 +207,21 @@ def test_read_tensor_absent(tiny_base):
         mm.read_tensor_raw(index, "nope")
 
 
+def test_read_a_run_of_adjacent_tensors(tmp_path):
+    p = tmp_path / "m.safetensors"
+    entries = [("a", "F32", [2], f32(1.0, 2.0)), ("b", "F32", [1], f32(3.0)),
+               ("c", "F32", [3], f32(4.0, 5.0, 6.0))]
+    p.write_bytes(build_safetensors(entries))
+    index = mm.open_checkpoint(p)
+    assert mm.read_tensor_raw(index, "a", last="c") == f32(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    assert mm.read_tensor_raw(index, "b", last="b") == f32(3.0)
+    with pytest.raises(ValueError, match="does not follow"):
+        mm.read_tensor_raw(index, "b", last="a")
+    p.write_bytes(p.read_bytes()[:-5])  # cut inside "c"
+    with pytest.raises(FormatError, match="m.safetensors: tensor 'c' byte range ends past"):
+        mm.read_tensor_raw(index, "a", last="c")
+
+
 def test_read_tensor_memory_is_tensor_sized(tmp_path):
     big = np.zeros(2_000_000, dtype="<f4").tobytes()  # 8 MB shard
     small = f32(*range(8))

@@ -1,6 +1,7 @@
 """Kernel tests: independent scalar converters and a compensated-summation
 oracle check the vectorized paths."""
 
+import itertools
 import math
 import struct
 
@@ -207,6 +208,23 @@ def test_diff_scale_within_one_ulp(n, seed, c):
     scaled = normalized_frobenius_diff(c * a, c * b)
     want = abs(c) * normalized_frobenius_diff(a, b)
     assert scaled == pytest.approx(want, rel=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 700), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+def test_segment_sums_equal_each_segment_summed_alone(sizes, seed):
+    # a run of tensors diffed as one array gives each tensor its own bits
+    from moemerge.tensor_math import squared_diff_sums
+
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(sum(sizes))
+    b = a + rng.standard_normal(a.size)
+    ends = list(itertools.accumulate(sizes))
+    alone = [
+        squared_diff_sums(a[hi - n:hi].copy(), b[hi - n:hi].copy(), [n])[0]
+        for n, hi in zip(sizes, ends)
+    ]
+    assert squared_diff_sums(a, b, ends) == alone
 
 
 def test_diff_deterministic():
