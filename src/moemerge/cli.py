@@ -35,7 +35,7 @@ from .errors import (
     MoemergeError,
     RecipeError,
 )
-from .safetensors_io import open_checkpoint, validate_checkpoint
+from .safetensors_io import _scan_checkpoint, open_checkpoint
 from .taxonomy import GROUP_ORDER, TensorGroup, census, resolve_scheme
 
 EXIT_OK = 0
@@ -195,21 +195,11 @@ def cmd_merge(args) -> int:
     else:
         config = _config_from_recipe(args)
         plan = None
-        if args.dry_run:
-            records, fingerprints = _diffs(config.models, config.scheme, args.threads, args.diffs)
-            plan = planning.plan_merge(config, records, fingerprints)
-        elif args.diffs:
+        if args.diffs:
             # Plan with the cache's own fingerprints: execute_merge opens the
             # parents once and refuses them if they no longer match.
             records, fingerprints = planning.load_diff_cache(args.diffs)
             plan = planning.plan_merge(config, records, fingerprints)
-
-    if args.dry_run:
-        _print_plan_table(plan)
-        skeleton = planning.MergeReport(plan, [], 0.0, [])
-        print(json.dumps(skeleton.to_json_obj(), indent=2))
-        _msg("dry run: nothing written")
-        return EXIT_OK
 
     out = Path(args.out)
     if out.exists() and not args.force and (out.is_file() or any(out.iterdir())):
@@ -235,6 +225,7 @@ def cmd_merge(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _config_from_recipe(args)
+    planning.check_deltas(args.deltas)  # before any weights are read
     records, _ = _diffs(config.models, config.scheme, args.threads, args.diffs)
     rows = planning.threshold_sweep(records, config, args.deltas)
     groups = [g.value for g in TensorGroup]
@@ -291,13 +282,13 @@ def cmd_think_freq(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    issues = validate_checkpoint(args.path)
+    index, issues = _scan_checkpoint(Path(args.path))  # one scan of each shard header
     if issues:
         for issue in issues:
             print(str(issue))
         return EXIT_VALIDATION
     _msg(f"{args.path}: OK")
-    for row in census(open_checkpoint(args.path)):
+    for row in census(index):
         layer = "-" if row.layer is None else row.layer
         print(f"layer {layer:>4}  {row.group.value:<22} {row.tensors:>6} tensors")
     return EXIT_OK
@@ -362,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="replace an earlier output in a non-empty --out as a whole; "
                         "other files or subdirectories there are refused")
-    p.add_argument("--dry-run", action="store_true",
-                   help="print the plan and a report skeleton; write nothing")
     _add_worker_flags(p)
     p.set_defaults(func=cmd_merge)
 

@@ -18,12 +18,13 @@ finiteness check per parent, and hands on slices of the base bytes it
 holds for the copies; its plan comes out of the same pass as an audit
 record. A reviewed plan skips the diff: a copy hands the writer the base
 tensor's byte range, which is copied file to file without entering
-Python, and only merged tensors are read, consecutive merges with equal
-weights in runs. The functions that read weights check the parents'
-compatibility once, up front. The gate, the configs, plans and diff
-caches live in ``planning``, which needs no numpy. This module loads
-numpy and the ``tensor_math`` kernels only when a pass decodes, so a
-reviewed copy-only plan runs without them.
+Python, and only merged tensors are read, consecutive merges in runs.
+Every merge weighs the parents by the config's one weight vector. The
+functions that read weights check the parents' compatibility once, up
+front. The gate, the configs, plans and diff caches live in
+``planning``, which needs no numpy. This module loads numpy and the
+``tensor_math`` kernels only when a pass decodes, so a reviewed
+copy-only plan runs without them.
 
 Tasks run on a worker pool whose window of ``2 * workers`` runs is the
 only bound on in-flight work; results are written in base layout order,
@@ -216,7 +217,7 @@ def _joins(
     """Whether tensor ``name`` may follow ``prev`` in a run."""
     if planned is not None:
         d, e = planned[prev], planned[name]
-        if ACTION_COPY_BASE in (d.action, e.action) or d.lambdas != e.lambdas:
+        if ACTION_COPY_BASE in (d.action, e.action):
             return False
     a, b = models[0].tensors[prev], models[0].tensors[name]
     if a.dtype is not b.dtype or not (
@@ -237,8 +238,8 @@ def _runs(
 ) -> Iterator[list[str]]:
     """The pass's units of work: ``layout`` cut into runs, in order.
 
-    In a reviewed plan only merges with equal weights join a run; a copy
-    stays a run of one and is never read.
+    In a reviewed plan only merges join a run; a copy stays a run of one
+    and is never read.
     """
     run: list[str] = []
     elems = 0
@@ -406,7 +407,7 @@ def _tensor_task(
         merged = [t for t, d in enumerate(decisions) if d.action != ACTION_COPY_BASE]
         if merged:
             raws = raws or read(run)
-            data, found = _combine(raws, infos, merged, decisions[merged[0]].lambdas, decoded)
+            data, found = _combine(raws, infos, merged, config.lambdas, decoded)
             combined, bad = memoryview(data), iter(found)
         held = memoryview(raws[0]) if raws else None
         outcomes: list[_Outcome] = []
@@ -490,11 +491,10 @@ def execute_merge(
     ``plan_merge`` over ``compute_diffs``) is attached to the report as
     ``report.plan``. A reviewed plan is checked against its own config
     before anything is opened: ``config`` must equal ``plan.config``, and
-    RecipeError refuses an unknown action or copy reason, or merge weights
-    the config's own lambdas would fail. The parents must still have the
-    header hashes the plan was computed against. Each decision is then
-    taken as given, so copies read only the base and merges are not
-    diffed.
+    RecipeError refuses an unknown action or copy reason. The parents must
+    still have the header hashes the plan was computed against. Each
+    decision is then taken as given, so copies read only the base and
+    merges are not diffed.
 
     Merge decisions decode all parents block by block, combine in float64,
     and re-encode to the original dtype; copy decisions move the base
@@ -516,7 +516,7 @@ def execute_merge(
         config = plan.config
     config.validate()
     if plan is not None:
-        _check_decisions(plan.decisions, config)
+        _check_decisions(plan.decisions)
     models = [open_checkpoint(p) for p in config.models]
     fingerprints = [m.fingerprint() for m in models]
     base = models[0]

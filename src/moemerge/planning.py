@@ -102,7 +102,7 @@ class MergeConfig:
             raise RecipeError(f"models must be a list of paths, got {self.models!r}")
         if len(self.models) < 1:
             raise RecipeError("at least one model is required")
-        _check_lambdas(self.lambdas, self, "lambdas")
+        _check_lambdas(self)
         _check_delta(self.delta)
 
     @classmethod
@@ -201,33 +201,32 @@ def _check_delta(delta: object) -> None:
         raise RecipeError(f"delta must be a number >= 0, got {delta!r}")
 
 
-def _check_lambdas(lambdas: object, config: MergeConfig, what: str) -> None:
-    """The one check on a weight vector: the config's, an override's or a plan's.
+def _check_lambdas(config: MergeConfig) -> None:
+    """The one check on the weight vector.
 
     One finite number per model; non-negative and summing to 1 when the
     config requires a convex merge.
     """
+    lambdas = config.lambdas
     if not isinstance(lambdas, (list, tuple)) or not all(_is_real(lam) for lam in lambdas):
-        raise RecipeError(f"{what} must be a list of numbers, got {lambdas!r}")
+        raise RecipeError(f"lambdas must be a list of numbers, got {lambdas!r}")
     try:
         finite = all(math.isfinite(lam) for lam in lambdas)
     except OverflowError:  # an integer too large for a float
         finite = False
     if not finite:
         # NaN passes both convexity comparisons below, so refuse it here.
-        raise RecipeError(f"{what} must be finite: {list(lambdas)}")
+        raise RecipeError(f"lambdas must be finite: {list(lambdas)}")
     if len(lambdas) != len(config.models):
-        raise RecipeError(
-            f"{what} has {len(lambdas)} weights, expected {len(config.models)}"
-        )
+        raise RecipeError(f"lambdas has {len(lambdas)} weights, expected {len(config.models)}")
     if not config.convex_required:
         return
     if any(lam < 0 for lam in lambdas):
-        raise RecipeError(f"{what} must be non-negative for a convex merge: {list(lambdas)}")
+        raise RecipeError(f"lambdas must be non-negative for a convex merge: {list(lambdas)}")
     total = sum(lambdas)
     if abs(total - 1.0) > CONVEXITY_TOL:
         raise RecipeError(
-            f"{what} must sum to 1 within {CONVEXITY_TOL} for a convex merge "
+            f"lambdas must sum to 1 within {CONVEXITY_TOL} for a convex merge "
             f"(got {total!r}); set convex_required=false to allow this"
         )
 
@@ -249,7 +248,6 @@ _DECISION_FIELDS = {
     **_RECORD_FIELDS,
     "action": (str,),
     "reason": (str, _NONE),
-    "lambdas": (list, _NONE),
 }
 
 
@@ -315,7 +313,6 @@ class MergeDecision:
     action: str  # ACTION_MERGE | ACTION_COPY_BASE
     max_diff: float
     reason: str | None = None  # set for copy decisions
-    lambdas: tuple[float, ...] | None = None  # set for merge decisions
 
 
 @dataclass
@@ -370,7 +367,6 @@ class MergePlan:
                     "action": d.action,
                     "reason": d.reason,
                     "max_diff": d.max_diff,
-                    "lambdas": list(d.lambdas) if d.lambdas is not None else None,
                 }
                 for d in self.decisions
             ],
@@ -399,7 +395,6 @@ class MergePlan:
                 action=e["action"],
                 reason=e["reason"],
                 max_diff=e["max_diff"],
-                lambdas=None if e["lambdas"] is None else tuple(e["lambdas"]),
             ))
         return cls(decisions=decisions, model_fingerprints=obj["models"], config=config)
 
@@ -481,29 +476,16 @@ def plan_merge(
     config: MergeConfig,
     diffs: Sequence[DiffRecord],
     model_fingerprints: Sequence[str],
-    *,
-    lambda_overrides: dict[str, Sequence[float]] | None = None,
 ) -> MergePlan:
     """Resolve the per-tensor case split into an auditable plan.
 
     A tensor merges iff it is in the subset and its max diff strictly
     exceeds delta (ties copy the base). Each name is classified with
-    ``config.scheme``; the records supply only their diffs.
-    ``lambda_overrides`` may replace the weights for individual tensors;
-    overrides are validated like the global weights.
+    ``config.scheme``; the records supply only their diffs. Every merge
+    uses ``config.lambdas``.
     """
     config.validate()
-    overrides = lambda_overrides or {}
-    for name, lams in overrides.items():
-        _check_lambdas(lams, config, f"lambda override for {name!r}")
-    unknown = set(overrides) - {r.name for r in diffs}
-    if unknown:
-        raise RecipeError(f"lambda overrides for unknown tensors: {sorted(unknown)}")
-
-    decisions = [
-        _decide(record, classify(record.name, config.scheme), config, overrides)
-        for record in diffs
-    ]
+    decisions = [_decide(record, classify(record.name, config.scheme), config) for record in diffs]
     return MergePlan(
         decisions=decisions, model_fingerprints=list(model_fingerprints), config=config
     )
@@ -523,40 +505,36 @@ def _copy_reason(
     return None if record.max_diff > delta else REASON_BELOW_THRESHOLD
 
 
-def _decide(
-    record: DiffRecord,
-    category: TensorCategory,
-    config: MergeConfig,
-    overrides: dict[str, Sequence[float]] | None = None,
-) -> MergeDecision:
+def _decide(record: DiffRecord, category: TensorCategory, config: MergeConfig) -> MergeDecision:
     """The per-tensor decision, shared by planning and the fused pass."""
     reason = _copy_reason(record, category, config.subset, config.delta)
-    if reason is None:
-        return MergeDecision(
-            name=record.name,
-            category=category,
-            action=ACTION_MERGE,
-            max_diff=record.max_diff,
-            lambdas=tuple((overrides or {}).get(record.name, config.lambdas)),
-        )
     return MergeDecision(
         name=record.name,
         category=category,
-        action=ACTION_COPY_BASE,
+        action=ACTION_MERGE if reason is None else ACTION_COPY_BASE,
         max_diff=record.max_diff,
         reason=reason,
     )
 
 
-def _check_decisions(decisions: Sequence[MergeDecision], config: MergeConfig) -> None:
-    """Refuse a reviewed plan whose decisions its config could not have made."""
+def _check_decisions(decisions: Sequence[MergeDecision]) -> None:
+    """Refuse a reviewed plan whose decisions no config could have made."""
     for d in decisions:
         if d.action == ACTION_MERGE:
-            _check_lambdas(d.lambdas, config, f"plan lambdas for {d.name!r}")
-        elif d.action != ACTION_COPY_BASE:
+            continue
+        if d.action != ACTION_COPY_BASE:
             raise RecipeError(f"plan decision for {d.name!r} has unknown action {d.action!r}")
-        elif d.reason not in (REASON_NOT_IN_SUBSET, REASON_BELOW_THRESHOLD):
+        if d.reason not in (REASON_NOT_IN_SUBSET, REASON_BELOW_THRESHOLD):
             raise RecipeError(f"plan copy of {d.name!r} has unknown reason {d.reason!r}")
+
+
+def check_deltas(deltas: Sequence[float]) -> None:
+    """The one check on a sweep's thresholds: at least one, and each must
+    pass the recipe's check (ValueError or RecipeError otherwise)."""
+    if not deltas:
+        raise ValueError("no deltas given")
+    for delta in deltas:
+        _check_delta(_as_float(delta))
 
 
 @dataclass(frozen=True)
@@ -574,13 +552,10 @@ def threshold_sweep(
     """Would-merge tensor counts per category for each threshold; no I/O.
 
     Uses the planning gate, so totals are non-increasing in delta. Each
-    name is classified once with ``config.scheme``. Every delta must pass
-    the recipe's check (RecipeError otherwise, before any row is made).
+    name is classified once with ``config.scheme``. The deltas must pass
+    ``check_deltas`` before any row is made.
     """
-    if not deltas:
-        raise ValueError("no deltas given")
-    for delta in deltas:
-        _check_delta(_as_float(delta))
+    check_deltas(deltas)
     categories = [classify(record.name, config.scheme) for record in diffs]
     rows = []
     for delta in deltas:

@@ -354,6 +354,8 @@ def _scan_checkpoint(root: Path) -> tuple[CheckpointIndex, list[ValidationIssue]
     index built from the well-formed entries and every issue found.
     """
     index = CheckpointIndex(root=root, shards=[], tensors={})
+    if not root.exists():
+        return index, [ValidationIssue("missing_file", f"no such path: {root}")]
     issues: list[ValidationIssue] = []
     weight_map: dict[str, str] | None = None
     if root.is_file():
@@ -453,8 +455,6 @@ def validate_checkpoint(target: CheckpointIndex | str | Path) -> list[Validation
     gaps: unused bytes in a data region, which opening tolerates.
     """
     root = target.root if isinstance(target, CheckpointIndex) else Path(target)
-    if not root.exists():
-        return [ValidationIssue("missing_file", f"no such path: {root}")]
     return _scan_checkpoint(root)[1]
 
 

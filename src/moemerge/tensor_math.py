@@ -115,9 +115,13 @@ def decode(raw: bytes | bytearray | memoryview, dtype: DType) -> np.ndarray:
             f"{dtype.byte_width} ({dtype.code})"
         )
     if dtype is DType.BF16:
-        bits = np.frombuffer(raw, dtype="<u2")
-        return _bf16_bits_to_f32(bits).astype(np.float64)
-    return np.frombuffer(raw, dtype=_NUMPY_CODECS[dtype]).astype(np.float64)
+        values = _bf16_bits_to_f32(np.frombuffer(raw, dtype="<u2"))
+    else:
+        values = np.frombuffer(raw, dtype=_NUMPY_CODECS[dtype])
+    # Widening a signaling NaN raises the invalid flag; it stays a NaN,
+    # which a merge reports in its nonfinite inputs.
+    with np.errstate(invalid="ignore"):
+        return values.astype(np.float64)
 
 
 def encode(values: np.ndarray, dtype: DType) -> bytes:

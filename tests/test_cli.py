@@ -1,13 +1,14 @@
 import json
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import moemerge as mm
-from moemerge import merge_core
+from moemerge import merge_core, safetensors_io
 from moemerge.cli import main
 
 from conftest import TINY_SPEC, build_safetensors, fail_encode_after, hidden_siblings, tree_bytes
@@ -106,8 +107,8 @@ def test_plan_base_one_hot_annotated(workdir):
     ])
     assert code == 0
     obj = json.loads(plan_path.read_text())
-    merges = [d for d in obj["decisions"] if d["action"] == "merge"]
-    assert merges and all(d["lambdas"] == [1.0, 0.0] for d in merges)
+    assert obj["config"]["lambdas"] == [1.0, 0.0]
+    assert any(d["action"] == "merge" for d in obj["decisions"])
 
 
 def test_plan_delta_above_everything_copies_all(workdir):
@@ -199,19 +200,6 @@ def test_merge_expert_transplant(workdir):
             assert merged[name] == variant[name]
         else:
             assert merged[name] == base[name]
-
-
-def test_merge_dry_run_writes_nothing(workdir, capsys):
-    out = workdir["tmp"] / "dry"
-    code = main([
-        "merge", "--recipe", str(workdir["recipe"]), "--out", str(out), "--dry-run",
-    ])
-    assert code == 0
-    assert not out.exists()
-    stdout = capsys.readouterr().out
-    skeleton = json.loads(stdout[stdout.index("{"):])
-    assert skeleton["output_files"] == []
-    assert skeleton["counts"]["tensors"] == len(workdir["pair"]["base"].tensors)
 
 
 def test_merge_refuses_nonempty_out_without_force(workdir, capsys):
@@ -336,6 +324,12 @@ def _first(obj, action):
     return next(d for d in obj["decisions"] if d["action"] == action)
 
 
+def _with_decision_lambdas(obj):
+    """A plan as written before its config echo held the only weights."""
+    for d in obj["decisions"]:
+        d["lambdas"] = obj["config"]["lambdas"] if d["action"] == "merge" else None
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -343,19 +337,16 @@ def _first(obj, action):
         (lambda obj: obj["config"].update(lamdas=[0.5, 0.5]),
          "unknown plan config keys ['lamdas']"),
         (lambda obj: obj["config"].update(lambdas="half"), "'lambdas' must be a list of numbers"),
-        (lambda obj: _first(obj, "merge").update(lambdas=None), "must be a list of numbers"),
-        (lambda obj: _first(obj, "merge").update(lambdas=[0.5, 0.25, 0.25]),
-         "has 3 weights, expected 2"),
         (lambda obj: _first(obj, "copy_base").update(action="frobnicate"),
          "unknown action 'frobnicate'"),
         (lambda obj: _first(obj, "copy_base").update(reason="whim"), "unknown reason 'whim'"),
-        (lambda obj: _first(obj, "merge").update(lambdas=[float("nan")] * 2), "must be finite"),
         (lambda obj: obj["config"].update(output={"mode": "mirror"}), "re-run `plan`"),
+        (_with_decision_lambdas, "unknown keys ['lambdas']"),
     ],
     ids=[
-        "echo-not-an-object", "echo-unknown-key", "lambdas-not-a-list", "decision-lambdas-null",
-        "decision-three-weights", "decision-unknown-action", "decision-unknown-copy-reason",
-        "decision-lambdas-nan", "echo-removed-output-key",
+        "echo-not-an-object", "echo-unknown-key", "lambdas-not-a-list",
+        "decision-unknown-action", "decision-unknown-copy-reason", "echo-removed-output-key",
+        "plan-with-decision-lambdas",
     ],
 )
 def test_merge_plan_config_is_validated_like_a_recipe(workdir, capsys, edit, message):
@@ -590,6 +581,13 @@ def test_sweep_refuses_a_delta_a_recipe_refuses(workdir, capsys, deltas):
     assert not out.exists()
 
 
+def test_sweep_checks_its_deltas_before_it_opens_a_parent(tmp_path, capsys):
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps({"models": ["missing-a", "missing-b"], "lambdas": [0.5, 0.5]}))
+    assert main(["sweep", "--recipe", str(recipe), "--deltas", "nan"]) == 2
+    assert "error: delta must be a number >= 0" in capsys.readouterr().err
+
+
 # --- report ----------------------------------------------------------------------
 
 
@@ -784,6 +782,21 @@ def test_validate_clean_and_corrupt(tmp_path, capsys, tiny_pair):
     bad.write_bytes(build_raw({"a": {"dtype": "F32", "shape": [3], "data_offsets": [0, 8]}}, b"\0" * 8))
     assert main(["validate", str(bad)]) == 2
     assert "size_mismatch" in capsys.readouterr().out
+
+
+def test_validate_scans_each_shard_header_once(monkeypatch, capsys, tiny_pair):
+    scanned = Counter()
+    real = safetensors_io._scan_header
+
+    def counting(f, shard=""):
+        scanned[shard] += 1
+        return real(f, shard)
+
+    monkeypatch.setattr(safetensors_io, "_scan_header", counting)
+    base = tiny_pair["base"]
+    assert main(["validate", str(base.root)]) == 0
+    assert "tensors" in capsys.readouterr().out  # the census
+    assert scanned == {shard.name: 1 for shard in base.shards}
 
 
 def test_fixture_command_base_and_variant(tmp_path):

@@ -68,8 +68,6 @@ COMMANDS = {
                         "--deltas", "0,0.01"],
     "heatmap": lambda i: ["report", "--diffs", i["diffs"], "--kind", "heatmap"],
     "histogram": lambda i: ["report", "--diffs", i["diffs"], "--kind", "histogram"],
-    "merge-dry-run": lambda i: ["merge", "--dry-run", "--recipe", i["recipe"],
-                                "--diffs", i["diffs"], "--out", str(i["root"] / "m")],
     "validate": lambda i: ["validate", i["models"][0]],
     "think-freq": lambda i: ["think-freq", i["transcript"]],
 }

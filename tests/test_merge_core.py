@@ -275,29 +275,6 @@ def test_plan_json_round_trip(tiny_pair, tmp_path):
     assert again.config == cfg
 
 
-def test_plan_lambda_overrides(tiny_pair):
-    diffs = mm.compute_diffs([tiny_pair["base"], tiny_pair["variant"]])
-    target = next(r.name for r in diffs if r.max_diff > 0)
-    plan = mm.plan_merge(
-        pair_config(tiny_pair),
-        diffs,
-        fingerprints(tiny_pair),
-        lambda_overrides={target: (0.25, 0.75)},
-    )
-    decision = next(d for d in plan.decisions if d.name == target)
-    assert decision.lambdas == (0.25, 0.75)
-    with pytest.raises(RecipeError, match="sum to 1"):
-        mm.plan_merge(
-            pair_config(tiny_pair), diffs, fingerprints(tiny_pair),
-            lambda_overrides={target: (0.5, 0.9)},
-        )
-    with pytest.raises(RecipeError, match="unknown tensors"):
-        mm.plan_merge(
-            pair_config(tiny_pair), diffs, fingerprints(tiny_pair),
-            lambda_overrides={"nope": (0.5, 0.5)},
-        )
-
-
 # --- execute_merge ----------------------------------------------------------------------
 
 
@@ -351,8 +328,7 @@ def test_execute_zero_diff_neutrality_forced_merge(tiny_pair, tmp_path):
     forced = MergePlan(
         decisions=[
             MergeDecision(
-                name=r.name, category=r.category, action=ACTION_MERGE,
-                max_diff=r.max_diff, lambdas=(0.5, 0.5),
+                name=r.name, category=r.category, action=ACTION_MERGE, max_diff=r.max_diff
             )
             for r in records
         ],
@@ -644,7 +620,6 @@ def test_fused_gate_tie_copies_the_base(tmp_path):
     assert report.plan.decisions[0].action == ACTION_MERGE
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 def test_fused_nan_copy_is_bit_exact_and_merged_nan_is_reported(tmp_path):
     # x: a signaling NaN payload in every parent, so its diff is NaN and it is copied.
     # y: model 3 holds a NaN, but model 2's finite diff opens the gate.
@@ -951,7 +926,6 @@ def test_run_records_equal_each_tensor_diffed_alone(tmp_path, code, workers):
         assert record.max_diff == max(want)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_a_nonfinite_value_in_a_run_is_reported_for_its_tensor_and_parent_only(tmp_path):
     def edit(parent, tensor, values):
         if (parent, tensor) == (2, 3):
@@ -974,7 +948,6 @@ def test_a_nonfinite_value_in_a_run_is_reported_for_its_tensor_and_parent_only(t
 
 
 @pytest.mark.parametrize(("code", "snan"), [("F32", 0x7FA12345), ("BF16", 0x7F81)])
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_a_signaling_nan_copied_from_inside_a_run_stays_bit_exact(
     tmp_path, monkeypatch, code, snan
 ):
@@ -1029,24 +1002,49 @@ def test_a_variant_in_another_layout_merges_as_per_tensor_reads(tmp_path, layout
         assert mm.read_tensor_raw(out, f"t{t}") == want
 
 
-def test_a_plan_runs_only_merges_of_equal_weights(tmp_path, monkeypatch):
-    paths, raws = run_parents(tmp_path, 2)
+def test_a_plan_runs_consecutive_merges_and_a_copy_breaks_the_run(tmp_path, monkeypatch):
+    base = {}
+
+    def edit(parent, tensor, values):  # the variant's t4 equals the base's
+        if parent == 0:
+            base[tensor] = values
+        return base[tensor] if (parent, tensor) == (1, 4) else values
+
+    paths, raws = run_parents(tmp_path, 2, edit=edit)
     models = [mm.open_checkpoint(p) for p in paths]
-    cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.5, 0.5), delta=0.045)
-    overrides = {"t4": (0.25, 0.75), "t5": (0.25, 0.75)}
-    plan = mm.plan_merge(cfg, mm.compute_diffs(models), [m.fingerprint() for m in models],
-                         lambda_overrides=overrides)
+    cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.25, 0.75))
+    plan = mm.plan_merge(cfg, mm.compute_diffs(models), [m.fingerprint() for m in models])
     actions = [d.action for d in plan.decisions]
-    assert actions == [ACTION_COPY_BASE] * 3 + [ACTION_MERGE] * 3  # variant shift 0.01 * (t + 2)
-    assert run_lengths(models, {d.name: d for d in plan.decisions}) == [1, 1, 1, 1, 2]
+    assert actions == [ACTION_MERGE] * 4 + [ACTION_COPY_BASE, ACTION_MERGE]
+    assert run_lengths(models, {d.name: d for d in plan.decisions}) == [4, 1, 1]
     covered, reads = count_tensor_reads(monkeypatch)
     out, _ = mm.execute_merge(plan, cfg, tmp_path / "m")
-    assert len(reads) == 2 * 2
+    assert len(reads) == 2 * 2  # each run of merges once per parent; the copy is not read
     dtype = models[0].tensors["t0"].dtype
-    for t, decision in enumerate(plan.decisions[3:], start=3):
+    for t in range(len(RUN_SIZES)):
         values = [mm.decode(r[t], dtype) for r in raws]
-        want = mm.encode(mm.linear_combination(values, decision.lambdas), dtype)
-        assert mm.read_tensor_raw(out, f"t{t}") == want
+        merged = mm.encode(mm.linear_combination(values, cfg.lambdas), dtype)
+        assert mm.read_tensor_raw(out, f"t{t}") == (raws[0][t] if t == 4 else merged)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("code", "snan"), [("F32", 0x7F800001), ("BF16", 0x7F81)],
+                         ids=["F32", "BF16"])
+def test_a_signaling_nan_decodes_without_a_warning_and_is_reported(tmp_path, code, snan):
+    width = 4 if code == "F32" else 2
+    one = 0x3F800000 >> (32 - 8 * width)
+    assert np.isnan(mm.decode(np.array([snan], f"<u{width}").tobytes(), mm.DType[code])).all()
+    # model 2's finite diff opens the gate; model 3 holds the signaling NaN
+    paths = []
+    for i, first in enumerate((one, 0, snan)):
+        data = np.array([first, one], f"<u{width}").tobytes()
+        path = tmp_path / f"m{i}.safetensors"
+        path.write_bytes(build_safetensors([("x", code, [2], data)]))
+        paths.append(str(path))
+    cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.5, 0.25, 0.25))
+    _, report = mm.execute_merge(None, cfg, tmp_path / "m")
+    assert report.plan.decisions[0].action == ACTION_MERGE
+    assert report.nonfinite == [{"name": "x", "models": [3]}]
 
 
 def test_a_shard_truncated_mid_run_names_shard_and_tensor(own_pair, tmp_path):
