@@ -189,8 +189,11 @@ def reasoning_frequency(
     Malformed records are skipped and counted. Positions are character
     offsets of the first closing-tag occurrence.
 
-    Raises ValueError when no valid record remains (frequency undefined).
+    Raises ValueError for an empty ``close_tag``, which every response
+    contains, and when no valid record remains (frequency undefined).
     """
+    if not close_tag:
+        raise ValueError("the closing tag must not be empty")
     total = 0
     closing = 0
     opening = 0

@@ -20,7 +20,6 @@ copy start without it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import statistics
 import sys
@@ -161,21 +160,8 @@ def _print_plan_table(plan) -> None:
         )
 
 
-def _config_from_recipe(args):
-    """The recipe's config with ``--lambdas``/``--delta`` applied, validated."""
-    config = planning.load_recipe(args.recipe)
-    overrides = {}
-    if getattr(args, "lambdas", None):
-        overrides["lambdas"] = tuple(args.lambdas)
-    if getattr(args, "delta", None) is not None:
-        overrides["delta"] = args.delta
-    config = dataclasses.replace(config, **overrides)
-    config.validate()
-    return config
-
-
 def cmd_plan(args) -> int:
-    config = _config_from_recipe(args)
+    config = planning.load_recipe(args.recipe)
     records, fingerprints = _diffs(config.models, config.scheme, args.threads, args.diffs)
     plan = planning.plan_merge(config, records, fingerprints)
     Path(args.out).write_text(plan.to_json_text(), "utf-8")
@@ -188,12 +174,12 @@ def cmd_merge(args) -> int:
     if bool(args.recipe) == bool(args.plan):
         raise RecipeError("give exactly one of --recipe or --plan")
     if args.plan:
-        if args.lambdas or args.delta is not None or args.diffs:
-            raise RecipeError("--lambda/--delta/--diffs require --recipe, not --plan")
+        if args.diffs:
+            raise RecipeError("--diffs requires --recipe, not --plan")
         plan = planning.load_plan(args.plan)
         config = plan.config
     else:
-        config = _config_from_recipe(args)
+        config = planning.load_recipe(args.recipe)
         plan = None
         if args.diffs:
             # Plan with the cache's own fingerprints: execute_merge opens the
@@ -224,7 +210,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _config_from_recipe(args)
+    config = planning.load_recipe(args.recipe)
     planning.check_deltas(args.deltas)  # before any weights are read
     records, _ = _diffs(config.models, config.scheme, args.threads, args.diffs)
     rows = planning.threshold_sweep(records, config, args.deltas)
@@ -336,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recipe", required=True)
     p.add_argument("--diffs", default=None, help="reuse a diff cache (hash-checked)")
     p.add_argument("--out", required=True, help="plan JSON to write")
-    p.add_argument("--delta", type=float, default=None, help="override recipe delta")
-    p.add_argument("--lambdas", type=_floats_csv, default=None, metavar="L1,L2,...",
-                   help="override recipe lambdas")
     _add_worker_flags(p)
     p.set_defaults(func=cmd_plan)
 
@@ -347,9 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", default=None, help="pre-computed plan JSON")
     p.add_argument("--out", required=True, help="output checkpoint directory")
     p.add_argument("--diffs", default=None, help="reuse a diff cache (hash-checked)")
-    p.add_argument("--delta", type=float, default=None, help="override recipe delta")
-    p.add_argument("--lambdas", type=_floats_csv, default=None, metavar="L1,L2,...",
-                   help="override recipe lambdas")
     p.add_argument("--force", action="store_true",
                    help="replace an earlier output in a non-empty --out as a whole; "
                         "other files or subdirectories there are refused")

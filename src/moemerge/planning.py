@@ -75,8 +75,8 @@ class MergeConfig:
     from the start: model paths are normalized strings and real weights
     and thresholds are floats, so one built in code writes the same plan
     and shard metadata as its echo parses back to. ``validate`` is the one
-    value check, whether the config came from a recipe, a plan's echo, CLI
-    overrides or code.
+    value check, whether the config came from a recipe, a plan's echo or
+    code.
     """
 
     models: tuple[str, ...]
@@ -102,6 +102,8 @@ class MergeConfig:
             raise RecipeError(f"models must be a list of paths, got {self.models!r}")
         if len(self.models) < 1:
             raise RecipeError("at least one model is required")
+        if not isinstance(self.convex_required, bool):
+            raise RecipeError(f"convex_required must be a boolean, got {self.convex_required!r}")
         _check_lambdas(self)
         _check_delta(self.delta)
 
@@ -117,7 +119,8 @@ class MergeConfig:
         already resolved). ``subset`` is ``"full"``, ``"experts-only"`` or a
         custom object (see taxonomy); ``scheme`` is ``null`` (the built-in
         DeepSeek-V3 rules), a path to a rule file or an inline rule list.
-        ``what`` names the document in error messages.
+        ``what`` names the document in error messages. Only what building
+        the config needs is checked here; ``validate`` checks its values.
         """
         if not isinstance(obj, dict):
             raise RecipeError(f"{what} must be a JSON object")
@@ -134,28 +137,17 @@ class MergeConfig:
             or any(not isinstance(m, str) for m in models)
         ):
             raise RecipeError("'models' must be a non-empty list of paths")
-        lambdas = obj["lambdas"]
-        if not isinstance(lambdas, list) or any(
-            not isinstance(x, (int, float)) or isinstance(x, bool) for x in lambdas
-        ):
-            raise RecipeError("'lambdas' must be a list of numbers")
-        delta = obj.get("delta", 0.0)
-        if not isinstance(delta, (int, float)) or isinstance(delta, bool):
-            raise RecipeError("'delta' must be a number")
-        convex = obj.get("convex_required", True)
-        if not isinstance(convex, bool):
-            raise RecipeError("'convex_required' must be a boolean")
         scheme_obj = obj.get("scheme")
         if scheme_obj is not None and not isinstance(scheme_obj, (str, list)):
             raise RecipeError("'scheme' must be null, a path string, or a rule list")
         base_dir = Path(base_dir)
         config = cls(
             models=tuple(base_dir / m for m in models),  # an absolute m stays as it is
-            lambdas=tuple(_float(x, "lambdas") for x in lambdas),
-            delta=_float(delta, "delta"),
+            lambdas=obj["lambdas"],
+            delta=obj.get("delta", 0.0),
             subset=subset_from_json_obj(obj.get("subset", "full")),
             scheme=resolve_scheme(scheme_obj, base_dir),
-            convex_required=convex,
+            convex_required=obj.get("convex_required", True),
         )
         config.validate()
         return config
@@ -184,14 +176,6 @@ def _as_float(x: object) -> object:
         except OverflowError:
             pass
     return x
-
-
-def _float(x: int | float, key: str) -> float:
-    """A JSON number as a float; RecipeError for an integer too large for one."""
-    try:
-        return float(x)
-    except OverflowError:
-        raise RecipeError(f"{key!r} holds a number too large for a float") from None
 
 
 def _check_delta(delta: object) -> None:
@@ -380,11 +364,6 @@ class MergePlan:
         against the config by ``execute_merge``.
         """
         _check_document(obj, "plan", {"version", "models", "config", "decisions"}, "decisions")
-        if isinstance(obj["config"], dict) and "output" in obj["config"]:
-            raise RecipeError(
-                "plan config names the removed 'output' key: the plan was written "
-                "by an older release; re-run `plan` to write it again"
-            )
         config = MergeConfig.from_json_obj(obj["config"], what="plan config")
         decisions = []
         for i, e in enumerate(obj["decisions"]):

@@ -249,7 +249,8 @@ class SubsetSpec:
     MLP tensors (router gates excluded); CUSTOM selects by group membership,
     optionally overridden by ordered (pattern, include) name rules — first
     matching pattern wins, unmatched names fall back to group membership,
-    and unclassified (OTHER) tensors default to excluded.
+    and unclassified (OTHER) tensors are excluded unless listed or included
+    by a pattern.
     """
 
     mode: SubsetMode = SubsetMode.FULL
@@ -279,8 +280,6 @@ def in_subset(
         for regex, include in spec._compiled_patterns:  # type: ignore[attr-defined]
             if regex.match(name):
                 return include
-    if category.group is TensorGroup.OTHER:
-        return False
     return category.group in spec.custom_groups
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 from collections import Counter
@@ -24,6 +25,15 @@ def workdir(tmp_path, tiny_pair):
     recipe_path = tmp_path / "recipe.json"
     recipe_path.write_text(json.dumps(recipe))
     return {"tmp": tmp_path, "recipe": recipe_path, "pair": tiny_pair}
+
+
+def recipe_with(workdir, name, **fields):
+    """A second recipe file beside the workdir's, with ``fields`` changed."""
+    recipe = json.loads(workdir["recipe"].read_text())
+    recipe.update(fields)
+    path = workdir["tmp"] / name
+    path.write_text(json.dumps(recipe))
+    return path
 
 
 def read_all_bytes(root: Path) -> dict[str, bytes]:
@@ -86,10 +96,7 @@ def test_plan_writes_inspectable_json(workdir, capsys):
 
 
 def test_plan_experts_only_copies_non_experts(workdir):
-    recipe = json.loads(workdir["recipe"].read_text())
-    recipe["subset"] = "experts-only"
-    rp = workdir["tmp"] / "experts.json"
-    rp.write_text(json.dumps(recipe))
+    rp = recipe_with(workdir, "experts.json", subset="experts-only")
     plan_path = workdir["tmp"] / "plan.json"
     assert main(["plan", "--recipe", str(rp), "--out", str(plan_path)]) == 0
     obj = json.loads(plan_path.read_text())
@@ -100,24 +107,18 @@ def test_plan_experts_only_copies_non_experts(workdir):
 
 
 def test_plan_base_one_hot_annotated(workdir):
+    rp = recipe_with(workdir, "one_hot.json", lambdas=[1.0, 0.0])
     plan_path = workdir["tmp"] / "plan.json"
-    code = main([
-        "plan", "--recipe", str(workdir["recipe"]), "--out", str(plan_path),
-        "--lambdas", "1.0,0.0",
-    ])
-    assert code == 0
+    assert main(["plan", "--recipe", str(rp), "--out", str(plan_path)]) == 0
     obj = json.loads(plan_path.read_text())
     assert obj["config"]["lambdas"] == [1.0, 0.0]
     assert any(d["action"] == "merge" for d in obj["decisions"])
 
 
 def test_plan_delta_above_everything_copies_all(workdir):
+    rp = recipe_with(workdir, "high_delta.json", delta=999.0)
     plan_path = workdir["tmp"] / "plan.json"
-    code = main([
-        "plan", "--recipe", str(workdir["recipe"]), "--out", str(plan_path),
-        "--delta", "999.0",
-    ])
-    assert code == 0
+    assert main(["plan", "--recipe", str(rp), "--out", str(plan_path)]) == 0
     obj = json.loads(plan_path.read_text())
     assert all(d["action"] == "copy_base" for d in obj["decisions"])
 
@@ -184,10 +185,9 @@ def test_merge_plan_from_a_base_truncated_after_planning_exits_2(tiny_pair, tmp_
 
 
 def test_merge_expert_transplant(workdir):
-    recipe = json.loads(workdir["recipe"].read_text())
-    recipe.update({"lambdas": [0.0, 1.0], "subset": "experts-only", "delta": 0.0})
-    rp = workdir["tmp"] / "transplant.json"
-    rp.write_text(json.dumps(recipe))
+    rp = recipe_with(
+        workdir, "transplant.json", lambdas=[0.0, 1.0], subset="experts-only", delta=0.0
+    )
     out = workdir["tmp"] / "transplant"
     assert main(["merge", "--recipe", str(rp), "--out", str(out)]) == 0
     pair = workdir["pair"]
@@ -242,8 +242,9 @@ def test_merge_force_refuses_an_out_holding_other_entries(workdir, capsys, entry
     else:
         (out / entry).write_text("{}")
     before = tree_bytes(out)
+    other = recipe_with(workdir, "other_weights.json", lambdas=[0.2, 0.8])
     capsys.readouterr()
-    assert main([*merge, "--lambdas", "0.2,0.8"]) == 1
+    assert main(["merge", "--recipe", str(other), "--out", str(out), "--force"]) == 1
     assert entry in capsys.readouterr().err
     assert tree_bytes(out) == before
     assert hidden_siblings(out) == []
@@ -257,7 +258,8 @@ def test_failed_force_rerun_leaves_the_earlier_output_intact(workdir, monkeypatc
     # the tensors form one run per shard; the second run's encode fails
     # after the first shard is written
     fail_encode_after(monkeypatch, 1)
-    assert main([*merge, "--lambdas", "0.2,0.8"]) == 1
+    other = recipe_with(workdir, "other_weights.json", lambdas=[0.2, 0.8])
+    assert main(["merge", "--recipe", str(other), "--out", str(out), "--force"]) == 1
     assert "disk full" in capsys.readouterr().err
     assert tree_bytes(out) == before
     assert hidden_siblings(out) == []
@@ -336,11 +338,12 @@ def _with_decision_lambdas(obj):
         (lambda obj: obj.update(config=5), "plan config must be a JSON object"),
         (lambda obj: obj["config"].update(lamdas=[0.5, 0.5]),
          "unknown plan config keys ['lamdas']"),
-        (lambda obj: obj["config"].update(lambdas="half"), "'lambdas' must be a list of numbers"),
+        (lambda obj: obj["config"].update(lambdas="half"), "lambdas must be a list of numbers"),
         (lambda obj: _first(obj, "copy_base").update(action="frobnicate"),
          "unknown action 'frobnicate'"),
         (lambda obj: _first(obj, "copy_base").update(reason="whim"), "unknown reason 'whim'"),
-        (lambda obj: obj["config"].update(output={"mode": "mirror"}), "re-run `plan`"),
+        (lambda obj: obj["config"].update(output={"mode": "mirror"}),
+         "unknown plan config keys ['output']"),
         (_with_decision_lambdas, "unknown keys ['lambdas']"),
     ],
     ids=[
@@ -375,10 +378,7 @@ def test_merge_plan_config_is_validated_like_a_recipe(workdir, capsys, edit, mes
 )
 def test_recipe_naming_a_removed_output_key_exits_2_and_writes_nothing(workdir, capsys, output):
     """A child takes its base's layout, so a recipe names no output settings at all."""
-    recipe = json.loads(workdir["recipe"].read_text())
-    recipe["output"] = output
-    rp = workdir["tmp"] / "named.json"
-    rp.write_text(json.dumps(recipe))
+    rp = recipe_with(workdir, "named.json", output=output)
     out = workdir["tmp"] / "m"
     out.mkdir()
     before = tree_bytes(workdir["tmp"])
@@ -388,22 +388,15 @@ def test_recipe_naming_a_removed_output_key_exits_2_and_writes_nothing(workdir, 
     assert tree_bytes(workdir["tmp"]) == before
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--lambdas", "nan,nan"], "lambdas must be finite"),
-        (["--delta", "nan"], "delta must be a number >= 0"),
-    ],
-    ids=["lambdas-nan", "delta-nan"],
-)
+@pytest.mark.parametrize("flag", ["--lambdas", "--delta"])
 @pytest.mark.parametrize("command", ["plan", "merge"])
-def test_nonfinite_overrides_exit_2_and_write_nothing(workdir, capsys, command, flags, message):
-    before = tree_bytes(workdir["tmp"])
-    out = workdir["tmp"] / "out"
-    assert main([command, "--recipe", str(workdir["recipe"]), "--out", str(out), *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
-    assert tree_bytes(workdir["tmp"]) == before
+def test_recipe_fields_have_no_flags(workdir, capsys, command, flag):
+    """The recipe file is the only way to state a config."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--recipe", str(workdir["recipe"]), "--out", str(workdir["tmp"] / "out"),
+              flag, "0.5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
 
 def test_merge_plan_refuses_diffs(workdir, capsys):
@@ -426,10 +419,7 @@ def experts_to_other(workdir):
     tmp, pair = workdir["tmp"], workdir["pair"]
     scheme = [{"pattern": "model.layers.{layer}.mlp.experts.**", "group": "other"}]
     (tmp / "scheme.json").write_text(json.dumps(scheme + mm.DEFAULT_SCHEME.to_json_obj()))
-    recipe = json.loads(workdir["recipe"].read_text())
-    recipe.update(subset="experts-only", scheme="scheme.json")
-    rp = tmp / "experts.json"
-    rp.write_text(json.dumps(recipe))
+    rp = recipe_with(workdir, "experts.json", subset="experts-only", scheme="scheme.json")
     cache = tmp / "default_diffs.json"
     assert main(["diff", str(pair["base"].root), str(pair["variant"].root),
                  "--out", str(cache)]) == 0
@@ -711,6 +701,9 @@ _MALFORMED = [
      lambda o: _first_entry(o, "decisions", lambda d: _with(d, max_diff=True))),
     ("recipe-huge-lambda", "plan --recipe", "recipe", lambda o: _with(o, lambdas=[10**400, 0])),
     ("recipe-huge-delta", "plan --recipe", "recipe", lambda o: _with(o, delta=10**400)),
+    ("recipe-nan-lambda", "plan --recipe", "recipe",
+     lambda o: _with(o, lambdas=[math.nan, math.nan])),
+    ("recipe-nan-delta", "plan --recipe", "recipe", lambda o: _with(o, delta=math.nan)),
 ]
 
 
@@ -769,6 +762,16 @@ def test_think_freq_custom_tags(tmp_path, capsys):
         "think-freq", str(transcript), "--open-tag", "<r>", "--close-tag", "</r>",
     ]) == 0
     assert json.loads(capsys.readouterr().out)["frequency"] == 1.0
+
+
+def test_think_freq_refuses_an_empty_close_tag(tmp_path, capsys):
+    """Every string contains the empty string, so the frequency would read 1.0."""
+    transcript = tmp_path / "t.ndjson"
+    write_transcript(transcript, ["no tags here", "none here either"])
+    out = tmp_path / "stats.json"
+    assert main(["think-freq", str(transcript), "--close-tag", "", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 # --- validate / fixture --------------------------------------------------------------

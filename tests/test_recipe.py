@@ -133,6 +133,7 @@ def test_config_is_canonical_when_made():
         (dict(lambdas=(True, False)), "must be a list of numbers"),
         (dict(delta="small"), "delta must be a number >= 0"),
         (dict(delta=10**400), "delta must be a number >= 0"),
+        (dict(convex_required="yes"), "convex_required must be a boolean"),
     ):
         with pytest.raises(RecipeError, match=message):
             dataclasses.replace(config, **bad).validate()

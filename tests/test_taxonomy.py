@@ -128,8 +128,11 @@ def test_in_subset_custom_groups():
     spec = SubsetSpec(SubsetMode.CUSTOM, custom_groups=frozenset({TensorGroup.ATTENTION}))
     assert in_subset(classify("model.layers.0.self_attn.o_proj.weight"), spec)
     assert not in_subset(classify("model.layers.4.mlp.gate.weight"), spec)
-    # unclassified tensors default to excluded under custom subsets
+    # unclassified tensors are excluded under custom subsets unless listed
     assert not in_subset(classify("mystery.weight"), spec)
+    listed = subset_from_json_obj({"groups": ["other"]})
+    assert in_subset(classify("mystery.weight"), listed, "mystery.weight")
+    assert not in_subset(classify("model.layers.0.self_attn.o_proj.weight"), listed)
 
 
 def test_in_subset_custom_patterns_override_groups():
