@@ -189,9 +189,12 @@ def reasoning_frequency(
     Malformed records are skipped and counted. Positions are character
     offsets of the first closing-tag occurrence.
 
-    Raises ValueError for an empty ``close_tag``, which every response
-    contains, and when no valid record remains (frequency undefined).
+    Raises ValueError for an empty ``open_tag`` or ``close_tag``, which
+    every response contains, and when no valid record remains (frequency
+    undefined).
     """
+    if not open_tag:
+        raise ValueError("the opening tag must not be empty")
     if not close_tag:
         raise ValueError("the closing tag must not be empty")
     total = 0
@@ -212,7 +215,7 @@ def reasoning_frequency(
             continue
         rid = str(obj.get("id", i))
         total += 1
-        if open_tag and open_tag in response:
+        if open_tag in response:
             opening += 1
         pos = response.find(close_tag)
         if pos >= 0:

@@ -34,7 +34,7 @@ from .errors import (
     MoemergeError,
     RecipeError,
 )
-from .safetensors_io import _scan_checkpoint, open_checkpoint
+from .safetensors_io import _scan_checkpoint, header_fingerprint, open_checkpoint
 from .taxonomy import GROUP_ORDER, TensorGroup, census, resolve_scheme
 
 EXIT_OK = 0
@@ -99,16 +99,18 @@ def _summarize_diffs(records) -> list[dict]:
 
 
 def _diffs(paths, scheme, threads: int, cache: str | None = None):
-    """Open the parents, then load ``cache`` (hash-checked) or compute the diffs.
+    """Load ``cache`` (hash-checked) or open the parents and compute the diffs.
 
-    A cache reads no weights: its fingerprints pin the headers whose
-    compatibility ``compute_diffs`` checked.
+    A cache reads no weights and parses no parent header: its fingerprints
+    pin the headers whose compatibility ``compute_diffs`` checked, so each
+    parent's header bytes are only hashed.
     """
-    models = [open_checkpoint(p) for p in paths]
-    fingerprints = [m.fingerprint() for m in models]
     if cache:
+        fingerprints = [header_fingerprint(p) for p in paths]
         records, _ = planning.load_diff_cache(cache, fingerprints)
         return records, fingerprints
+    models = [open_checkpoint(p) for p in paths]
+    fingerprints = [m.fingerprint() for m in models]
     from . import merge_core
 
     records = merge_core.compute_diffs(

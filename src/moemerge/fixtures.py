@@ -258,9 +258,13 @@ def _emit_checkpoint(
     path: str | Path,
     perturbations: tuple[PerturbationSpec, ...],
     sidecar: str,
-) -> tuple[CheckpointIndex, list[dict], dict[str, dict]]:
+) -> tuple[CheckpointIndex, list[dict] | dict[str, dict]]:
+    """Write the checkpoint and the one table its sidecar holds: a base's
+    manifest or a variant's expected-diff table. Returns (index, table)."""
     manifest: list[dict] = []
     expected: dict[str, dict] = {}
+    is_base = sidecar == MANIFEST_NAME
+    table = manifest if is_base else expected
     matched: set[int] = set()
     entries = list(iter_tensor_entries(spec))
     infos = []
@@ -288,19 +292,20 @@ def _emit_checkpoint(
                     )
                     values = values + noise_rng.standard_normal(numel) * applied.magnitude
             data = tensor_math.encode(values, dtype)
-            cat = classify(name)
-            manifest.append(
-                {
-                    "name": name,
-                    "group": group.value,
-                    "layer": cat.layer,
-                    "expert": cat.expert,
-                    "shape": list(shape),
-                    "dtype": dtype.code,
-                    "checksum": hashlib.sha256(data).hexdigest(),
-                }
-            )
-            if applied is None:
+            if is_base:
+                cat = classify(name)
+                manifest.append(
+                    {
+                        "name": name,
+                        "group": group.value,
+                        "layer": cat.layer,
+                        "expert": cat.expert,
+                        "shape": list(shape),
+                        "dtype": dtype.code,
+                        "checksum": hashlib.sha256(data).hexdigest(),
+                    }
+                )
+            elif applied is None:
                 expected[name] = {"expected_diff": 0.0, "kind": "none", "bound": 0.0}
             elif applied.kind == "shift":
                 expected[name] = {
@@ -323,20 +328,19 @@ def _emit_checkpoint(
         unmatched = [p.selector for i, p in enumerate(perturbations) if i not in matched]
         if unmatched:
             raise FixtureError(f"perturbation selectors matched nothing: {unmatched}")
-        return json.dumps(manifest if sidecar == MANIFEST_NAME else expected, indent=2) + "\n"
+        return json.dumps(table, indent=2) + "\n"
 
     index = write_checkpoint(
         stream(), path, base=infos, sidecars={sidecar: render},
         max_shard_bytes=spec.max_shard_bytes,
     )
-    return index, manifest, expected
+    return index, table
 
 
 def generate_base(spec: FixtureSpec, path: str | Path) -> tuple[CheckpointIndex, list[dict]]:
     """Write a fixture checkpoint and its manifest; returns (index, manifest)."""
     base_spec = replace(spec, perturbations=())
-    index, manifest, _ = _emit_checkpoint(base_spec, path, (), MANIFEST_NAME)
-    return index, manifest
+    return _emit_checkpoint(base_spec, path, (), MANIFEST_NAME)
 
 
 def generate_variant(
@@ -352,5 +356,4 @@ def generate_variant(
     selector matches no tensor, and then writes nothing.
     """
     perts = tuple(perturbations)
-    index, _, expected = _emit_checkpoint(spec, path, perts, EXPECTED_DIFFS_NAME)
-    return index, expected
+    return _emit_checkpoint(spec, path, perts, EXPECTED_DIFFS_NAME)

@@ -15,11 +15,17 @@ O(tensor), never O(shard). A pass over weights opens one read-only
 descriptor per shard (``shard_handles``) and reads each tensor, or each
 run of adjacent tensors, from it with one positioned read, so threads
 share descriptors without seeking.
-There is one header scan (``_scan_header``) and one checkpoint walk
-(``_scan_checkpoint``); both collect every issue instead of raising.
-``read_header`` and ``open_checkpoint`` raise the first issue that is not
-a gap (unused bytes in a data region, which opening tolerates);
-``validate_checkpoint`` returns them all.
+There is one header reader (``_read_header``: the length prefix and
+header bytes, read once and hashed), one header scan (``_scan_header``,
+which parses what the reader returns), one shard-list rule
+(``_shard_paths``), one checkpoint walk (``_scan_checkpoint``) and one
+fingerprint formula (``_fingerprint``); all collect every issue instead
+of raising. ``read_header`` and ``open_checkpoint`` raise the first issue
+that is not a gap (unused bytes in a data region, which opening
+tolerates); ``validate_checkpoint`` returns them all.
+``header_fingerprint`` lists and reads the shards the same way but
+parses no header: it returns ``open_checkpoint(path).fingerprint()`` for
+callers that need only the identity of a checkpoint's headers.
 
 There is one writer (``write_checkpoint``). Its required ``base`` fixes
 every shard's name, tensors and header before the first byte is written
@@ -134,13 +140,19 @@ class CheckpointIndex:
 
     def fingerprint(self) -> str:
         """Stable identity of the checkpoint's headers (not its data bytes)."""
-        h = hashlib.sha256()
-        for s in self.shards:
-            h.update(s.name.encode("utf-8"))
-            h.update(b"\x00")
-            h.update(s.header_hash.encode("ascii"))
-            h.update(b"\n")
-        return h.hexdigest()
+        return _fingerprint((s.name, s.header_hash) for s in self.shards)
+
+
+def _fingerprint(shards: Iterable[tuple[str, str]]) -> str:
+    """The one fingerprint formula over (shard name, header hash) pairs, in
+    shard order."""
+    h = hashlib.sha256()
+    for name, header_hash in shards:
+        h.update(name.encode("utf-8"))
+        h.update(b"\x00")
+        h.update(header_hash.encode("ascii"))
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -226,6 +238,37 @@ class _HeaderScan:
     issues: list[ValidationIssue] = field(default_factory=list)
 
 
+def _read_header(f: BinaryIO, shard: str = "") -> tuple[_HeaderScan, bytes]:
+    """The one header reader: a shard's length prefix and header bytes, read once.
+
+    Returns a scan with ``header_size``, ``header_hash`` and ``data_size``
+    set, and the header bytes. A prefix that is truncated or whose length
+    passes the sanity bound or the end of the file is a ``parse_error``
+    issue instead, with no bytes. Never parses the header.
+    """
+    scan = _HeaderScan()
+    pos = f.tell()
+    file_size = f.seek(0, os.SEEK_END) - pos
+    f.seek(pos)
+    prefix = f.read(8)
+    if len(prefix) < 8:
+        problem = "truncated file: missing 8-byte header length"
+    else:
+        (header_size,) = _HEADER_PREFIX.unpack(prefix)
+        if header_size > _MAX_HEADER_BYTES:
+            problem = f"header length {header_size} exceeds sanity bound"
+        elif 8 + header_size > file_size:
+            problem = f"header length {header_size} exceeds file size {file_size}"
+        else:
+            header_bytes = f.read(header_size)
+            scan.header_size = header_size
+            scan.header_hash = hashlib.sha256(prefix + header_bytes).hexdigest()
+            scan.data_size = file_size - 8 - header_size
+            return scan, header_bytes
+    scan.issues.append(ValidationIssue("parse_error", problem, shard=shard or None))
+    return scan, b""
+
+
 def _scan_header(f: BinaryIO, shard: str = "") -> _HeaderScan:
     """The one header parser: read prefix and header once, report every issue.
 
@@ -233,30 +276,15 @@ def _scan_header(f: BinaryIO, shard: str = "") -> _HeaderScan:
     (duplicate names included), ``__metadata__``, every entry, and then
     every byte range against the data region (overlaps, overruns, gaps).
     """
-    scan = _HeaderScan()
+    scan, header_bytes = _read_header(f, shard)
+    if scan.issues:
+        return scan
     where = shard or None
 
     def issue(kind: str, detail: str, name: str | None = None) -> _HeaderScan:
         scan.issues.append(ValidationIssue(kind, detail, shard=where, name=name))
         return scan
 
-    pos = f.tell()
-    file_size = f.seek(0, os.SEEK_END) - pos
-    f.seek(pos)
-    prefix = f.read(8)
-    if len(prefix) < 8:
-        return issue("parse_error", "truncated file: missing 8-byte header length")
-    (header_size,) = _HEADER_PREFIX.unpack(prefix)
-    if header_size > _MAX_HEADER_BYTES:
-        return issue("parse_error", f"header length {header_size} exceeds sanity bound")
-    if 8 + header_size > file_size:
-        return issue(
-            "parse_error", f"header length {header_size} exceeds file size {file_size}"
-        )
-    header_bytes = f.read(header_size)
-    scan.header_size = header_size
-    scan.header_hash = hashlib.sha256(prefix + header_bytes).hexdigest()
-    scan.data_size = file_size - 8 - header_size
     try:
         obj = json.loads(
             header_bytes.decode("utf-8"), object_pairs_hook=_reject_duplicate_keys
@@ -346,39 +374,57 @@ def _load_index(root: Path) -> tuple[str, dict[str, str], dict | None] | None:
     return path.name, weight_map, obj.get("metadata")
 
 
+def _shard_paths(
+    root: Path, issues: list[ValidationIssue]
+) -> tuple[list[Path], tuple[str, dict[str, str], dict | None] | None]:
+    """The one shard-list rule: the file itself, the shards the index
+    references, or every ``*.safetensors`` file of an index-less directory.
+
+    Returns the shards present, in order, and the loaded index (or None).
+    A missing path, a bad index, an empty list and each listed shard that
+    is missing append an issue to ``issues``.
+    """
+    if not root.exists():
+        issues.append(ValidationIssue("missing_file", f"no such path: {root}"))
+        return [], None
+    if root.is_file():
+        return [root], None
+    try:
+        loaded = _load_index(root)
+    except FormatError as exc:
+        issues.append(ValidationIssue("index_error", str(exc)))
+        return [], None
+    if loaded is None:
+        paths = sorted(p for p in root.glob("*.safetensors") if p.is_file())
+    else:
+        paths = [root / n for n in sorted(set(loaded[1].values()))]
+    if not paths:
+        issues.append(ValidationIssue("empty", f"{root}: no .safetensors files found"))
+    present = []
+    for path in paths:
+        if path.is_file():
+            present.append(path)
+        else:
+            detail = f"missing shard {path.name!r} referenced by index"
+            issues.append(ValidationIssue("missing_shard", detail))
+    return present, loaded
+
+
 def _scan_checkpoint(root: Path) -> tuple[CheckpointIndex, list[ValidationIssue]]:
     """The one walk behind ``open_checkpoint`` and ``validate_checkpoint``.
 
-    The shard set is the file itself, the shards the index references, or
-    every ``*.safetensors`` file of an index-less directory. Returns the
-    index built from the well-formed entries and every issue found.
+    Scans every shard ``_shard_paths`` lists. Returns the index built from
+    the well-formed entries and every issue found.
     """
     index = CheckpointIndex(root=root, shards=[], tensors={})
-    if not root.exists():
-        return index, [ValidationIssue("missing_file", f"no such path: {root}")]
     issues: list[ValidationIssue] = []
     weight_map: dict[str, str] | None = None
-    if root.is_file():
-        shard_paths = [root]
-    else:
-        try:
-            loaded = _load_index(root)
-        except FormatError as exc:
-            return index, [ValidationIssue("index_error", str(exc))]
-        if loaded is None:
-            shard_paths = sorted(p for p in root.glob("*.safetensors") if p.is_file())
-        else:
-            index.index_name, weight_map, index.index_metadata = loaded
-            shard_paths = [root / n for n in sorted(set(weight_map.values()))]
-    if not shard_paths:
-        issues.append(ValidationIssue("empty", f"{root}: no .safetensors files found"))
+    shard_paths, loaded = _shard_paths(root, issues)
+    if loaded is not None:
+        index.index_name, weight_map, index.index_metadata = loaded
 
     scanned: dict[str, dict[str, TensorInfo]] = {}
     for path in shard_paths:
-        if not path.is_file():
-            detail = f"missing shard {path.name!r} referenced by index"
-            issues.append(ValidationIssue("missing_shard", detail))
-            continue
         with open(path, "rb") as f:
             scan = _scan_header(f, path.name)
         issues.extend(scan.issues)
@@ -445,6 +491,31 @@ def open_checkpoint(path: str | Path) -> CheckpointIndex:
     index, issues = _scan_checkpoint(root)
     _raise_first(issues)
     return index
+
+
+def header_fingerprint(path: str | Path) -> str:
+    """``open_checkpoint(path).fingerprint()``, from header bytes alone.
+
+    Lists the shards as opening does (reading the index, if any), then
+    reads each shard's length prefix and header bytes and hashes them, but
+    never parses a header or checks an entry. Raises
+    like ``open_checkpoint`` for what it sees: FileNotFoundError for a
+    missing path, FormatError for a bad index, a missing shard, an empty
+    checkpoint, or a prefix that is truncated or points past the file's
+    end. A header that is otherwise malformed only hashes differently.
+    """
+    root = Path(path)
+    if not root.exists():
+        raise FileNotFoundError(f"no such checkpoint: {root}")
+    issues: list[ValidationIssue] = []
+    shards = []
+    for shard_path in _shard_paths(root, issues)[0]:
+        with open(shard_path, "rb") as f:
+            scan, _ = _read_header(f, shard_path.name)
+        issues.extend(scan.issues)
+        shards.append((shard_path.name, scan.header_hash))
+    _raise_first(issues)
+    return _fingerprint(shards)
 
 
 def validate_checkpoint(target: CheckpointIndex | str | Path) -> list[ValidationIssue]:

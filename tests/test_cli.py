@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import os
 import shutil
+import struct
 from collections import Counter
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import pytest
 import moemerge as mm
 from moemerge import merge_core, safetensors_io
 from moemerge.cli import main
+from moemerge.errors import FormatError
 
 from conftest import TINY_SPEC, build_safetensors, fail_encode_after, hidden_siblings, tree_bytes
 
@@ -730,6 +733,69 @@ def test_a_malformed_document_exits_2_with_an_error_line(
     assert not (tmp_path / "out").exists()
 
 
+# --- plan and sweep from a diff cache ----------------------------------------------
+
+
+def cached_outputs(tmp, recipe, cache):
+    """Exit codes of `plan --diffs` and `sweep --diffs`, and the bytes each
+    wrote (None for a file not written)."""
+    plan, sweep = tmp / "cached_plan.json", tmp / "cached_sweep.csv"
+    for path in (plan, sweep):
+        path.unlink(missing_ok=True)
+    codes = (
+        main(["plan", "--recipe", str(recipe), "--diffs", str(cache), "--out", str(plan)]),
+        main(["sweep", "--recipe", str(recipe), "--diffs", str(cache),
+              "--deltas", "0,0.005,1", "--out", str(sweep)]),
+    )
+    return codes, [path.read_bytes() if path.exists() else None for path in (plan, sweep)]
+
+
+def test_plan_and_sweep_with_diffs_parse_no_parent_header(diff_cache, workdir, monkeypatch):
+    codes, want = cached_outputs(workdir["tmp"], workdir["recipe"], diff_cache)
+    assert codes == (0, 0)
+
+    def refuse(*args):
+        raise AssertionError("a parent header entry was parsed")
+
+    monkeypatch.setattr(safetensors_io, "_check_entry", refuse)
+    assert cached_outputs(workdir["tmp"], workdir["recipe"], diff_cache) == ((0, 0), want)
+
+
+def test_plan_and_sweep_refuse_a_cache_from_other_parents(workdir, capsys):
+    other = mm.generate_base(dataclasses.replace(TINY_SPEC, vocab=32), workdir["tmp"] / "other")
+    cache = workdir["tmp"] / "other_diffs.json"
+    assert main(["diff", str(other[0].root), str(other[0].root), "--out", str(cache)]) == 0
+    capsys.readouterr()
+    assert cached_outputs(workdir["tmp"], workdir["recipe"], cache) == ((1, 1), [None, None])
+    assert capsys.readouterr().err.count("computed from different checkpoints") == 2
+
+
+def truncate_prefix(shard):
+    shard.write_bytes(shard.read_bytes()[:5])
+
+
+def length_past_end(shard):
+    raw = shard.read_bytes()
+    shard.write_bytes(struct.pack("<Q", len(raw)) + raw[8:])
+
+
+@pytest.mark.parametrize("corrupt", [truncate_prefix, length_past_end, Path.unlink],
+                         ids=["truncated-prefix", "length-past-end", "missing-shard"])
+def test_plan_and_sweep_with_diffs_refuse_an_unreadable_parent_like_open(
+    diff_cache, workdir, capsys, corrupt
+):
+    tmp, pair = workdir["tmp"], workdir["pair"]
+    base = tmp / "corrupt_base"
+    shutil.copytree(pair["base"].root, base)
+    corrupt(base / pair["base"].shards[-1].name)
+    with pytest.raises(FormatError) as opened:
+        mm.open_checkpoint(base)
+    recipe = recipe_with(workdir, "corrupt.json", models=[str(base), str(pair["variant"].root)])
+    capsys.readouterr()
+    assert cached_outputs(tmp, recipe, diff_cache) == ((2, 2), [None, None])
+    assert capsys.readouterr().err == f"error: {opened.value}\n" * 2
+
+
 # --- think-freq -------------------------------------------------------------------
 
 
@@ -771,6 +837,16 @@ def test_think_freq_refuses_an_empty_close_tag(tmp_path, capsys):
     out = tmp_path / "stats.json"
     assert main(["think-freq", str(transcript), "--close-tag", "", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_think_freq_refuses_an_empty_open_tag(tmp_path, capsys):
+    """An empty opening tag is refused like an empty closing tag, not read as absent."""
+    transcript = tmp_path / "t.ndjson"
+    write_transcript(transcript, ["<think>x</think>y"])
+    out = tmp_path / "stats.json"
+    assert main(["think-freq", str(transcript), "--open-tag", "", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: the opening tag")
     assert not out.exists()
 
 

@@ -14,7 +14,7 @@ import pytest
 import moemerge as mm
 from moemerge.cli import main
 from moemerge.errors import FormatError
-from moemerge.safetensors_io import _serialize_header
+from moemerge.safetensors_io import _serialize_header, header_fingerprint
 
 from conftest import TINY_SPEC, build_raw, build_safetensors, hidden_siblings, read_values, tree_bytes
 from test_fuzz_headers import definitely_malformed_cases, valid_bytes
@@ -136,6 +136,20 @@ def test_open_missing_shard(tmp_path):
     )
     with pytest.raises(FormatError, match="missing shard"):
         mm.open_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("layout", ["file", "indexed", "index-less"])
+def test_header_fingerprint_equals_the_opened_fingerprint(tiny_base, tmp_path, layout):
+    index, _ = tiny_base
+    path = index.root
+    if layout == "file":
+        path = tmp_path / "one.safetensors"
+        path.write_bytes(build_safetensors([("a", "F32", [2], f32(1, 2))], metadata={"k": "v"}))
+    elif layout == "index-less":
+        (path / index.index_name).unlink()
+    opened = mm.open_checkpoint(path)
+    assert (opened.index_name is None) == (layout != "indexed")
+    assert header_fingerprint(path) == opened.fingerprint()
 
 
 def test_open_duplicate_across_shards(tmp_path):
