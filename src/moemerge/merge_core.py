@@ -38,6 +38,7 @@ import json
 import time
 from collections import deque
 from contextlib import closing
+from functools import partial
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -172,14 +173,20 @@ def validate_compatibility(models: Sequence[CheckpointIndex]) -> list[str]:
 
 
 def _ordered_parallel(
-    items: Iterable[_T], fn: Callable[[_T], _R], workers: int
+    items: Iterable[_T],
+    fn: Callable[[_T], _R],
+    workers: int,
+    inline: Callable[[_T], bool] | None = None,
 ) -> Iterator[_R]:
     """Map fn over items with a worker pool, yielding results in input order.
 
     The only bound on in-flight work is the window: at most ``2 * workers``
     items are pulled ahead of the results yielded so far (none with one
     worker, which runs inline). Results are order-stable regardless of
-    worker count.
+    worker count. An item for which ``inline(item)`` is true is not handed
+    to the pool: it holds its place in the window and runs in the
+    consumer's thread when its turn to be yielded comes, so a stream of
+    such items starts no thread.
     """
     if workers <= 1:
         for item in items:
@@ -187,14 +194,17 @@ def _ordered_parallel(
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    window: deque = deque()
+    window: deque[Callable[[], _R]] = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for item in items:
             if len(window) >= 2 * workers:
-                yield window.popleft().result()
-            window.append(pool.submit(fn, item))
+                yield window.popleft()()
+            if inline is not None and inline(item):
+                window.append(partial(fn, item))
+            else:
+                window.append(pool.submit(fn, item).result)
         while window:
-            yield window.popleft().result()
+            yield window.popleft()()
 
 
 def _check_workers(workers: int) -> None:

@@ -693,6 +693,13 @@ _MALFORMED = [
     ("spec-int-perturbations", "fixture", "spec", lambda o: _with(o, perturbations=5)),
     ("spec-string-dtypes", "fixture", "spec", lambda o: _with(o, dtypes="F32")),
     ("spec-zero-max-shard-bytes", "fixture", "spec", lambda o: _with(o, max_shard_bytes=0)),
+    ("spec-negative-layers", "fixture", "spec", lambda o: _with(o, layers=-1, dense_layers=-2)),
+    ("spec-negative-dense-layers", "fixture", "spec", lambda o: _with(o, dense_layers=-1)),
+    ("spec-negative-experts", "fixture", "spec", lambda o: _with(o, experts=-3)),
+    ("spec-negative-shared-experts", "fixture", "spec", lambda o: _with(o, shared_experts=-1)),
+    *[(f"spec-{value}-{kind}-magnitude", "fixture", "spec", lambda o, kind=kind, value=value: _with(
+        o, perturbations=[{"selector": "attention", "kind": kind, "magnitude": value}]))
+      for kind in ("shift", "gaussian") for value in (math.nan, math.inf, -math.inf)],
     ("plan-list", "merge --plan", "plan", lambda o: [o]),
     ("plan-int-decisions", "merge --plan", "plan", lambda o: _with(o, decisions=5)),
     ("plan-decision-without-name", "merge --plan", "plan",

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
+import threading
 
 import pytest
 
 import moemerge as mm
+from moemerge import fixtures, merge_core
 from moemerge.errors import FixtureError
 from moemerge.fixtures import EXPECTED_DIFFS_NAME, MANIFEST_NAME, iter_tensor_entries
 
@@ -162,3 +165,145 @@ def test_entry_iteration_order_matches_layout(tiny_base):
     index, manifest = tiny_base
     assert [m["name"] for m in manifest] == index.layout_names()
     assert [name for name, _, _ in iter_tensor_entries(TINY_SPEC)] == index.layout_names()
+
+
+@pytest.mark.parametrize("sizes, key", [
+    ({"layers": -1, "dense_layers": -2}, "layers"),
+    ({"dense_layers": -1}, "dense_layers"),
+    ({"experts": -3}, "experts"),
+    ({"shared_experts": -1}, "shared_experts"),
+])
+def test_negative_sizes_are_refused(sizes, key):
+    with pytest.raises(FixtureError, match=f"^{key} must be >= 0"):
+        mm.FixtureSpec(**sizes)
+
+
+@pytest.mark.parametrize("kind", ["shift", "gaussian"])
+@pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf])
+def test_non_finite_magnitudes_are_refused(kind, magnitude):
+    with pytest.raises(FixtureError, match="must be finite"):
+        mm.PerturbationSpec("attention", kind, magnitude)
+
+
+# Tensors on both sides of merge_core._RUN_TENSOR_ELEMS, so both the pool
+# and the writing thread draw: routed and shared experts (136 x 128), the
+# embedding and head (256 x 128) go to workers; attention, norms and the
+# dense MLP (64 x 128) are drawn inline.
+MIXED_SPEC = mm.FixtureSpec(
+    layers=2, dense_layers=1, experts=2, vocab=256, hidden=128, intermediate=64,
+    moe_intermediate=136, q_lora_rank=16, kv_lora_rank=16, attn_inner=32,
+    dtypes={"default": "BF16", "embedding_norm_head": "F32"}, seed=5,
+    max_shard_bytes=1 << 18,
+)
+PAIRS = {
+    "tiny": (TINY_SPEC, (mm.PerturbationSpec("routed_expert_mlp", "shift", 0.01),
+                         mm.PerturbationSpec("attention", "gaussian", 0.02))),
+    "mixed": (MIXED_SPEC, (mm.PerturbationSpec("routed_expert_mlp", "gaussian", 0.01),
+                           mm.PerturbationSpec("attention", "shift", 0.002))),
+}
+# sha256 of every file each pair writes, computed before generation ran on
+# a worker pool: the bytes must never depend on how the draws are run.
+GOLDEN = {
+    "tiny": {
+        "base": {
+            "fixture_manifest.json":
+                "84e1979334234829823cdf40b1ba1ab87729152b671556234db5bffd9f8f89b6",
+            "model-00001-of-00002.safetensors":
+                "7b7aaf5094611f4bb419ad4172383683920065fe04c09cd1bc8900c4fe9ad2a6",
+            "model-00002-of-00002.safetensors":
+                "d53956850e385a915d05a90f5a5f9aa5da107ba1b4a248804a23061c5edf7029",
+            "model.safetensors.index.json":
+                "2d19a30c1ba757cbb843af1cedaca5832d521671f33c2b0aff4a11ac37bc941f",
+        },
+        "variant": {
+            "expected_diffs.json":
+                "a2ee655f08bede5296f56ee30fe0afbf45efac6e0c90981c36937db073bbc4e7",
+            "model-00001-of-00002.safetensors":
+                "15cf873c5d9fa6a0916a5edbc2dd6ca30edf83fb5e992b14f8087b1fcb893c32",
+            "model-00002-of-00002.safetensors":
+                "595e6ead00db562c93ae25a1c9fe92956a39a5a9415a0cdcb2c255aaef13301a",
+            "model.safetensors.index.json":
+                "2d19a30c1ba757cbb843af1cedaca5832d521671f33c2b0aff4a11ac37bc941f",
+        },
+    },
+    "mixed": {
+        "base": {
+            "fixture_manifest.json":
+                "54d2641269aa7eed31b24d393b1d8a83d1aed93e5e30ed0d115a7238aefef38a",
+            "model-00001-of-00003.safetensors":
+                "b21fb4d010d53385232557e54b99cc248aa8143edae396ffde83fac1872689ed",
+            "model-00002-of-00003.safetensors":
+                "c3cea375dc13f5e08199c7391684c721a9e66583bd52313a2ab2d975066c070a",
+            "model-00003-of-00003.safetensors":
+                "8f54d9280ed44889ea5ddee07d65138aa6164ebd45ba6ab5f1c34817791db185",
+            "model.safetensors.index.json":
+                "713e9a65fe5d645b9273cfdd37d6a6cdedac443251ba6c4b13ad924f7454b25e",
+        },
+        "variant": {
+            "expected_diffs.json":
+                "ca38e61dacdb66298de94c2bd7e9f1d1cf433f42603a05ffede33a56d99862cc",
+            "model-00001-of-00003.safetensors":
+                "abfb0f7e4cce58889004f579a6e3da4aa0348fa0e62835ea3ac42419d159b6c9",
+            "model-00002-of-00003.safetensors":
+                "4f1990303de80749696c27901ede2b2fb31d0ced63b5aeb77024addeff1324ce",
+            "model-00003-of-00003.safetensors":
+                "8f54d9280ed44889ea5ddee07d65138aa6164ebd45ba6ab5f1c34817791db185",
+            "model.safetensors.index.json":
+                "713e9a65fe5d645b9273cfdd37d6a6cdedac443251ba6c4b13ad924f7454b25e",
+        },
+    },
+}
+
+
+def digests(root):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("workers", [None, 1, 3], ids=["default", "1", "3"])
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_generated_bytes_match_golden_digests_at_any_worker_count(
+    tmp_path, monkeypatch, pair, workers
+):
+    if workers is not None:
+        monkeypatch.setattr(fixtures, "_workers", lambda: workers)
+    spec, perts = PAIRS[pair]
+    mm.generate_base(spec, tmp_path / "base")
+    mm.generate_variant(spec, perts, tmp_path / "variant")
+    got = {kind: digests(tmp_path / kind) for kind in ("base", "variant")}
+    assert got == GOLDEN[pair]
+
+
+def pool_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+
+
+def test_unmatched_selector_writes_nothing_and_stops_the_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(fixtures, "_workers", lambda: 3)
+    before = pool_threads()
+    perts = (*PAIRS["mixed"][1], mm.PerturbationSpec("name:no.such.tensor.*", "shift", 0.01))
+    with pytest.raises(FixtureError, match="matched nothing"):
+        mm.generate_variant(MIXED_SPEC, perts, tmp_path / "var")
+    assert list(tmp_path.iterdir()) == []
+    assert pool_threads() == before
+
+
+def test_an_error_mid_stream_writes_nothing_and_stops_the_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(fixtures, "_workers", lambda: 3)
+    real, seen = fixtures.tensor_math.encode, []
+
+    def encode(values, dtype):
+        seen.append(values.size)
+        if values.size >= merge_core._RUN_TENSOR_ELEMS and len(seen) > 3:
+            assert pool_threads() - before, "the pool never started"
+            raise OSError("disk full")
+        return real(values, dtype)
+
+    before = pool_threads()
+    monkeypatch.setattr(fixtures.tensor_math, "encode", encode)
+    # The traceback is held, so only an explicit stop, not garbage
+    # collection of the frames, can have ended the pool.
+    with pytest.raises(OSError, match="disk full") as error:
+        mm.generate_base(MIXED_SPEC, tmp_path / "base")
+    assert list(tmp_path.iterdir()) == []
+    assert pool_threads() == before
+    assert error.traceback

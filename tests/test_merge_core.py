@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import shutil
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -172,6 +173,36 @@ def test_ordered_parallel_window_bounds_items_in_flight(workers):
         received.append(result)
         assert pulled - len(received) <= 2 * workers
     assert received == [i * i for i in range(20)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_ordered_parallel_runs_inline_items_in_the_consumer_in_order(workers):
+    consumer, pulled = threading.get_ident(), 0
+
+    def items():
+        nonlocal pulled
+        for i in range(20):
+            pulled += 1
+            yield i
+
+    received = []
+    for result in merge_core._ordered_parallel(
+        items(), lambda i: (i * i, threading.get_ident()), workers, inline=lambda i: i % 3 == 0
+    ):
+        received.append(result)
+        assert pulled - len(received) <= 2 * workers
+    assert [square for square, _ in received] == [i * i for i in range(20)]
+    assert all(thread == consumer for i, (_, thread) in enumerate(received) if i % 3 == 0)
+    if workers > 1:
+        assert all(thread != consumer for i, (_, thread) in enumerate(received) if i % 3)
+
+
+def test_ordered_parallel_starts_no_thread_when_every_item_is_inline():
+    before = threading.active_count()
+    results = merge_core._ordered_parallel(
+        iter(range(10)), lambda i: threading.active_count(), 4, inline=lambda i: True
+    )
+    assert list(results) == [before] * 10
 
 
 @pytest.mark.parametrize("workers", [0, -1])
