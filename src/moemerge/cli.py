@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -79,23 +80,34 @@ def _progress(verb: str):
     return report
 
 
+def _finite_stats(values) -> dict:
+    """Minimum, median and maximum over the finite values, and a count of the rest.
+
+    NaN, infinities and nulls (a ``not_in_subset`` decision has no
+    ``max_diff``) are only counted, so the statistics do not depend on
+    where they sit. With no finite value the statistics are None.
+    """
+    finite = sorted(v for v in values if v is not None and math.isfinite(v))
+    return {
+        "min": finite[0] if finite else None,
+        "median": statistics.median(finite) if finite else None,
+        "max": finite[-1] if finite else None,
+        "nonfinite": len(values) - len(finite),
+    }
+
+
+def _fmt(value: float | None, width: int = 0) -> str:
+    return f"{'-' if value is None else format(value, '.6g'):>{width}}"
+
+
 def _summarize_diffs(records) -> list[dict]:
     by_group: dict[str, list[float]] = {}
     for r in records:
         by_group.setdefault(r.category.group.value, []).append(r.max_diff)
-    rows = []
-    for group in sorted(by_group, key=lambda v: GROUP_ORDER[TensorGroup(v)]):
-        vals = by_group[group]
-        rows.append(
-            {
-                "group": group,
-                "tensors": len(vals),
-                "min": min(vals),
-                "median": statistics.median(vals),
-                "max": max(vals),
-            }
-        )
-    return rows
+    return [
+        {"group": group, "tensors": len(by_group[group]), **_finite_stats(by_group[group])}
+        for group in sorted(by_group, key=lambda v: GROUP_ORDER[TensorGroup(v)])
+    ]
 
 
 def _diffs(paths, scheme, threads: int, cache: str | None = None):
@@ -127,11 +139,11 @@ def cmd_diff(args) -> int:
     if args.json:
         print(json.dumps({"records": len(records), "by_group": summary}, indent=2))
     else:
-        print(f"{'group':<22}{'tensors':>8}{'min':>14}{'median':>14}{'max':>14}")
+        print(f"{'group':<22}{'tensors':>8}{'min':>14}{'median':>14}{'max':>14}{'nonfinite':>11}")
         for row in summary:
             print(
-                f"{row['group']:<22}{row['tensors']:>8}"
-                f"{row['min']:>14.6g}{row['median']:>14.6g}{row['max']:>14.6g}"
+                f"{row['group']:<22}{row['tensors']:>8}{_fmt(row['min'], 14)}"
+                f"{_fmt(row['median'], 14)}{_fmt(row['max'], 14)}{row['nonfinite']:>11}"
             )
     return EXIT_OK
 
@@ -154,11 +166,12 @@ def _print_plan_table(plan) -> None:
             f"{g:<22}{counts['merged_by_group'].get(g, 0):>8}"
             f"{counts['copied_by_group'].get(g, 0):>8}"
         )
-    gated = [d.max_diff for d in plan.decisions]
-    if gated:
+    if plan.decisions:
+        stats = _finite_stats([d.max_diff for d in plan.decisions])
         print(
-            f"max_diff over tensors: min {min(gated):.6g}  "
-            f"median {statistics.median(gated):.6g}  max {max(gated):.6g}"
+            f"max_diff over tensors: min {_fmt(stats['min'])}  "
+            f"median {_fmt(stats['median'])}  max {_fmt(stats['max'])}  "
+            f"(null or non-finite {stats['nonfinite']})"
         )
 
 

@@ -12,29 +12,38 @@ A pass opens one read-only descriptor per shard of each parent and closes
 them all when it ends. ``compute_diffs`` reads each parent's bytes once
 and diffs them in fixed blocks; each tensor of a run is reduced over its
 own slice, so its record has the same bits as when it is diffed alone
-(see ``tensor_math``). A recipe merge also gates each tensor, then
-combines the merged tensors' elements into the output, with one
-finiteness check per parent, and hands on slices of the base bytes it
-holds for the copies; its plan comes out of the same pass as an audit
-record. A reviewed plan skips the diff: a copy hands the writer the base
-tensor's byte range, which is copied file to file without entering
-Python, and only merged tensors are read, consecutive merges in runs.
-Every merge weighs the parents by the config's one weight vector. The
-functions that read weights check the parents' compatibility once, up
-front. The gate, the configs, plans and diff caches live in
-``planning``, which needs no numpy. This module loads numpy and the
-``tensor_math`` kernels only when a pass decodes, so a reviewed
-copy-only plan runs without them.
+(see ``tensor_math``). A recipe merge gates the subset before it reads
+anything: a tensor outside it joins no run, is never read, and goes to
+the writer as the base tensor's byte range, copied file to file without
+entering Python. The pass diffs and gates every other tensor, combines
+the merged tensors' elements into the output, with one finiteness check
+per parent on the raw bits, and hands on slices of the base bytes it
+holds for the copies below the threshold; its plan comes out of the same
+pass as an audit record. A reviewed plan skips the diff: a copy is a
+byte range in the same way, and only merged tensors are read,
+consecutive merges in runs. Every merge weighs the parents by the
+config's one weight vector. The functions that read weights check the
+parents' compatibility once, up front. The gate, the configs, plans and
+diff caches live in ``planning``, which needs no numpy. This module
+loads numpy and the ``tensor_math`` kernels only when a pass decodes,
+so a reviewed copy-only plan, or a recipe merge whose subset selects
+nothing, runs without them.
 
 Tasks run on a worker pool whose window of ``2 * workers`` runs is the
 only bound on in-flight work; results are written in base layout order,
 so output is independent of the worker count. The pool is started only
-with more than one worker.
+with more than one worker. Each thread that decodes owns one
+``tensor_math.Scratch``, made on its first such task of the pass: P + 1
+float64 buffers of ``BLOCK_ELEMS`` for P parents and a float32 and a
+uint32 one, (2P + 4) MiB, 8 MiB with two parents. Decode, diff, combine
+and encode write into it, so a task allocates no block-sized float
+arrays; it holds its parents' raw bytes and its output bytes.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from collections import deque
 from contextlib import closing
@@ -55,6 +64,7 @@ from .planning import (
     MergeReport,
     _check_decisions,
     _decide,
+    _subset_copy,
     load_diff_cache,  # noqa: F401  (patched by perfbench/spans.py)
     plan_merge,  # noqa: F401  (patched by perfbench/spans.py)
     save_diff_cache,  # noqa: F401  (patched by perfbench/spans.py)
@@ -84,6 +94,8 @@ if TYPE_CHECKING:  # bound at run time by _load_kernels
 
     from .tensor_math import (
         BLOCK_ELEMS,
+        Scratch,
+        all_finite,
         decode,
         encode,
         linear_combination,
@@ -98,6 +110,8 @@ _R = TypeVar("_R")
 # normalized_frobenius_diff is unused here; perfbench/spans.py patches it.
 _KERNELS = (
     "BLOCK_ELEMS",
+    "Scratch",
+    "all_finite",
     "decode",
     "encode",
     "linear_combination",
@@ -226,9 +240,9 @@ def _joins(
 ) -> bool:
     """Whether tensor ``name`` may follow ``prev`` in a run."""
     if planned is not None:
-        d, e = planned[prev], planned[name]
-        if ACTION_COPY_BASE in (d.action, e.action):
-            return False
+        for decision in (planned.get(prev), planned.get(name)):
+            if decision is not None and decision.action == ACTION_COPY_BASE:
+                return False
     a, b = models[0].tensors[prev], models[0].tensors[name]
     if a.dtype is not b.dtype or not (
         0 < a.numel < _RUN_TENSOR_ELEMS and 0 < b.numel < _RUN_TENSOR_ELEMS
@@ -248,8 +262,8 @@ def _runs(
 ) -> Iterator[list[str]]:
     """The pass's units of work: ``layout`` cut into runs, in order.
 
-    In a reviewed plan only merges join a run; a copy stays a run of one
-    and is never read.
+    A planned copy, from a reviewed plan or a tensor outside the fused
+    pass's subset, stays a run of one and is never read.
     """
     run: list[str] = []
     elems = 0
@@ -267,18 +281,27 @@ def _runs(
         yield run
 
 
-def _decoded_blocks(
-    raws: Sequence[bytes], dtype: DType, numel: int
-) -> Iterator[list[np.ndarray]]:
-    """Each parent's float64 values, one ``BLOCK_ELEMS`` block at a time."""
-    if numel <= BLOCK_ELEMS:
-        yield [decode(raw, dtype) for raw in raws]
-        return
+def _block_views(raws: Sequence[bytes], dtype: DType, numel: int) -> Iterator[list[memoryview]]:
+    """Each parent's bytes, one ``BLOCK_ELEMS`` block at a time.
+
+    A run, or a tensor of at most one block, is a single block; so is an
+    empty tensor.
+    """
     width = dtype.byte_width
     views = [memoryview(raw) for raw in raws]
-    for first in range(0, numel, BLOCK_ELEMS):
+    for first in range(0, numel or 1, BLOCK_ELEMS):
         lo, hi = first * width, min(first + BLOCK_ELEMS, numel) * width
-        yield [decode(view[lo:hi], dtype) for view in views]
+        yield [view[lo:hi] for view in views]
+
+
+def _decode_block(views: Sequence[memoryview], dtype: DType, scratch: Scratch) -> list[np.ndarray]:
+    """One block of each parent, decoded into the scratch's value buffers."""
+    return [decode(view, dtype, out, scratch) for view, out in zip(views, scratch.values)]
+
+
+def _nonfinite(raws: Sequence[bytes | memoryview], dtype: DType, scratch: Scratch) -> list[int]:
+    """The 1-based parents whose bytes hold a non-finite element."""
+    return [i for i, raw in enumerate(raws, start=1) if not all_finite(raw, dtype, scratch)]
 
 
 def _diff_parents(
@@ -286,22 +309,25 @@ def _diff_parents(
     categories: Sequence[TensorCategory],
     raws: Sequence[bytes],
     infos: Sequence[TensorInfo],
+    scratch: Scratch,
 ) -> tuple[list[DiffRecord], list[np.ndarray] | None]:
     """The run's DiffRecords from one blocked pass over its parents.
 
     A run of several tensors is one block, and each tensor's partial sums
-    only its own slice of it. Also returns the decoded parents when the
-    run is a single block, so a merge can combine them without decoding
-    again.
+    only its own slice of it. Also returns the decoded parents, held in
+    the scratch, when the run is a single block, so a merge can combine
+    them without decoding again.
     """
+    dtype = infos[0].dtype
     ends = list(accumulate(info.numel for info in infos))
     single = ends[-1] <= BLOCK_ELEMS
     partials: list[list[list[float]]] = [[[] for _ in raws[1:]] for _ in infos]
     blocks: list[np.ndarray] = []
-    for blocks in _decoded_blocks(raws, infos[0].dtype, ends[-1]):
+    for views in _block_views(raws, dtype, ends[-1]):
+        blocks = _decode_block(views, dtype, scratch)
         cuts = ends if single else [len(blocks[0])]
         for k, other in enumerate(blocks[1:]):
-            for sums, part in zip(partials, squared_diff_sums(blocks[0], other, cuts)):
+            for sums, part in zip(partials, squared_diff_sums(blocks[0], other, cuts, scratch)):
                 sums[k].append(part)
     records = []
     for name, category, info, sums in zip(run, categories, infos, partials):
@@ -310,16 +336,12 @@ def _diff_parents(
     return records, blocks if single else None
 
 
-def _nonfinite(values: Sequence[np.ndarray]) -> list[int]:
-    """The 1-based parents whose values hold a non-finite element."""
-    return [i for i, v in enumerate(values, start=1) if not np.isfinite(v).all()]
-
-
 def _combine(
     raws: Sequence[bytes],
     infos: Sequence[TensorInfo],
     merged: Sequence[int],
     lambdas: Sequence[float],
+    scratch: Scratch,
     decoded: list[np.ndarray] | None = None,
 ) -> tuple[bytes | bytearray, list[list[int]]]:
     """Weighted sum of the parents over the run's tensors at ``merged``.
@@ -328,35 +350,49 @@ def _combine(
     any. A tensor of several blocks is combined block by block into one
     output buffer. Returns the merged tensors' bytes back to back and, per
     merged tensor, the 1-based parents that held a non-finite value. The
-    finiteness check runs once per parent; only a run that fails it is
-    searched tensor by tensor.
+    finiteness check reads the raw bits once per parent; only a run that
+    fails it is searched tensor by tensor. Consecutive merged tensors are
+    combined and encoded as one slice.
     """
     dtype = infos[0].dtype
+    width = dtype.byte_width
     ends = list(accumulate(info.numel for info in infos))
     if ends[-1] > BLOCK_ELEMS:  # a run of one
         out = bytearray(infos[0].nbytes)
         bad: set[int] = set()
         pos = 0
-        for blocks in _decoded_blocks(raws, dtype, ends[-1]):
-            bad.update(_nonfinite(blocks))
-            data = encode(linear_combination(blocks, lambdas), dtype)
+        for views in _block_views(raws, dtype, ends[-1]):
+            bad.update(_nonfinite(views, dtype, scratch))
+            values = _decode_block(views, dtype, scratch)
+            data = encode(linear_combination(values, lambdas, overwrite=True), dtype, scratch)
             out[pos:pos + len(data)] = data
             pos += len(data)
         return out, [sorted(bad)]
-    values = decoded if decoded is not None else [decode(raw, dtype) for raw in raws]
-    if len(merged) < len(infos):
-        values = [
-            np.concatenate([v[ends[t] - infos[t].numel:ends[t]] for t in merged]) for v in values
+    views = [memoryview(raw) for raw in raws]
+    if decoded is None:
+        decoded = _decode_block(views, dtype, scratch)
+    bounds = [(ends[t] - infos[t].numel, ends[t]) for t in merged]
+    bad_parents = _nonfinite(raws, dtype, scratch)
+    found = [
+        [
+            i for i in bad_parents
+            if not all_finite(views[i - 1][lo * width:hi * width], dtype, scratch)
         ]
-    sizes = [infos[t].numel for t in merged]
-    bad_parents = _nonfinite(values)
-    found: list[list[int]] = [[] for _ in merged]
-    if bad_parents:
-        found = [
-            [i for i in bad_parents if not np.isfinite(values[i - 1][hi - size:hi]).all()]
-            for size, hi in zip(sizes, accumulate(sizes))
-        ]
-    return encode(linear_combination(values, lambdas), dtype), found
+        for lo, hi in bounds
+    ]
+    slices: list[list[int]] = []
+    for lo, hi in bounds:
+        if slices and slices[-1][1] == lo:
+            slices[-1][1] = hi
+        else:
+            slices.append([lo, hi])
+    data = b"".join(
+        encode(
+            linear_combination([v[lo:hi] for v in decoded], lambdas, overwrite=True), dtype, scratch
+        )
+        for lo, hi in slices
+    )
+    return data, found
 
 
 _Outcome = tuple[
@@ -370,26 +406,36 @@ _Outcome = tuple[
 def _tensor_task(
     models: Sequence[CheckpointIndex],
     handles: Sequence[dict[str, int]],
-    scheme: NamingScheme,
+    categories: dict[str, TensorCategory],
     config: MergeConfig | None = None,
     planned: dict[str, MergeDecision] | None = None,
 ) -> Callable[[Sequence[str]], list[_Outcome]]:
     """The one pass over a run, for diffs, the fused merge and a reviewed plan.
 
-    ``handles`` holds the pass's open shards, one map per model. Planned
-    decisions are looked up before any read: a copy reads nothing and
-    yields the base tensor's range, a run of merges reads every parent
-    once and combines without diffing. Otherwise each parent's run is
-    read once and diffed; without a config the task stops there, with one
-    it gates each tensor, then combines the merged ones and hands on
-    slices of the base bytes already read for the copies. Returns one
-    (record, decision, output bytes or range, non-finite parents) per
-    tensor of the run. The kernels are loaded unless every planned
-    decision is a copy.
+    ``handles`` holds the pass's open shards, one map per model.
+    ``planned`` holds the decisions made before any read: every decision
+    of a reviewed plan, or the fused pass's copies of tensors outside the
+    subset. A planned run is not diffed: a copy reads nothing and yields
+    the base tensor's range, a run of merges reads every parent once and
+    combines. Otherwise each parent's run is read once and diffed, each
+    tensor classified by ``categories``; without a config the task stops
+    there, with one it gates each tensor, then combines the merged ones
+    and hands on slices of the base bytes already read for the copies.
+    Returns one (record, decision, output bytes or range, non-finite
+    parents) per tensor of the run. The kernels are loaded unless every
+    tensor is a planned copy; each thread that decodes makes its own
+    scratch on its first such task and reuses it for the rest of the pass.
     """
     base = models[0]
-    if planned is None or any(d.action != ACTION_COPY_BASE for d in planned.values()):
+    planned = planned or {}
+    if sum(d.action == ACTION_COPY_BASE for d in planned.values()) < len(base.tensors):
         _load_kernels()
+    local = threading.local()
+
+    def scratch() -> Scratch:
+        if not hasattr(local, "scratch"):
+            local.scratch = Scratch(len(models))
+        return local.scratch
 
     def read(run: Sequence[str]) -> list[bytes]:
         return [
@@ -401,23 +447,23 @@ def _tensor_task(
         infos = [base.tensors[name] for name in run]
         records: list[DiffRecord | None] = [None] * len(run)
         raws, decoded = None, None
-        if planned is not None:
+        if run[0] in planned:
             decisions = [planned[name] for name in run]
         else:
-            categories = [classify(name, scheme) for name in run]
+            cats = [categories[name] for name in run]
             if len(models) == 1 or infos[0].numel == 0:
                 zero = (0.0,) * (len(models) - 1)
-                records = [DiffRecord(name, c, zero, 0.0) for name, c in zip(run, categories)]
+                records = [DiffRecord(name, c, zero, 0.0) for name, c in zip(run, cats)]
             else:
                 raws = read(run)
-                records, decoded = _diff_parents(run, categories, raws, infos)
+                records, decoded = _diff_parents(run, cats, raws, infos, scratch())
             if config is None:
                 return [(record, None, None, []) for record in records]
-            decisions = [_decide(r, c, config) for r, c in zip(records, categories)]
+            decisions = [_decide(r, c, config) for r, c in zip(records, cats)]
         merged = [t for t, d in enumerate(decisions) if d.action != ACTION_COPY_BASE]
         if merged:
             raws = raws or read(run)
-            data, found = _combine(raws, infos, merged, config.lambdas, decoded)
+            data, found = _combine(raws, infos, merged, config.lambdas, scratch(), decoded)
             combined, bad = memoryview(data), iter(found)
         held = memoryview(raws[0]) if raws else None
         outcomes: list[_Outcome] = []
@@ -447,7 +493,8 @@ def compute_diffs(
     """One DiffRecord per base tensor, streamed with bounded memory.
 
     At most ``2 * workers`` runs are in flight (one with one worker), each
-    holding every parent's raw bytes and one block of float64 scratch.
+    holding every parent's raw bytes; each worker thread decodes into its
+    own scratch of a few blocks.
 
     The parents must share the base's tensor names, shapes and dtypes;
     they are checked before any tensor is read (CompatibilityError with
@@ -459,10 +506,11 @@ def compute_diffs(
     _check_workers(workers)
     _check_compatible(models)
     names = models[0].layout_names()
+    categories = {name: classify(name, scheme) for name in names}
     records = []
     # closing() stops the pool before the descriptors close, on error too.
     with shard_handles(models) as handles, closing(
-        _ordered_parallel(_runs(models, names), _tensor_task(models, handles, scheme), workers)
+        _ordered_parallel(_runs(models, names), _tensor_task(models, handles, categories), workers)
     ) as results:
         for record, _, _, _ in chain.from_iterable(results):
             records.append(record)
@@ -496,27 +544,29 @@ def execute_merge(
     and ``merge_report.json``, so a failed merge leaves ``out`` as it was.
     The parents are opened and checked for compatibility once, before any
     tensor is read (CompatibilityError otherwise). With ``plan=None`` the
-    gate runs inside the pass: each tensor's parents are read once, diffed,
-    gated and then merged or copied, and the resolved plan (equal to
-    ``plan_merge`` over ``compute_diffs``) is attached to the report as
-    ``report.plan``. A reviewed plan is checked against its own config
-    before anything is opened: ``config`` must equal ``plan.config``, and
-    RecipeError refuses an unknown action or copy reason. The parents must
+    gate runs inside the pass: a tensor outside the subset is never read,
+    every other tensor's parents are read once, diffed, gated and then
+    merged or copied, and the resolved plan (equal to ``plan_merge`` over
+    ``compute_diffs``) is attached to the report as ``report.plan``. A
+    reviewed plan is checked against its own config before anything is
+    opened: ``config`` must equal ``plan.config``, and RecipeError refuses
+    an unknown action or copy reason. The parents must
     still have the header hashes the plan was computed against. Each
     decision is then taken as given, so copies read only the base and
     merges are not diffed.
 
     Merge decisions decode all parents block by block, combine in float64,
     and re-encode to the original dtype; copy decisions move the base
-    model's raw bytes untouched: in the fused pass the bytes already read
-    for the diff, in a reviewed plan the base tensor's byte range, copied
-    file to file by the writer. The pass holds one read-only descriptor
-    per shard of each parent and closes them all when it ends. At most
-    ``2 * workers`` runs are in flight (one with one worker); each holds
-    its parents' raw bytes, its output bytes and one block of float64
-    scratch. The output mirrors the base's shards, tensor order and index,
-    so reruns are byte-identical. ``workers`` below 1 is a ValueError,
-    raised before anything is opened.
+    model's raw bytes untouched: the base tensor's byte range, copied file
+    to file by the writer, or in the fused pass, for a copy below the
+    threshold, the bytes already read for the diff. The pass holds one
+    read-only descriptor per shard of each parent and closes them all
+    when it ends. At most ``2 * workers`` runs are in flight (one with one
+    worker); each holds its parents' raw bytes and its output bytes, and
+    each worker thread decodes into its own scratch of a few blocks. The
+    output mirrors the base's shards, tensor order and index, so reruns
+    are byte-identical. ``workers`` below 1 is a ValueError, raised before
+    anything is opened.
     """
     start = time.monotonic()
     _check_workers(workers)
@@ -533,8 +583,17 @@ def execute_merge(
     layout = base.layout_names()
 
     _check_compatible(models)
-    planned = None
-    if plan is not None:
+    if plan is None:
+        # A tensor outside the subset is decided before the pass: it joins
+        # no run and reads nothing, and the writer copies its base range.
+        categories = {name: classify(name, config.scheme) for name in layout}
+        planned = {
+            name: decision
+            for name, category in categories.items()
+            if (decision := _subset_copy(name, category, config)) is not None
+        }
+    else:
+        categories = {}  # every tensor is decided
         if fingerprints != plan.model_fingerprints:
             raise MergeError(
                 "input checkpoints changed since planning (header hash mismatch); "
@@ -568,7 +627,7 @@ def execute_merge(
     # closing() stops the pool before the descriptors close, on error too.
     with shard_handles(models) as handles, closing(_ordered_parallel(
         _runs(models, layout, planned),
-        _tensor_task(models, handles, config.scheme, config, planned),
+        _tensor_task(models, handles, categories, config, planned),
         workers,
     )) as results:
         out_index = write_checkpoint(

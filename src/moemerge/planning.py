@@ -26,7 +26,9 @@ against the other parents strictly exceeds the threshold; otherwise the
 base model's raw bytes are copied. ``plan_merge``, ``threshold_sweep`` and
 the fused pass of ``merge_core.execute_merge`` all decide through
 ``_decide`` and ``_copy_reason``, classifying each name with the config's
-scheme; a diff cache supplies only the numbers.
+scheme; a diff cache supplies only the numbers. A tensor outside the
+subset is decided without its diff (``_subset_copy``), so its decision's
+``max_diff`` is null in every plan, and the fused pass never reads it.
 """
 
 from __future__ import annotations
@@ -232,6 +234,7 @@ _DECISION_FIELDS = {
     **_RECORD_FIELDS,
     "action": (str,),
     "reason": (str, _NONE),
+    "max_diff": (int, float, _NONE),  # null only on a not_in_subset copy
 }
 
 
@@ -295,7 +298,7 @@ class MergeDecision:
     name: str
     category: TensorCategory
     action: str  # ACTION_MERGE | ACTION_COPY_BASE
-    max_diff: float
+    max_diff: float | None  # None for a not_in_subset copy: it is never diffed
     reason: str | None = None  # set for copy decisions
 
 
@@ -368,6 +371,13 @@ class MergePlan:
         decisions = []
         for i, e in enumerate(obj["decisions"]):
             _check_entry(e, _DECISION_FIELDS, "plan decision", i)
+            if e["max_diff"] is None and (e["action"], e["reason"]) != (
+                ACTION_COPY_BASE, REASON_NOT_IN_SUBSET
+            ):
+                raise RecipeError(
+                    f"plan decision {i} has a null 'max_diff', which only a "
+                    f"{REASON_NOT_IN_SUBSET!r} copy may have"
+                )
             decisions.append(MergeDecision(
                 name=e["name"],
                 category=TensorCategory.from_json_obj(e),
@@ -484,14 +494,32 @@ def _copy_reason(
     return None if record.max_diff > delta else REASON_BELOW_THRESHOLD
 
 
+def _subset_copy(
+    name: str, category: TensorCategory, config: MergeConfig
+) -> MergeDecision | None:
+    """The decision of a tensor outside ``config.subset``, made without a diff.
+
+    The fused pass decides these before it reads anything; None for a
+    tensor in the subset. Equals ``_decide``'s decision for the tensor.
+    """
+    if in_subset(category, config.subset, name):
+        return None
+    return MergeDecision(name, category, ACTION_COPY_BASE, None, REASON_NOT_IN_SUBSET)
+
+
 def _decide(record: DiffRecord, category: TensorCategory, config: MergeConfig) -> MergeDecision:
-    """The per-tensor decision, shared by planning and the fused pass."""
+    """The per-tensor decision, shared by planning and the fused pass.
+
+    A ``not_in_subset`` copy has no ``max_diff``, whether or not a diff was
+    computed, so the fused pass, which never reads such a tensor, writes
+    the same plan as ``plan_merge``.
+    """
     reason = _copy_reason(record, category, config.subset, config.delta)
     return MergeDecision(
         name=record.name,
         category=category,
         action=ACTION_MERGE if reason is None else ACTION_COPY_BASE,
-        max_diff=record.max_diff,
+        max_diff=None if reason == REASON_NOT_IN_SUBSET else record.max_diff,
         reason=reason,
     )
 

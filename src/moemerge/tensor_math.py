@@ -34,6 +34,21 @@ run's differences once and reduces each tensor's own slice with its own
 ``np.sum``. numpy's pairwise summation of a contiguous slice depends only
 on the slice's values and length, so every tensor gets the same bits as
 when it is reduced alone.
+
+Reused buffers
+--------------
+A ``Scratch`` holds one thread's working buffers of ``BLOCK_ELEMS``
+elements each: one float64 buffer per parent for decoded values, a
+float64 buffer for differences and an encode's narrowing, and the
+float32 and uint32 buffers of the BF16 conversions. ``decode``
+(``out=``), ``squared_diff_sums``, ``encode`` and ``all_finite`` take an
+optional scratch and then write into a prefix of its buffers instead of
+allocating arrays of the block's size;
+``linear_combination(overwrite=True)`` scales and sums its inputs in
+place. Without a scratch each call allocates what it needs, through
+the same code, so the bits never depend on whether one was given.
+``all_finite`` reads the float exponent bits of the raw bytes, so a
+finiteness check decodes nothing.
 """
 
 from __future__ import annotations
@@ -48,6 +63,8 @@ from .errors import UnsupportedDTypeError
 
 __all__ = [
     "BLOCK_ELEMS",
+    "Scratch",
+    "all_finite",
     "decode",
     "encode",
     "linear_combination",
@@ -70,37 +87,78 @@ _NUMPY_CODECS = {
 }
 
 
-def _bf16_bits_to_f32(bits: np.ndarray) -> np.ndarray:
-    """Widen BF16 bit patterns (uint16) to float32. Exact for every pattern."""
-    wide = bits.astype(np.uint32)
-    wide <<= 16
-    return wide.view(np.float32)
+# Per float dtype: the raw bits' integer codec and the exponent field. An
+# element is non-finite iff its exponent bits are all ones.
+_EXPONENT_BITS = {
+    DType.F64: ("<u8", 0x7FF0_0000_0000_0000),
+    DType.F32: ("<u4", 0x7F80_0000),
+    DType.F16: ("<u2", 0x7C00),
+    DType.BF16: ("<u2", 0x7F80),
+}
 
 
-def _f32_to_bf16_bits(values: np.ndarray) -> np.ndarray:
+class Scratch:
+    """One thread's reusable working buffers, ``BLOCK_ELEMS`` elements each.
+
+    ``values`` holds one float64 buffer per parent for decoded values and
+    ``diff`` a float64 buffer for differences, an encode's float narrowing
+    and NaN mask, and ``all_finite``'s bit arithmetic. ``f32`` and ``u32``
+    hold the BF16 widening of a decode and the BF16 narrowing and rounding
+    of an encode. A kernel writes into a prefix of the buffers it uses, so
+    a call given a scratch handles at most ``BLOCK_ELEMS`` elements, and
+    the array it returns is valid until the next call that uses the same
+    buffer.
+    """
+
+    def __init__(self, parents: int):
+        self.values = [np.empty(BLOCK_ELEMS) for _ in range(parents)]
+        self.diff = np.empty(BLOCK_ELEMS)
+        self.f32 = np.empty(BLOCK_ELEMS, np.float32)
+        self.u32 = np.empty(BLOCK_ELEMS, np.uint32)
+
+
+def _take(scratch: Scratch | None, buffer: str, n: int, dtype) -> np.ndarray:
+    """``n`` elements of ``dtype``: a view of a scratch buffer, or a fresh array."""
+    if scratch is None:
+        return np.empty(n, dtype)
+    return getattr(scratch, buffer).view(dtype)[:n]
+
+
+def _f32_to_bf16_bits(values: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     """Narrow float32 to BF16 bit patterns with round-to-nearest-even.
 
     NaNs keep their top payload bits and get the quiet bit forced, so the
-    rounding bias cannot carry a NaN into an infinity.
+    rounding bias cannot carry a NaN into an infinity. With a scratch,
+    ``values`` must be its ``f32`` buffer, which the result then reuses.
     """
+    n = values.size
     u = values.view(np.uint32)
-    rounded = u >> 16
+    rounded = _take(scratch, "u32", n, np.uint32)
+    np.right_shift(u, 16, out=rounded)
     rounded &= 1
     rounded += u
     rounded += 0x7FFF
     rounded >>= 16
-    bits = rounded.astype(np.uint16)
-    nan = np.isnan(values)
+    nan = np.isnan(values, out=_take(scratch, "diff", n, np.bool_))
     if nan.any():
-        bits[nan] = ((u[nan] >> 16) | 0x0040).astype(np.uint16)
+        rounded[nan] = (u[nan] >> 16) | 0x0040
+    bits = _take(scratch, "f32", n, "<u2")  # values are no longer read
+    np.copyto(bits, rounded, casting="unsafe")
     return bits
 
 
-def decode(raw: bytes | bytearray | memoryview, dtype: DType) -> np.ndarray:
+def decode(
+    raw: bytes | bytearray | memoryview,
+    dtype: DType,
+    out: np.ndarray | None = None,
+    scratch: Scratch | None = None,
+) -> np.ndarray:
     """Decode raw little-endian bytes into a float64 working buffer.
 
     Exact for F32/F16/BF16 and for integers up to 2**53 in magnitude
-    (model-weight integer tensors are far below that).
+    (model-weight integer tensors are far below that). The values go into
+    a prefix of ``out`` when it is given, else into a fresh array; a BF16
+    decode widens through the scratch's ``u32`` buffer when one is given.
 
     Raises:
         ValueError: buffer length not divisible by the element width.
@@ -114,47 +172,83 @@ def decode(raw: bytes | bytearray | memoryview, dtype: DType) -> np.ndarray:
             f"buffer of {n} bytes is not divisible by element width "
             f"{dtype.byte_width} ({dtype.code})"
         )
+    n //= dtype.byte_width
     if dtype is DType.BF16:
-        values = _bf16_bits_to_f32(np.frombuffer(raw, dtype="<u2"))
+        # Widen the 16 payload bits into a float32 (exact for every pattern).
+        wide = _take(scratch, "u32", n, np.uint32)
+        np.copyto(wide, np.frombuffer(raw, dtype="<u2"))
+        wide <<= 16
+        values = wide.view(np.float32)
     else:
         values = np.frombuffer(raw, dtype=_NUMPY_CODECS[dtype])
+    result = np.empty(n) if out is None else out[:n]
     # Widening a signaling NaN raises the invalid flag; it stays a NaN,
     # which a merge reports in its nonfinite inputs.
     with np.errstate(invalid="ignore"):
-        return values.astype(np.float64)
+        np.copyto(result, values)
+    return result
 
 
-def encode(values: np.ndarray, dtype: DType) -> bytes:
+def all_finite(
+    raw: bytes | bytearray | memoryview, dtype: DType, scratch: Scratch | None = None
+) -> bool:
+    """Whether every element of the raw bytes is finite, read from their bits.
+
+    A float element is non-finite iff its exponent bits are all ones, so
+    nothing is decoded; integers and BOOL are always finite. The answer
+    equals ``np.isfinite(decode(raw, dtype)).all()``.
+    """
+    if dtype not in _EXPONENT_BITS or len(raw) == 0:
+        return True
+    code, exponent = _EXPONENT_BITS[dtype]
+    bits = np.frombuffer(raw, dtype=code)
+    magnitude = _take(scratch, "diff", bits.size, code)
+    np.bitwise_and(bits, exponent | (exponent - 1), out=magnitude)  # drop the sign
+    return int(magnitude.max()) < exponent
+
+
+def encode(values: np.ndarray, dtype: DType, scratch: Scratch | None = None) -> bytes:
     """Encode a working buffer into raw little-endian bytes of ``dtype``.
 
     Float narrowing uses round-to-nearest-even; overflow saturates to the
     format's infinity per IEEE rules. Integer targets round half to even
-    (numpy ``rint``) before the cast; BOOL encodes nonzero -> 1.
+    (numpy ``rint``) before the cast; BOOL encodes nonzero -> 1. A float
+    target narrows through the scratch's buffers when one is given;
+    ``values`` must then be none of its ``diff``, ``f32`` or ``u32``.
     """
     if not isinstance(dtype, DType):
         raise UnsupportedDTypeError(f"not a supported dtype: {dtype!r}")
     buf = np.asarray(values, dtype=np.float64).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         if dtype is DType.BF16:
-            return _f32_to_bf16_bits(buf.astype(np.float32)).astype("<u2", copy=False).tobytes()
+            f32 = _take(scratch, "f32", buf.size, np.float32)
+            np.copyto(f32, buf, casting="same_kind")
+            return _f32_to_bf16_bits(f32, scratch).tobytes()
         if dtype is DType.BOOL:
             return (buf != 0).astype("?").tobytes()
         if dtype in (DType.I64, DType.I32, DType.I8, DType.U8):
             return np.rint(buf).astype(_NUMPY_CODECS[dtype]).tobytes()
-        return buf.astype(_NUMPY_CODECS[dtype]).tobytes()
+        narrow = _take(scratch, "diff", buf.size, _NUMPY_CODECS[dtype])
+        np.copyto(narrow, buf, casting="same_kind")
+        return narrow.tobytes()
 
 
-def squared_diff_sums(a: np.ndarray, b: np.ndarray, ends: Sequence[int]) -> list[float]:
+def squared_diff_sums(
+    a: np.ndarray, b: np.ndarray, ends: Sequence[int], scratch: Scratch | None = None
+) -> list[float]:
     """Sums of squared element differences, one per segment, in float64.
 
-    ``(a - b)**2`` is formed once; segment ``i`` is ``[ends[i-1], ends[i])``
-    (the first starts at 0) and is reduced with its own ``np.sum``. These
-    are the per-block partials of the normalized Frobenius difference, or
-    the per-tensor ones of a run of small tensors decoded as one array.
+    ``(a - b)**2`` is formed once, in the scratch's ``diff`` buffer when
+    one is given; segment ``i`` is ``[ends[i-1], ends[i])`` (the first
+    starts at 0) and is reduced with its own ``np.sum``. These are the
+    per-block partials of the normalized Frobenius difference, or the
+    per-tensor ones of a run of small tensors decoded as one array.
     Callers pass equal lengths and end the last segment at that length; a
     streaming caller keeps ``a`` at most ``BLOCK_ELEMS`` long.
     """
-    d = np.asarray(a, dtype=np.float64).reshape(-1) - np.asarray(b, dtype=np.float64).reshape(-1)
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    d = np.subtract(a, b, out=_take(scratch, "diff", a.size, np.float64))
     np.square(d, out=d)
     sums, lo = [], 0
     for hi in ends:
@@ -197,7 +291,7 @@ def normalized_frobenius_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def linear_combination(
-    tensors: Sequence[np.ndarray], lambdas: Sequence[float]
+    tensors: Sequence[np.ndarray], lambdas: Sequence[float], overwrite: bool = False
 ) -> np.ndarray:
     """Per-element weighted sum of working buffers, accumulated in float64.
 
@@ -209,6 +303,10 @@ def linear_combination(
     skipped, and a lone weight-1.0 term is returned as a bit-exact copy:
     both are required for one-hot weights to reproduce their input exactly
     even in the presence of non-finite values elsewhere.
+
+    With ``overwrite`` the inputs, distinct float64 buffers, are scaled
+    and summed in place and the result is one of them (a lone weight-1.0
+    input is returned as it is); the bits are the same either way.
 
     Convexity of the weights is the caller's policy; this kernel accepts
     general affine weights.
@@ -232,8 +330,9 @@ def linear_combination(
     if not live:
         return np.zeros(size, dtype=np.float64)
     if len(live) == 1 and live[0][0] == 1.0:
-        return live[0][1].copy()
-    terms = [lam * buf for lam, buf in live]  # fresh arrays, summed in place
+        return live[0][1] if overwrite else live[0][1].copy()
+    # Each term is its own array, summed in place: fresh, or the input itself.
+    terms = [np.multiply(buf, lam, out=buf if overwrite else None) for lam, buf in live]
     while len(terms) > 1:
         paired = [
             np.add(terms[i], terms[i + 1], out=terms[i])

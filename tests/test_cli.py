@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import statistics
 import struct
 from collections import Counter
 from pathlib import Path
@@ -107,6 +108,41 @@ def test_plan_experts_only_copies_non_experts(workdir):
         if d["group"] != "routed_expert_mlp":
             assert d["action"] == "copy_base"
             assert d["reason"] == "not_in_subset"
+
+
+def test_plan_summary_is_over_finite_diffs_and_counts_the_nulls(workdir, capsys):
+    rp = recipe_with(workdir, "experts.json", subset="experts-only")
+    plan_path = workdir["tmp"] / "plan.json"
+    assert main(["plan", "--recipe", str(rp), "--out", str(plan_path)]) == 0
+    plan = mm.load_plan(plan_path)
+    nulls = [d for d in plan.decisions if d.max_diff is None]
+    diffed = sorted(d.max_diff for d in plan.decisions if d.max_diff is not None)
+    assert nulls and all(d.reason == "not_in_subset" for d in nulls) and diffed
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == (
+        f"max_diff over tensors: min {diffed[0]:.6g}  "
+        f"median {statistics.median(diffed):.6g}  max {diffed[-1]:.6g}  "
+        f"(null or non-finite {len(nulls)})"
+    )
+
+
+def test_diff_summary_does_not_depend_on_where_a_nan_sits():
+    from moemerge.cli import _summarize_diffs
+
+    category = mm.classify("model.layers.3.mlp.experts.0.up_proj.weight")
+    diffs = [0.5, 0.25, 2.0, math.inf, 1.0]
+    rows = []
+    for values in ([math.nan, *diffs], [*diffs, math.nan]):
+        records = [mm.DiffRecord(f"t{i}", category, (d,), d) for i, d in enumerate(values)]
+        rows.append(_summarize_diffs(records))
+    want = {"group": "routed_expert_mlp", "tensors": 6, "min": 0.25, "median": 0.75,
+            "max": 2.0, "nonfinite": 2}
+    assert rows == [[want], [want]]
+    nan_only = [mm.DiffRecord("t", category, (math.nan,), math.nan)]
+    assert _summarize_diffs(nan_only) == [
+        {"group": "routed_expert_mlp", "tensors": 1, "min": None, "median": None,
+         "max": None, "nonfinite": 1}
+    ]
 
 
 def test_plan_base_one_hot_annotated(workdir):
@@ -677,6 +713,12 @@ def _first_entry(obj, key, entry):
     return {**obj, key: [entry(obj[key][0]), *obj[key][1:]]}
 
 
+def _edit_first(obj, key, match, entry):
+    """``obj`` with the first entry of ``obj[key]`` that ``match``es edited."""
+    i = next(i for i, e in enumerate(obj[key]) if match(e))
+    return {**obj, key: [*obj[key][:i], entry(obj[key][i]), *obj[key][i + 1:]]}
+
+
 _CACHE_EDITS = {
     "list": lambda o: [o],
     "string-max-diff": lambda o: _first_entry(o, "records", lambda r: _with(r, max_diff="0.5")),
@@ -709,6 +751,11 @@ _MALFORMED = [
      lambda o: _first_entry(o, "decisions", lambda d: _with(d, base_preserving="yes"))),
     ("plan-bool-max-diff", "merge --plan", "plan",
      lambda o: _first_entry(o, "decisions", lambda d: _with(d, max_diff=True))),
+    ("plan-null-max-diff-on-a-merge", "merge --plan", "plan", lambda o: _edit_first(
+        o, "decisions", lambda d: d["action"] == "merge", lambda d: _with(d, max_diff=None))),
+    ("plan-null-max-diff-below-threshold", "merge --plan", "plan", lambda o: _edit_first(
+        o, "decisions", lambda d: d["reason"] == "below_threshold",
+        lambda d: _with(d, max_diff=None))),
     ("recipe-huge-lambda", "plan --recipe", "recipe", lambda o: _with(o, lambdas=[10**400, 0])),
     ("recipe-huge-delta", "plan --recipe", "recipe", lambda o: _with(o, delta=10**400)),
     ("recipe-nan-lambda", "plan --recipe", "recipe",
@@ -738,6 +785,23 @@ def test_a_malformed_document_exits_2_with_an_error_line(
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_null_max_diff_loads_only_on_a_not_in_subset_copy(workdir, capsys):
+    rp = recipe_with(workdir, "experts.json", subset="experts-only")
+    plan_path, tmp = workdir["tmp"] / "plan.json", workdir["tmp"]
+    assert main(["plan", "--recipe", str(rp), "--out", str(plan_path)]) == 0
+    assert main(["merge", "--recipe", str(rp), "--out", str(tmp / "fused")]) == 0
+    assert main(["merge", "--plan", str(plan_path), "--out", str(tmp / "reviewed")]) == 0
+    # a plan written before not_in_subset copies had a null max_diff still loads
+    plan = json.loads(plan_path.read_text())
+    older = [_with(d, max_diff=0.0) if d["max_diff"] is None else d for d in plan["decisions"]]
+    assert older != plan["decisions"]
+    (tmp / "older.json").write_text(json.dumps(_with(plan, decisions=older)))
+    assert main(["merge", "--plan", str(tmp / "older.json"), "--out", str(tmp / "older")]) == 0
+    fused = read_all_bytes(tmp / "fused")
+    assert read_all_bytes(tmp / "reviewed") == fused == read_all_bytes(tmp / "older")
+    assert (tmp / "fused" / "merge_plan.json").read_bytes() == plan_path.read_bytes()
 
 
 # --- plan and sweep from a diff cache ----------------------------------------------

@@ -771,6 +771,31 @@ def test_fused_pass_reads_each_parent_once_per_tensor(tiny_trio, tmp_path, monke
     assert len(reads) < len(models) * len(models[0].tensors)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_experts_only_fused_merge_reads_no_tensor_outside_the_subset(
+    tiny_trio, tmp_path, monkeypatch, workers
+):
+    models = tiny_trio["models"]
+    cfg = trio_config(tiny_trio, subset=EXPERTS_ONLY_SUBSET)
+    plan = mm.plan_merge(cfg, mm.compute_diffs(models), [m.fingerprint() for m in models])
+    covered, reads = count_tensor_reads(monkeypatch)
+    ranges = count_calls(monkeypatch, "tensor_range")
+    out, report = mm.execute_merge(None, cfg, tmp_path / "m", workers=workers)
+    base = models[0]
+    outside = {d.name for d in report.plan.decisions if d.reason == REASON_NOT_IN_SUBSET}
+    inside = set(base.tensors) - outside
+    assert outside and inside
+    assert covered == Counter((m.root, name) for m in models for name in inside)
+    assert sorted(name for _, name in ranges) == sorted(outside)
+    assert {index.root for index, _ in ranges} == {base.root}
+    for name in outside:
+        assert mm.read_tensor_raw(out, name) == mm.read_tensor_raw(base, name)
+    assert all(d.max_diff is None for d in report.plan.decisions if d.name in outside)
+    assert all(d.max_diff is not None for d in report.plan.decisions if d.name in inside)
+    # the same plan as one made from a diff of every tensor
+    assert (tmp_path / "m" / "merge_plan.json").read_text() == plan.to_json_text()
+
+
 # --- the I/O of a pass: handles, range copies, fallback ----------------------------------
 
 
@@ -1137,3 +1162,41 @@ def test_many_experts_merge_identically_at_every_worker_count(tmp_path):
     assert first[3] == first[4]
     assert outputs(2) == first
     assert outputs(8) == first
+
+
+@pytest.mark.parametrize("code", ["F32", "BF16"])
+def test_a_reused_scratch_leaves_no_trace_in_later_tensors(tmp_path, code):
+    """A tensor of more than a block, then one of 5 elements, then a run,
+    each merged into the scratch the one before it used on one worker."""
+    other = "BF16" if code == "F32" else "F32"  # keeps the 5-element tensor out of the run
+    tensors = [("big", code, BLOCK_ELEMS + 3), ("five", other, 5)]
+    tensors += [(f"r{t}", code, n) for t, n in enumerate(RUN_SIZES)]
+    rng = np.random.default_rng(9)
+    first = [rng.standard_normal(n).astype("<f4") for _, _, n in tensors]
+    paths, raws = [], []
+    for p in range(3):
+        entries = []
+        for (name, dtype, n), values in zip(tensors, first):
+            if p and name != "r3":  # r3 is equal in every parent, so it is copied
+                values = values + np.float32(0.01 * (p + 1)) * rng.standard_normal(n).astype("<f4")
+            entries.append((name, dtype, [n], to_raw(values, dtype)))
+        path = tmp_path / f"p{p}.safetensors"
+        path.write_bytes(build_safetensors(entries))
+        paths.append(str(path))
+        raws.append([data for _, _, _, data in entries])
+    models = [mm.open_checkpoint(path) for path in paths]
+    assert run_lengths(models) == [1, 1, len(RUN_SIZES)]
+    cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.5, 0.3, 0.2))
+    for workers in (1, 2, 8):
+        out, report = mm.execute_merge(None, cfg, tmp_path / f"m{workers}", workers=workers)
+        for t, (name, dtype, _) in enumerate(tensors):
+            decision = report.plan.decisions[t]
+            assert decision.name == name
+            if name == "r3":
+                assert decision.reason == REASON_BELOW_THRESHOLD
+                assert mm.read_tensor_raw(out, name) == raws[0][t]
+                continue
+            assert decision.action == ACTION_MERGE
+            values = [mm.decode(parent[t], mm.DType[dtype]) for parent in raws]
+            want = mm.encode(mm.linear_combination(values, cfg.lambdas), mm.DType[dtype])
+            assert mm.read_tensor_raw(out, name) == want, (workers, name)

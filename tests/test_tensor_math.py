@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from moemerge import DType, decode, encode, linear_combination, normalized_frobenius_diff
 from moemerge.errors import UnsupportedDTypeError
+from moemerge.tensor_math import BLOCK_ELEMS, Scratch, all_finite, squared_diff_sums
 
 
 # --- independent scalar reference converters ---------------------------------
@@ -214,8 +215,6 @@ def test_diff_scale_within_one_ulp(n, seed, c):
 @given(st.lists(st.integers(1, 700), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
 def test_segment_sums_equal_each_segment_summed_alone(sizes, seed):
     # a run of tensors diffed as one array gives each tensor its own bits
-    from moemerge.tensor_math import squared_diff_sums
-
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(sum(sizes))
     b = a + rng.standard_normal(a.size)
@@ -298,3 +297,97 @@ def test_combination_affine_weights_allowed(n, seed):
     a, b = rng.standard_normal(n), rng.standard_normal(n)
     out = linear_combination([a, b], [1.5, -0.5])  # task-arithmetic style
     assert np.isfinite(out).all()
+
+
+# --- reused scratch and the raw-bit finiteness check ------------------------------
+
+
+def bits_of(values):
+    """An array's bytes, so NaN payloads compare too."""
+    return np.ascontiguousarray(values).tobytes()
+
+
+def raw_parent(rng, dtype, n, special):
+    """``n`` raw elements of ``dtype``; ``special`` puts NaN and infinities in floats."""
+    if dtype in (DType.I32, DType.U8, DType.BOOL):
+        high = {DType.I32: 1000, DType.U8: 256, DType.BOOL: 2}[dtype]
+        code = {DType.I32: "<i4", DType.U8: "u1", DType.BOOL: "?"}[dtype]
+        return rng.integers(0, high, n).astype(code).tobytes()
+    values = rng.standard_normal(n)
+    if special and n:
+        values[rng.integers(0, n, 3)] = [np.nan, np.inf, -np.inf]
+    if dtype is DType.BF16:
+        return (values.astype("<f4").view("<u4") >> 16).astype("<u2").tobytes()
+    code = {DType.F16: "<f2", DType.F32: "<f4", DType.F64: "<f8"}[dtype]
+    with np.errstate(over="ignore"):
+        return values.astype(code).tobytes()
+
+
+@pytest.mark.parametrize(
+    "dtype", [DType.BF16, DType.F16, DType.F32, DType.F64, DType.I32, DType.U8, DType.BOOL]
+)
+def test_kernels_given_a_reused_scratch_return_what_they_return_without_one(dtype):
+    rng = np.random.default_rng(21)
+    scratch = Scratch(3)
+    lambdas = (0.5, 0.3, 0.2)
+    # A full block first, so the later, smaller calls find stale values in every buffer.
+    for n in (BLOCK_ELEMS, 5, 0, 1000):
+        raws = [raw_parent(rng, dtype, n, special=k == 2) for k in range(3)]
+        fresh = [decode(raw, dtype) for raw in raws]
+        reused = [decode(raw, dtype, out, scratch) for raw, out in zip(raws, scratch.values)]
+        assert [bits_of(v) for v in reused] == [bits_of(v) for v in fresh]
+        for raw, values in zip(raws, fresh):
+            want = bool(np.isfinite(values).all())
+            assert all_finite(raw, dtype) == all_finite(raw, dtype, scratch) == want
+        with np.errstate(invalid="ignore"):
+            sums = [squared_diff_sums(fresh[0], other, [n]) for other in fresh[1:]]
+            again = [squared_diff_sums(reused[0], other, [n], scratch) for other in reused[1:]]
+        assert bits_of(np.array(again)) == bits_of(np.array(sums))
+        with np.errstate(invalid="ignore"):
+            combined = linear_combination(fresh, lambdas)
+            in_place = linear_combination(reused, lambdas, overwrite=True)
+        assert n == 0 or any(np.shares_memory(in_place, v) for v in scratch.values)
+        assert bits_of(in_place) == bits_of(combined)
+        assert encode(in_place, dtype, scratch) == encode(combined, dtype)
+        assert [bits_of(v) for v in fresh] == [bits_of(decode(raw, dtype)) for raw in raws]
+
+
+def test_in_place_combination_keeps_the_one_hot_and_zero_weight_rules():
+    rng = np.random.default_rng(22)
+    a, b = rng.standard_normal(64), np.full(64, np.nan)
+    out = linear_combination([a.copy(), b.copy()], [1.0, 0.0], overwrite=True)
+    assert bits_of(out) == bits_of(a)
+    assert not linear_combination([a.copy(), b.copy()], [0.0, 0.0], overwrite=True).any()
+
+
+@pytest.mark.parametrize("dtype", [DType.BF16, DType.F16])
+def test_all_finite_agrees_with_isfinite_on_every_16bit_pattern(dtype):
+    patterns = np.arange(65536, dtype=np.uint16).astype("<u2")
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(decode(patterns.tobytes(), dtype))
+    assert 0 < (~finite).sum() < 65536
+    filler = patterns[finite][::97]
+    for scratch in (None, Scratch(1)):
+        assert all_finite(patterns[finite].tobytes(), dtype, scratch)
+        for pattern in patterns[~finite]:
+            assert not all_finite(pattern.tobytes(), dtype, scratch)
+            mixed = np.concatenate([filler, [pattern], filler])
+            assert not all_finite(mixed.tobytes(), dtype, scratch)
+
+
+def test_all_finite_agrees_with_isfinite_on_f32_specials():
+    specials = [
+        0x7F800000, 0xFF800000,  # +inf, -inf
+        0x7FC00000, 0xFFC00001,  # quiet NaNs
+        0x7F800001, 0x7FA12345, 0xFFBFFFFF,  # signaling NaNs
+        0x7F7FFFFF, 0xFF7FFFFF,  # largest finite
+        0x00000001, 0x007FFFFF, 0x80000001,  # subnormals
+        0x00000000, 0x80000000, 0x3F800000,  # zeros and one
+    ]
+    for bits in specials:
+        raw = np.array([bits], dtype="<u4").tobytes()
+        with np.errstate(invalid="ignore"):
+            want = bool(np.isfinite(decode(raw, DType.F32)).all())
+        for scratch in (None, Scratch(1)):
+            assert all_finite(raw, DType.F32, scratch) == want, hex(bits)
+    assert all_finite(b"", DType.F32)
