@@ -5,39 +5,41 @@ weights runs one task per run of tensors. A run is a sequence of
 consecutive base-layout tensors of one dtype, each below
 ``_RUN_TENSOR_ELEMS`` elements, byte-adjacent in one shard of every
 parent, and at most ``_RUN_ELEMS`` elements in all; every other tensor is
-a run of one. A run costs one read and one decode per parent, however
-many tensors it holds, and stays within one block of ``BLOCK_ELEMS``.
+a run of one. A run costs one read per parent, however many tensors it
+holds, and stays within one block of ``BLOCK_ELEMS``.
 
-A pass opens one read-only descriptor per shard of each parent and closes
-them all when it ends. ``compute_diffs`` reads each parent's bytes once
-and diffs them in fixed blocks; each tensor of a run is reduced over its
-own slice, so its record has the same bits as when it is diffed alone
-(see ``tensor_math``). A recipe merge gates the subset before it reads
-anything: a tensor outside it joins no run, is never read, and goes to
-the writer as the base tensor's byte range, copied file to file without
-entering Python. The pass diffs and gates every other tensor, combines
-the merged tensors' elements into the output, with one finiteness check
-per parent on the raw bits, and hands on slices of the base bytes it
-holds for the copies below the threshold; its plan comes out of the same
-pass as an audit record. A reviewed plan skips the diff: a copy is a
-byte range in the same way, and only merged tensors are read,
-consecutive merges in runs. Every merge weighs the parents by the
-config's one weight vector. The functions that read weights check the
-parents' compatibility once, up front. The gate, the configs, plans and
-diff caches live in ``planning``, which needs no numpy. This module
-loads numpy and the ``tensor_math`` kernels only when a pass decodes,
-so a reviewed copy-only plan, or a recipe merge whose subset selects
+One function, ``_walk``, takes a task's bytes block by block in every
+pass: it decodes each block once per parent, diffs the segments of each
+tensor not yet decided, gates a tensor after its last block, and
+combines and encodes the merged tensors' segments at their own offsets.
+``compute_diffs`` only diffs. A recipe merge gates the subset before it
+reads anything: a tensor outside it joins no run, is never read, and
+goes to the writer as the base tensor's byte range, copied file to file
+without entering Python. Every other tensor is diffed, gated and, within
+one block, combined in one walk; a copy below the threshold hands on the
+base bytes the task read, and a merged tensor of several blocks, gated
+after its earlier blocks are gone, is decoded again by a second walk.
+Its plan comes out of the same pass as an audit record. A reviewed plan
+skips the diff: a copy is a byte range in the same way, and a run of
+merges is one walk. Every merge weighs the parents by the config's one
+weight vector. The functions that read weights check the parents'
+compatibility once, up front. The gate, the configs, plans and diff
+caches live in ``planning``, which needs no numpy. This module loads
+numpy and the ``tensor_math`` kernels only when a pass decodes, so a
+reviewed copy-only plan, or a recipe merge whose subset selects
 nothing, runs without them.
 
-Tasks run on a worker pool whose window of ``2 * workers`` runs is the
-only bound on in-flight work; results are written in base layout order,
-so output is independent of the worker count. The pool is started only
-with more than one worker. Each thread that decodes owns one
-``tensor_math.Scratch``, made on its first such task of the pass: P + 1
-float64 buffers of ``BLOCK_ELEMS`` for P parents and a float32 and a
-uint32 one, (2P + 4) MiB, 8 MiB with two parents. Decode, diff, combine
-and encode write into it, so a task allocates no block-sized float
-arrays; it holds its parents' raw bytes and its output bytes.
+A pass opens one read-only descriptor per shard of each parent and closes
+them all when it ends. Tasks run on a worker pool whose window of
+``2 * workers`` runs is the only bound on in-flight work; results are
+written in base layout order, so output is independent of the worker
+count. The pool is started only with more than one worker. Each thread
+that decodes owns one ``tensor_math.Scratch``, made on its first such
+task of the pass: P + 1 float64 buffers of ``BLOCK_ELEMS`` for P parents
+and a float32 and a uint32 one, (2P + 4) MiB, 8 MiB with two parents.
+Decode, diff, combine and encode write into it, so a task allocates no
+block-sized float arrays; it holds its parents' raw bytes and its output
+bytes.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ._version import __version__
-from .dtypes import DType
 from .errors import CompatibilityError, MergeError, RecipeError
 from .planning import (
     ACTION_COPY_BASE,
@@ -90,8 +91,6 @@ from .taxonomy import (
 )
 
 if TYPE_CHECKING:  # bound at run time by _load_kernels
-    import numpy as np
-
     from .tensor_math import (
         BLOCK_ELEMS,
         Scratch,
@@ -129,24 +128,21 @@ _RUN_ELEMS = 1 << 16
 
 
 def _load_kernels() -> None:
-    """Bind ``np`` and the ``tensor_math`` kernels as module globals.
+    """Bind the ``tensor_math`` kernels as module globals.
 
     Called once per pass that decodes. ``setdefault`` keeps a binding made
     before the first load, such as a tracing wrapper.
     """
-    import numpy
-
     from . import tensor_math
 
     namespace = globals()
-    namespace.setdefault("np", numpy)
     for name in _KERNELS:
         namespace.setdefault(name, getattr(tensor_math, name))
 
 
 def __getattr__(name: str):
     """Load the kernels when one is looked up before any pass decodes."""
-    if name == "np" or name in _KERNELS:
+    if name in _KERNELS:
         _load_kernels()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -281,118 +277,85 @@ def _runs(
         yield run
 
 
-def _block_views(raws: Sequence[bytes], dtype: DType, numel: int) -> Iterator[list[memoryview]]:
-    """Each parent's bytes, one ``BLOCK_ELEMS`` block at a time.
-
-    A run, or a tensor of at most one block, is a single block; so is an
-    empty tensor.
-    """
-    width = dtype.byte_width
-    views = [memoryview(raw) for raw in raws]
-    for first in range(0, numel or 1, BLOCK_ELEMS):
-        lo, hi = first * width, min(first + BLOCK_ELEMS, numel) * width
-        yield [view[lo:hi] for view in views]
-
-
-def _decode_block(views: Sequence[memoryview], dtype: DType, scratch: Scratch) -> list[np.ndarray]:
-    """One block of each parent, decoded into the scratch's value buffers."""
-    return [decode(view, dtype, out, scratch) for view, out in zip(views, scratch.values)]
-
-
-def _nonfinite(raws: Sequence[bytes | memoryview], dtype: DType, scratch: Scratch) -> list[int]:
-    """The 1-based parents whose bytes hold a non-finite element."""
-    return [i for i, raw in enumerate(raws, start=1) if not all_finite(raw, dtype, scratch)]
-
-
-def _diff_parents(
-    run: Sequence[str],
-    categories: Sequence[TensorCategory],
+def _walk(
     raws: Sequence[bytes],
     infos: Sequence[TensorInfo],
+    decisions: list[MergeDecision | None],
     scratch: Scratch,
-) -> tuple[list[DiffRecord], list[np.ndarray] | None]:
-    """The run's DiffRecords from one blocked pass over its parents.
-
-    A run of several tensors is one block, and each tensor's partial sums
-    only its own slice of it. Also returns the decoded parents, held in
-    the scratch, when the run is a single block, so a merge can combine
-    them without decoding again.
-    """
-    dtype = infos[0].dtype
-    ends = list(accumulate(info.numel for info in infos))
-    single = ends[-1] <= BLOCK_ELEMS
-    partials: list[list[list[float]]] = [[[] for _ in raws[1:]] for _ in infos]
-    blocks: list[np.ndarray] = []
-    for views in _block_views(raws, dtype, ends[-1]):
-        blocks = _decode_block(views, dtype, scratch)
-        cuts = ends if single else [len(blocks[0])]
-        for k, other in enumerate(blocks[1:]):
-            for sums, part in zip(partials, squared_diff_sums(blocks[0], other, cuts, scratch)):
-                sums[k].append(part)
-    records = []
-    for name, category, info, sums in zip(run, categories, infos, partials):
-        diffs = tuple(rms_from_partials(acc, info.numel) for acc in sums)
-        records.append(DiffRecord(name, category, diffs, max(diffs)))
-    return records, blocks if single else None
-
-
-def _combine(
-    raws: Sequence[bytes],
-    infos: Sequence[TensorInfo],
-    merged: Sequence[int],
     lambdas: Sequence[float],
-    scratch: Scratch,
-    decoded: list[np.ndarray] | None = None,
-) -> tuple[bytes | bytearray, list[list[int]]]:
-    """Weighted sum of the parents over the run's tensors at ``merged``.
+    gate: Callable[[int, tuple[float, ...]], MergeDecision | None] | None = None,
+) -> tuple[bytearray | None, dict[int, list[int]]]:
+    """One pass over a task's parents, one ``BLOCK_ELEMS`` block at a time.
 
-    ``decoded`` is the run's single block already decoded by the diff, if
-    any. A tensor of several blocks is combined block by block into one
-    output buffer. Returns the merged tensors' bytes back to back and, per
-    merged tensor, the 1-based parents that held a non-finite value. The
-    finiteness check reads the raw bits once per parent; only a run that
-    fails it is searched tensor by tensor. Consecutive merged tensors are
-    combined and encoded as one slice.
+    Each block is decoded once per parent and cut into its tensors'
+    segments: a run is one block of one segment per tensor, a larger
+    tensor one segment per block. A tensor without a decision is diffed
+    segment by segment, so its record has the bits of the tensor diffed
+    alone (see ``tensor_math``), and once its last block is diffed,
+    ``gate(t, diffs)`` gives ``decisions[t]``. The block's segments of
+    every tensor decided ``merge`` are combined and encoded at their own
+    offset in the task's output buffer, made on the first combine. A
+    tensor of several blocks gated in this walk is not combined, since
+    its earlier blocks are gone: another walk combines it. The finiteness
+    check reads each parent's block once and searches segment by segment
+    only a parent that fails it. Returns the output buffer, or None, and
+    for each tensor that had any, by index, the 1-based parents that held
+    a non-finite value in what was combined.
     """
     dtype = infos[0].dtype
     width = dtype.byte_width
-    ends = list(accumulate(info.numel for info in infos))
-    if ends[-1] > BLOCK_ELEMS:  # a run of one
-        out = bytearray(infos[0].nbytes)
-        bad: set[int] = set()
-        pos = 0
-        for views in _block_views(raws, dtype, ends[-1]):
-            bad.update(_nonfinite(views, dtype, scratch))
-            values = _decode_block(views, dtype, scratch)
-            data = encode(linear_combination(values, lambdas, overwrite=True), dtype, scratch)
-            out[pos:pos + len(data)] = data
-            pos += len(data)
-        return out, [sorted(bad)]
+    numels = [info.numel for info in infos]
+    ends = list(accumulate(numels))
+    starts = [end - numel for end, numel in zip(ends, numels)]
+    # A tensor of several blocks gated in this walk has lost its earlier blocks.
+    combines = ends[-1] <= BLOCK_ELEMS or None not in decisions
+    partials: list[list[list[float]]] = [[[] for _ in raws[1:]] for _ in infos]
+    bad: dict[int, set[int]] = {}
+    out = None
     views = [memoryview(raw) for raw in raws]
-    if decoded is None:
-        decoded = _decode_block(views, dtype, scratch)
-    bounds = [(ends[t] - infos[t].numel, ends[t]) for t in merged]
-    bad_parents = _nonfinite(raws, dtype, scratch)
-    found = [
-        [
-            i for i in bad_parents
-            if not all_finite(views[i - 1][lo * width:hi * width], dtype, scratch)
+    for first in range(0, ends[-1], BLOCK_ELEMS):
+        last = min(first + BLOCK_ELEMS, ends[-1])
+        block = [view[first * width:last * width] for view in views]
+        values = [decode(raw, dtype, buf, scratch) for raw, buf in zip(block, scratch.values)]
+        segments = [  # (tensor, start, end) in block elements
+            (t, (lo if lo > first else first) - first, (hi if hi < last else last) - first)
+            for t, (lo, hi) in enumerate(zip(starts, ends)) if lo < last and hi > first
         ]
-        for lo, hi in bounds
-    ]
-    slices: list[list[int]] = []
-    for lo, hi in bounds:
-        if slices and slices[-1][1] == lo:
-            slices[-1][1] = hi
-        else:
-            slices.append([lo, hi])
-    data = b"".join(
-        encode(
-            linear_combination([v[lo:hi] for v in decoded], lambdas, overwrite=True), dtype, scratch
-        )
-        for lo, hi in slices
-    )
-    return data, found
+        if None in decisions:
+            cuts = [hi for _, _, hi in segments]
+            for k, other in enumerate(values[1:]):
+                sums = squared_diff_sums(values[0], other, cuts, scratch)
+                for (t, _, _), part in zip(segments, sums):
+                    partials[t][k].append(part)
+            for t, _, hi in segments:
+                if first + hi == ends[t] and decisions[t] is None:
+                    diffs = tuple(rms_from_partials(acc, numels[t]) for acc in partials[t])
+                    decisions[t] = gate(t, diffs)
+        merged = [
+            (t, lo, hi) for t, lo, hi in segments
+            if combines and decisions[t] is not None and decisions[t].action != ACTION_COPY_BASE
+        ]
+        if not merged:
+            continue
+        failing = [i for i, raw in enumerate(block, start=1) if not all_finite(raw, dtype, scratch)]
+        spans: list[list[int]] = []
+        for t, lo, hi in merged:
+            if failing:
+                bad.setdefault(t, set()).update(
+                    i for i in failing
+                    if not all_finite(block[i - 1][lo * width:hi * width], dtype, scratch)
+                )
+            if spans and spans[-1][1] == lo:
+                spans[-1][1] = hi
+            else:
+                spans.append([lo, hi])
+        if out is None:
+            out = bytearray(ends[-1] * width)
+        target = memoryview(out)[first * width:]
+        for lo, hi in spans:
+            combined = linear_combination([v[lo:hi] for v in values], lambdas, overwrite=True)
+            encode(combined, dtype, scratch, target[lo * width:hi * width])
+    return out, {t: sorted(parents) for t, parents in bad.items() if parents}
 
 
 _Outcome = tuple[
@@ -415,19 +378,22 @@ def _tensor_task(
     ``handles`` holds the pass's open shards, one map per model.
     ``planned`` holds the decisions made before any read: every decision
     of a reviewed plan, or the fused pass's copies of tensors outside the
-    subset. A planned run is not diffed: a copy reads nothing and yields
-    the base tensor's range, a run of merges reads every parent once and
-    combines. Otherwise each parent's run is read once and diffed, each
-    tensor classified by ``categories``; without a config the task stops
-    there, with one it gates each tensor, then combines the merged ones
-    and hands on slices of the base bytes already read for the copies.
-    Returns one (record, decision, output bytes or range, non-finite
-    parents) per tensor of the run. The kernels are loaded unless every
-    tensor is a planned copy; each thread that decodes makes its own
-    scratch on its first such task and reuses it for the rest of the pass.
+    subset. A planned copy reads nothing and yields the base tensor's
+    range; a planned run of merges reads every parent once and is walked
+    once. Otherwise each parent's run is read once and walked with a gate
+    that records each tensor's diff, classified by ``categories``; without
+    a config the task stops there, with one the gate decides each tensor,
+    the walk combines what it can, and a merged tensor of several blocks
+    is combined by a second walk. Copies below the threshold are slices
+    of the base bytes already read. Returns one (record, decision, output
+    bytes or range, non-finite parents) per tensor of the run. The
+    kernels are loaded unless every tensor is a planned copy; each thread
+    that decodes makes its own scratch on its first such task and reuses
+    it for the rest of the pass.
     """
     base = models[0]
     planned = planned or {}
+    lambdas = config.lambdas if config is not None else ()
     if sum(d.action == ACTION_COPY_BASE for d in planned.values()) < len(base.tensors):
         _load_kernels()
     local = threading.local()
@@ -445,38 +411,38 @@ def _tensor_task(
 
     def task(run: Sequence[str]) -> list[_Outcome]:
         infos = [base.tensors[name] for name in run]
+        decisions = [planned.get(name) for name in run]
         records: list[DiffRecord | None] = [None] * len(run)
-        raws, decoded = None, None
-        if run[0] in planned:
-            decisions = [planned[name] for name in run]
-        else:
+        raws, out, bad = None, None, {}
+        if decisions[0] is None:
             cats = [categories[name] for name in run]
+
+            def gate(t: int, diffs: tuple[float, ...]) -> MergeDecision | None:
+                records[t] = DiffRecord(run[t], cats[t], diffs, max(diffs, default=0.0))
+                return None if config is None else _decide(records[t], cats[t], config)
+
             if len(models) == 1 or infos[0].numel == 0:
-                zero = (0.0,) * (len(models) - 1)
-                records = [DiffRecord(name, c, zero, 0.0) for name, c in zip(run, cats)]
+                decisions = [gate(t, (0.0,) * (len(models) - 1)) for t in range(len(run))]
             else:
                 raws = read(run)
-                records, decoded = _diff_parents(run, cats, raws, infos, scratch())
+                out, bad = _walk(raws, infos, decisions, scratch(), lambdas, gate)
             if config is None:
                 return [(record, None, None, []) for record in records]
-            decisions = [_decide(r, c, config) for r, c in zip(records, cats)]
-        merged = [t for t, d in enumerate(decisions) if d.action != ACTION_COPY_BASE]
-        if merged:
+        if out is None and any(d.action != ACTION_COPY_BASE for d in decisions):
             raws = raws or read(run)
-            data, found = _combine(raws, infos, merged, config.lambdas, scratch(), decoded)
-            combined, bad = memoryview(data), iter(found)
+            out, bad = _walk(raws, infos, decisions, scratch(), lambdas)
         held = memoryview(raws[0]) if raws else None
+        combined = memoryview(out or b"")  # an empty merged tensor combines nothing
         outcomes: list[_Outcome] = []
-        lo = pos = 0  # byte offsets into held and combined
-        for name, info, record, decision in zip(run, infos, records, decisions):
+        lo = 0  # byte offset of the tensor in held and combined
+        for t, (name, info, record, decision) in enumerate(zip(run, infos, records, decisions)):
             if decision.action != ACTION_COPY_BASE:
-                out, bad_models = combined[pos:pos + info.nbytes], next(bad)
-                pos += info.nbytes
+                data = combined[lo:lo + info.nbytes]
             elif held is not None:
-                out, bad_models = held[lo:lo + info.nbytes], []
+                data = held[lo:lo + info.nbytes]
             else:
-                out, bad_models = tensor_range(base, name, handles=handles[0]), []
-            outcomes.append((record, decision, out, bad_models))
+                data = tensor_range(base, name, handles=handles[0])
+            outcomes.append((record, decision, data, bad.get(t, [])))
             lo += info.nbytes
         return outcomes
 

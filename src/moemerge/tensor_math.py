@@ -40,13 +40,16 @@ Reused buffers
 A ``Scratch`` holds one thread's working buffers of ``BLOCK_ELEMS``
 elements each: one float64 buffer per parent for decoded values, a
 float64 buffer for differences and an encode's narrowing, and the
-float32 and uint32 buffers of the BF16 conversions. ``decode``
-(``out=``), ``squared_diff_sums``, ``encode`` and ``all_finite`` take an
-optional scratch and then write into a prefix of its buffers instead of
+float32 and uint32 buffers of the BF16 conversions. ``decode``,
+``squared_diff_sums``, ``encode`` and ``all_finite`` take an optional
+scratch and then write into a prefix of its buffers instead of
 allocating arrays of the block's size;
 ``linear_combination(overwrite=True)`` scales and sums its inputs in
-place. Without a scratch each call allocates what it needs, through
-the same code, so the bits never depend on whether one was given.
+place. ``decode(out=)`` writes its values into a given float64 buffer
+and ``encode(out=)`` its bytes into a given writable buffer, so a merged
+block is encoded straight into a slice of its task's output. Without a
+scratch or ``out`` each call allocates what it needs, through the same
+code, so the bits never depend on whether one was given.
 ``all_finite`` reads the float exponent bits of the raw bytes, so a
 finiteness check decodes nothing.
 """
@@ -124,12 +127,14 @@ def _take(scratch: Scratch | None, buffer: str, n: int, dtype) -> np.ndarray:
     return getattr(scratch, buffer).view(dtype)[:n]
 
 
-def _f32_to_bf16_bits(values: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
-    """Narrow float32 to BF16 bit patterns with round-to-nearest-even.
+def _f32_to_bf16_bits(
+    values: np.ndarray, bits: np.ndarray, scratch: Scratch | None = None
+) -> None:
+    """Narrow float32 to BF16 bit patterns in ``bits``, rounding to nearest even.
 
     NaNs keep their top payload bits and get the quiet bit forced, so the
-    rounding bias cannot carry a NaN into an infinity. With a scratch,
-    ``values`` must be its ``f32`` buffer, which the result then reuses.
+    rounding bias cannot carry a NaN into an infinity. ``bits`` may share
+    memory with ``values`` (an encode's scratch ``f32`` buffer).
     """
     n = values.size
     u = values.view(np.uint32)
@@ -142,9 +147,7 @@ def _f32_to_bf16_bits(values: np.ndarray, scratch: Scratch | None = None) -> np.
     nan = np.isnan(values, out=_take(scratch, "diff", n, np.bool_))
     if nan.any():
         rounded[nan] = (u[nan] >> 16) | 0x0040
-    bits = _take(scratch, "f32", n, "<u2")  # values are no longer read
-    np.copyto(bits, rounded, casting="unsafe")
-    return bits
+    np.copyto(bits, rounded, casting="unsafe")  # values are no longer read
 
 
 def decode(
@@ -207,30 +210,43 @@ def all_finite(
     return int(magnitude.max()) < exponent
 
 
-def encode(values: np.ndarray, dtype: DType, scratch: Scratch | None = None) -> bytes:
+def encode(
+    values: np.ndarray,
+    dtype: DType,
+    scratch: Scratch | None = None,
+    out: bytearray | memoryview | None = None,
+) -> bytes | memoryview:
     """Encode a working buffer into raw little-endian bytes of ``dtype``.
 
     Float narrowing uses round-to-nearest-even; overflow saturates to the
     format's infinity per IEEE rules. Integer targets round half to even
-    (numpy ``rint``) before the cast; BOOL encodes nonzero -> 1. A float
-    target narrows through the scratch's buffers when one is given;
-    ``values`` must then be none of its ``diff``, ``f32`` or ``u32``.
+    (numpy ``rint``) before the cast; BOOL encodes nonzero -> 1. The bytes
+    go into a prefix of ``out``, a writable buffer, when it is given, and
+    a memoryview of that prefix is returned; else they are returned as
+    fresh bytes. With a scratch the encode works in its buffers, and
+    ``values`` must be none of its ``diff``, ``f32`` or ``u32``.
     """
     if not isinstance(dtype, DType):
         raise UnsupportedDTypeError(f"not a supported dtype: {dtype!r}")
     buf = np.asarray(values, dtype=np.float64).reshape(-1)
+    n = buf.size
+    code = "<u2" if dtype is DType.BF16 else _NUMPY_CODECS[dtype]
+    if out is None:
+        target = _take(scratch, "f32" if dtype is DType.BF16 else "diff", n, code)
+    else:
+        target = np.frombuffer(out, dtype=code, count=n)
     with np.errstate(over="ignore", invalid="ignore"):
         if dtype is DType.BF16:
-            f32 = _take(scratch, "f32", buf.size, np.float32)
+            f32 = _take(scratch, "f32", n, np.float32)
             np.copyto(f32, buf, casting="same_kind")
-            return _f32_to_bf16_bits(f32, scratch).tobytes()
-        if dtype is DType.BOOL:
-            return (buf != 0).astype("?").tobytes()
-        if dtype in (DType.I64, DType.I32, DType.I8, DType.U8):
-            return np.rint(buf).astype(_NUMPY_CODECS[dtype]).tobytes()
-        narrow = _take(scratch, "diff", buf.size, _NUMPY_CODECS[dtype])
-        np.copyto(narrow, buf, casting="same_kind")
-        return narrow.tobytes()
+            _f32_to_bf16_bits(f32, target, scratch)
+        elif dtype is DType.BOOL:
+            np.not_equal(buf, 0, out=target)
+        elif dtype in (DType.I64, DType.I32, DType.I8, DType.U8):
+            np.copyto(target, np.rint(buf), casting="unsafe")
+        else:
+            np.copyto(target, buf, casting="same_kind")
+    return target.tobytes() if out is None else memoryview(out)[:target.nbytes]
 
 
 def squared_diff_sums(

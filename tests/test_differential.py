@@ -3,12 +3,15 @@
 Each seed draws 2-3 parents with convex weights, a threshold of 0 or 1e-3,
 an experts-only or full subset, and tensors of mixed dtypes and sizes,
 from empty to past one block, in one or two shards. The fused merge at 1
-and 2 workers and ``merge --plan`` of its plan must write the bytes of
+and 2 workers, ``merge --plan`` of its plan and ``merge --recipe
+--diffs`` over the cache ``diff`` writes must write the bytes of
 ``naive_oracle.naive_merge``, and the fused pass's ``merge_plan.json``
 must be the plan ``plan_merge`` makes from ``compute_diffs``. The values
 are finite and every planted diff is far from the threshold, so the
 oracle's own diff formula decides every tensor the same way.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -131,3 +134,10 @@ def test_every_merge_path_writes_the_oracle_bytes(tmp_path, seed):
     assert main(["merge", "--plan", str(tmp_path / "fused1" / "merge_plan.json"),
                  "--out", str(reviewed)]) == 0
     assert _mismatches(_payloads(reviewed), want) == []
+    recipe, cache, cached = tmp_path / "recipe.json", tmp_path / "diffs.json", tmp_path / "cached"
+    recipe.write_text(json.dumps(config.to_json_obj()), "utf-8")
+    assert main(["diff", *paths, "--out", str(cache)]) == 0
+    assert main(["merge", "--recipe", str(recipe), "--diffs", str(cache),
+                 "--out", str(cached)]) == 0
+    assert (cached / "merge_plan.json").read_text("utf-8") == plan.to_json_text()
+    assert _mismatches(_payloads(cached), want) == []

@@ -12,6 +12,7 @@ import pytest
 
 import moemerge as mm
 from moemerge import merge_core
+from moemerge.cli import main
 from moemerge.errors import FormatError, MergeError, RecipeError
 from moemerge.planning import (
     ACTION_COPY_BASE,
@@ -1200,3 +1201,109 @@ def test_a_reused_scratch_leaves_no_trace_in_later_tensors(tmp_path, code):
             values = [mm.decode(parent[t], mm.DType[dtype]) for parent in raws]
             want = mm.encode(mm.linear_combination(values, cfg.lambdas), mm.DType[dtype])
             assert mm.read_tensor_raw(out, name) == want, (workers, name)
+
+
+# --- tensors of several blocks -----------------------------------------------------------
+
+
+def parents_of(tmp_path, tensors_per_parent):
+    """One single-file parent per list of (name, code, numel, raw) entries."""
+    paths = []
+    for p, tensors in enumerate(tensors_per_parent):
+        path = tmp_path / f"p{p}.safetensors"
+        path.write_bytes(build_safetensors([(n, c, [k], raw) for n, c, k, raw in tensors]))
+        paths.append(str(path))
+    return paths
+
+
+def test_an_inf_in_one_parents_third_block_merges_and_names_that_parent(tmp_path):
+    n = 3 * BLOCK_ELEMS + 1000
+    rng = np.random.default_rng(17)
+    values = [rng.standard_normal(n).astype("<f4") for _ in range(3)]
+    values[1][2 * BLOCK_ELEMS + 123] = np.inf  # parent 2, third block only
+    paths = parents_of(tmp_path, [[("big", "F32", n, v.tobytes())] for v in values])
+    cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.5, 0.25, 0.25))
+    outputs = {}
+    for workers in (1, 2):
+        out, report = mm.execute_merge(None, cfg, tmp_path / f"fused{workers}", workers=workers)
+        (decision,) = report.plan.decisions
+        assert decision.action == ACTION_MERGE
+        assert report.nonfinite == [{"name": "big", "models": [2]}]
+        outputs[workers] = shard_bytes(out)
+    plan = tmp_path / "fused1" / "merge_plan.json"
+    assert main(["merge", "--plan", str(plan), "--out", str(tmp_path / "reviewed")]) == 0
+    report = json.loads((tmp_path / "reviewed" / "merge_report.json").read_text("utf-8"))
+    assert report["nonfinite_inputs"] == [{"name": "big", "models": [2]}]
+    reviewed = shard_bytes(mm.open_checkpoint(tmp_path / "reviewed"))
+    assert outputs[1] == outputs[2] == reviewed
+    got = read_values(mm.open_checkpoint(tmp_path / "reviewed"), "big")
+    assert np.flatnonzero(~np.isfinite(got)).tolist() == [2 * BLOCK_ELEMS + 123]
+
+
+def test_an_equal_i64_tensor_of_two_blocks_is_copied_bit_exact(tmp_path):
+    n = BLOCK_ELEMS + 5
+    values = (2**53 + 1 + 3 * np.arange(n, dtype=np.int64)).astype("<i8")  # half not in float64
+    paths = parents_of(tmp_path, [[("ids", "I64", n, values.tobytes())]] * 2)
+    cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.5, 0.5), delta=0.0)
+    out, report = mm.execute_merge(None, cfg, tmp_path / "m")
+    (decision,) = report.plan.decisions
+    assert decision.max_diff == 0.0
+    assert decision.action == ACTION_COPY_BASE and decision.reason == REASON_BELOW_THRESHOLD
+    assert mm.read_tensor_raw(out, "ids") == values.tobytes()
+
+
+def count_decoded(monkeypatch):
+    """Count the elements merge_core decodes, over every parent."""
+    decoded = [0]
+    real = merge_core.decode
+
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        decoded[0] += result.size
+        return result
+
+    monkeypatch.setattr(merge_core, "decode", wrapper)
+    return decoded
+
+
+@pytest.mark.parametrize(
+    ("sizes", "equal", "fused", "reviewed"),
+    [
+        (RUN_SIZES, False, 1, 1),  # a run
+        ([20_000], False, 1, 1),  # a tensor within one block
+        ([BLOCK_ELEMS + 7], True, 1, 0),  # an in-subset tensor that copies
+        ([2 * BLOCK_ELEMS + 3], False, 2, 1),  # a tensor of several blocks that merges
+    ],
+    ids=["run", "one-block", "copy", "multi-block-merge"],
+)
+def test_each_pass_decodes_each_element_the_recorded_number_of_times(
+    tmp_path, monkeypatch, sizes, equal, fused, reviewed
+):
+    """Decodes per element and parent, in the diff, the fused pass and a
+    reviewed plan. A merged tensor of several blocks is gated after its
+    earlier blocks are gone, so the fused pass decodes it twice."""
+    rng = np.random.default_rng(4)
+    first = [rng.standard_normal(n).astype("<f4") for n in sizes]
+    parents = [
+        [
+            (f"t{t}", "F32", v.size, (v if p == 0 or equal else v + np.float32(0.01)).tobytes())
+            for t, v in enumerate(first)
+        ]
+        for p in range(2)
+    ]
+    paths = parents_of(tmp_path, parents)
+    models = [mm.open_checkpoint(p) for p in paths]
+    assert len(run_lengths(models)) == 1
+    cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.5, 0.5), delta=0.0)
+    per_parent = 2 * sum(sizes)
+    decoded = count_decoded(monkeypatch)
+    records = mm.compute_diffs(models)
+    assert decoded[0] == per_parent
+    plan = mm.plan_merge(cfg, records, [m.fingerprint() for m in models])
+    assert all((d.action == ACTION_MERGE) != equal for d in plan.decisions)
+    decoded[0] = 0
+    mm.execute_merge(None, cfg, tmp_path / "fused")
+    assert decoded[0] == fused * per_parent
+    decoded[0] = 0
+    mm.execute_merge(plan, cfg, tmp_path / "reviewed")
+    assert decoded[0] == reviewed * per_parent
