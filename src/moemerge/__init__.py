@@ -38,8 +38,7 @@ _EXPORTS = {
     ),
     "taxonomy": (
         "DEFAULT_SCHEME", "EXPERTS_ONLY_SUBSET", "FULL_SUBSET", "NamingScheme",
-        "SubsetMode", "SubsetSpec", "TensorCategory", "TensorGroup",
-        "census", "classify", "in_subset",
+        "SubsetSpec", "TensorCategory", "TensorGroup", "census", "classify", "in_subset",
     ),
     "tensor_math": ("decode", "encode", "linear_combination", "normalized_frobenius_diff"),
 }

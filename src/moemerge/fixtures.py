@@ -40,7 +40,7 @@ import json
 import math
 import os
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
@@ -405,8 +405,7 @@ def _emit_checkpoint(
 
 def generate_base(spec: FixtureSpec, path: str | Path) -> tuple[CheckpointIndex, list[dict]]:
     """Write a fixture checkpoint and its manifest; returns (index, manifest)."""
-    base_spec = replace(spec, perturbations=())
-    return _emit_checkpoint(base_spec, path, (), MANIFEST_NAME)
+    return _emit_checkpoint(spec, path, (), MANIFEST_NAME)
 
 
 def generate_variant(

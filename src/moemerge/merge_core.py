@@ -65,6 +65,7 @@ from .planning import (
     MergeReport,
     _check_decisions,
     _decide,
+    _max_diff,
     _subset_copy,
     load_diff_cache,  # noqa: F401  (patched by perfbench/spans.py)
     plan_merge,  # noqa: F401  (patched by perfbench/spans.py)
@@ -418,7 +419,7 @@ def _tensor_task(
             cats = [categories[name] for name in run]
 
             def gate(t: int, diffs: tuple[float, ...]) -> MergeDecision | None:
-                records[t] = DiffRecord(run[t], cats[t], diffs, max(diffs, default=0.0))
+                records[t] = DiffRecord(run[t], cats[t], diffs, _max_diff(diffs))
                 return None if config is None else _decide(records[t], cats[t], config)
 
             if len(models) == 1 or infos[0].numel == 0:

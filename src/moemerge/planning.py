@@ -118,9 +118,10 @@ class MergeConfig:
         Unknown keys anywhere are an error: a typo must never silently
         change a merge. Relative model and scheme paths resolve against
         ``base_dir`` (a recipe file's directory; an echo's paths are
-        already resolved). ``subset`` is ``"full"``, ``"experts-only"`` or a
-        custom object (see taxonomy); ``scheme`` is ``null`` (the built-in
-        DeepSeek-V3 rules), a path to a rule file or an inline rule list.
+        already resolved). ``subset`` is a subset's name or a custom object
+        (see taxonomy), every tensor when absent; ``scheme`` is ``null``
+        (the built-in DeepSeek-V3 rules), a path to a rule file or an
+        inline rule list.
         ``what`` names the document in error messages. Only what building
         the config needs is checked here; ``validate`` checks its values.
         """
@@ -147,7 +148,7 @@ class MergeConfig:
             models=tuple(base_dir / m for m in models),  # an absolute m stays as it is
             lambdas=obj["lambdas"],
             delta=obj.get("delta", 0.0),
-            subset=subset_from_json_obj(obj.get("subset", "full")),
+            subset=subset_from_json_obj(obj["subset"]) if "subset" in obj else FULL_SUBSET,
             scheme=resolve_scheme(scheme_obj, base_dir),
             convex_required=obj.get("convex_required", True),
         )
@@ -478,6 +479,17 @@ def plan_merge(
     return MergePlan(
         decisions=decisions, model_fingerprints=list(model_fingerprints), config=config
     )
+
+
+def _max_diff(diffs: Sequence[float]) -> float:
+    """A tensor's gate value: its largest per-parent diff, 0 with none.
+
+    A NaN in any parent's diff makes it NaN, so the tensor copies the base
+    whatever the parents' order (``max`` alone answers by where the NaN sits).
+    """
+    if any(math.isnan(d) for d in diffs):
+        return math.nan
+    return max(diffs, default=0.0)
 
 
 def _copy_reason(

@@ -235,78 +235,61 @@ def classify(name: str, scheme: NamingScheme = DEFAULT_SCHEME) -> TensorCategory
     return TensorCategory(TensorGroup.OTHER)
 
 
-class SubsetMode(enum.Enum):
-    FULL = "full"
-    EXPERTS_ONLY = "experts-only"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class SubsetSpec:
-    """Which tensors are candidates for merging.
+    """Which tensors are candidates for merging: a set of groups plus name rules.
 
-    FULL selects everything; EXPERTS_ONLY selects exactly the routed-expert
-    MLP tensors (router gates excluded); CUSTOM selects by group membership,
-    optionally overridden by ordered (pattern, include) name rules — first
-    matching pattern wins, unmatched names fall back to group membership,
-    and unclassified (OTHER) tensors are excluded unless listed or included
-    by a pattern.
+    ``patterns`` are ordered ``(pattern, include)`` rules over tensor
+    names, in the classification pattern syntax. The first rule that
+    matches a name decides; a name no rule matches is in the subset iff
+    its group is in ``groups``. So an unclassified (``OTHER``) tensor is
+    excluded unless ``other`` is listed or a rule includes it.
     """
 
-    mode: SubsetMode = SubsetMode.FULL
-    custom_groups: frozenset[TensorGroup] = frozenset()
-    custom_name_patterns: tuple[tuple[str, bool], ...] = ()
+    groups: frozenset[TensorGroup]
+    patterns: tuple[tuple[str, bool], ...] = ()
+    _rules: tuple[tuple[re.Pattern[str], bool], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        compiled = tuple(
-            (_compile_pattern(p), include) for p, include in self.custom_name_patterns
-        )
-        object.__setattr__(self, "_compiled_patterns", compiled)
+        rules = tuple((_compile_pattern(p), include) for p, include in self.patterns)
+        object.__setattr__(self, "_rules", rules)
 
 
-FULL_SUBSET = SubsetSpec(SubsetMode.FULL)
-EXPERTS_ONLY_SUBSET = SubsetSpec(SubsetMode.EXPERTS_ONLY)
+FULL_SUBSET = SubsetSpec(frozenset(TensorGroup))
+EXPERTS_ONLY_SUBSET = SubsetSpec(frozenset({TensorGroup.ROUTED_EXPERT_MLP}))
+
+# Recipe-file names of subsets. A custom object equal to one echoes its name.
+_NAMED_SUBSETS = {"full": FULL_SUBSET, "experts-only": EXPERTS_ONLY_SUBSET}
 
 
-def in_subset(
-    category: TensorCategory, spec: SubsetSpec, name: str | None = None
-) -> bool:
-    """Membership test for the merge-candidate subset."""
-    if spec.mode is SubsetMode.FULL:
-        return True
-    if spec.mode is SubsetMode.EXPERTS_ONLY:
-        return category.group is TensorGroup.ROUTED_EXPERT_MLP
-    if name is not None:
-        for regex, include in spec._compiled_patterns:  # type: ignore[attr-defined]
-            if regex.match(name):
-                return include
-    return category.group in spec.custom_groups
+def in_subset(category: TensorCategory, spec: SubsetSpec, name: str) -> bool:
+    """Membership test for the merge-candidate subset: the first name rule
+    that matches ``name`` decides, otherwise ``category``'s group does."""
+    for regex, include in spec._rules:
+        if regex.match(name):
+            return include
+    return category.group in spec.groups
 
 
 def subset_to_json_obj(spec: SubsetSpec) -> str | dict:
-    """Recipe-file form: "full", "experts-only", or a custom object."""
-    if spec.mode is SubsetMode.FULL:
-        return "full"
-    if spec.mode is SubsetMode.EXPERTS_ONLY:
-        return "experts-only"
-    obj: dict = {
-        "groups": sorted(g.value for g in spec.custom_groups),
-    }
-    if spec.custom_name_patterns:
-        obj["patterns"] = [
-            {"pattern": p, "include": inc} for p, inc in spec.custom_name_patterns
-        ]
+    """Recipe-file form: the subset's name if it has one, else a custom object."""
+    for label, named in _NAMED_SUBSETS.items():
+        if spec == named:
+            return label
+    obj: dict = {"groups": sorted(g.value for g in spec.groups)}
+    if spec.patterns:
+        obj["patterns"] = [{"pattern": p, "include": inc} for p, inc in spec.patterns]
     return obj
 
 
 def subset_from_json_obj(obj: object) -> SubsetSpec:
     if isinstance(obj, str):
-        if obj == "full":
-            return FULL_SUBSET
-        if obj == "experts-only":
-            return EXPERTS_ONLY_SUBSET
+        if obj in _NAMED_SUBSETS:
+            return _NAMED_SUBSETS[obj]
         raise RecipeError(
-            f"unknown subset {obj!r}: expected 'full', 'experts-only', or an object"
+            f"unknown subset {obj!r}: expected one of {sorted(_NAMED_SUBSETS)} or an object"
         )
     if not isinstance(obj, dict):
         raise RecipeError("subset must be a string or an object")
@@ -331,11 +314,7 @@ def subset_from_json_obj(obj: object) -> SubsetSpec:
                 f"subset pattern {i} must be {{'pattern': str, 'include': bool}}"
             )
         patterns.append((entry["pattern"], entry["include"]))
-    return SubsetSpec(
-        SubsetMode.CUSTOM,
-        custom_groups=frozenset(groups),
-        custom_name_patterns=tuple(patterns),
-    )
+    return SubsetSpec(frozenset(groups), tuple(patterns))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ and 2 workers, ``merge --plan`` of its plan and ``merge --recipe
 ``naive_oracle.naive_merge``, and the fused pass's ``merge_plan.json``
 must be the plan ``plan_merge`` makes from ``compute_diffs``. The values
 are finite and every planted diff is far from the threshold, so the
-oracle's own diff formula decides every tensor the same way.
+oracle's own diff formula decides every tensor the same way. The cases of
+``NONFINITE_SEEDS`` then plant NaN or an infinity in some parents, and the
+paths must agree with each other on every file and non-finite report.
 """
 
 import json
@@ -27,6 +29,8 @@ from conftest import build_safetensors
 # Fixed before the harness first ran. A seed that fails stays in the list;
 # the code is fixed instead.
 SEEDS = [101, 102, 103, 104, 105, 106, 107, 108, 109, 110]
+# The same rule holds for the cases with non-finite values.
+NONFINITE_SEEDS = [201, 202, 203, 204, 205, 206, 207, 208, 209, 210]
 
 _DTYPES = ["BF16", "F16", "F32", "F64", "I32"]
 _SIZES = [0, 1, 3, 8, 100, 1000, 5000, 20000]
@@ -101,6 +105,33 @@ def _case(rng, root):
     return paths, lambdas, delta, experts_only
 
 
+def _plant_nonfinite(rng, paths):
+    """Overwrite one element of some float tensors, each in one random
+    parent, with NaN or an infinity, in place."""
+    models = [mm.open_checkpoint(p) for p in paths]
+    for name, info in models[0].tensors.items():
+        if info.dtype.name not in ("BF16", "F16", "F32", "F64") or not info.numel:
+            continue
+        if rng.random() >= 0.4:
+            continue
+        model = models[int(rng.integers(len(models)))]
+        value = float(rng.choice([np.nan, np.inf, -np.inf]))
+        info = model.tensors[name]
+        shard = next(s for s in model.shards if s.name == info.shard)
+        width = info.nbytes // info.numel
+        offset = shard.data_start + info.data_offsets[0] + width * int(rng.integers(info.numel))
+        with open(shard.path, "r+b") as f:
+            f.seek(offset)
+            f.write(_raw(info.dtype.name, np.array([value])))
+
+
+def _merged_files(root):
+    """Every file of a child but its report, and the report's non-finite inputs."""
+    files = {p.name: p.read_bytes() for p in root.iterdir() if p.name != "merge_report.json"}
+    report = json.loads((root / "merge_report.json").read_text("utf-8"))
+    return files, report["nonfinite_inputs"]
+
+
 def _payloads(root):
     return {name: raw for name, (_, raw) in naive_oracle.load_model(root).items()}
 
@@ -141,3 +172,29 @@ def test_every_merge_path_writes_the_oracle_bytes(tmp_path, seed):
                  "--out", str(cached)]) == 0
     assert (cached / "merge_plan.json").read_text("utf-8") == plan.to_json_text()
     assert _mismatches(_payloads(cached), want) == []
+
+
+@pytest.mark.parametrize("seed", NONFINITE_SEEDS)
+def test_every_merge_path_agrees_with_nonfinite_parents(tmp_path, seed):
+    """NaN and infinities in some parents: the paths agree with each other
+    on the shards, the plan and the reported non-finite inputs. The oracle
+    is not consulted: its gate takes a plain ``max`` over the diffs."""
+    rng = np.random.default_rng(seed)
+    paths, lambdas, delta, experts_only = _case(rng, tmp_path)
+    _plant_nonfinite(rng, paths)
+    config = mm.MergeConfig(
+        models=tuple(paths), lambdas=lambdas, delta=delta,
+        subset=EXPERTS_ONLY_SUBSET if experts_only else FULL_SUBSET,
+    )
+    for workers in (1, 2):
+        mm.execute_merge(None, config, tmp_path / f"fused{workers}", workers=workers)
+    want = _merged_files(tmp_path / "fused1")
+    recipe, cache = tmp_path / "recipe.json", tmp_path / "diffs.json"
+    recipe.write_text(json.dumps(config.to_json_obj()), "utf-8")
+    assert main(["merge", "--plan", str(tmp_path / "fused1" / "merge_plan.json"),
+                 "--out", str(tmp_path / "reviewed")]) == 0
+    assert main(["diff", *paths, "--out", str(cache)]) == 0
+    assert main(["merge", "--recipe", str(recipe), "--diffs", str(cache),
+                 "--out", str(tmp_path / "cached")]) == 0
+    for out in ("fused2", "reviewed", "cached"):
+        assert _merged_files(tmp_path / out) == want, out

@@ -558,9 +558,7 @@ def test_single_model_merge_copies_base(tiny_pair, tmp_path):
 def test_config_json_round_trip(tiny_pair):
     cfg = mm.MergeConfig(
         models=("a", "b"), lambdas=(0.5, 0.5),
-        subset=mm.SubsetSpec(
-            mm.SubsetMode.CUSTOM, frozenset({TensorGroup.ATTENTION}), (("lm_head.**", True),)
-        ),
+        subset=mm.SubsetSpec(frozenset({TensorGroup.ATTENTION}), (("lm_head.**", True),)),
         scheme=mm.NamingScheme.from_rules([("model.layers.{layer}.attn.**", "attention")]),
     )
     again = mm.MergeConfig.from_json_obj(json.loads(json.dumps(cfg.to_json_obj())))
@@ -652,9 +650,18 @@ def test_fused_gate_tie_copies_the_base(tmp_path):
     assert report.plan.decisions[0].action == ACTION_MERGE
 
 
+def merged_anyway(plan, name):
+    """``plan`` with ``name``'s copy turned into a merge, as a reviewer may do."""
+    return dataclasses.replace(plan, decisions=[
+        dataclasses.replace(d, action=ACTION_MERGE, reason=None) if d.name == name else d
+        for d in plan.decisions
+    ])
+
+
 def test_fused_nan_copy_is_bit_exact_and_merged_nan_is_reported(tmp_path):
     # x: a signaling NaN payload in every parent, so its diff is NaN and it is copied.
-    # y: model 3 holds a NaN, but model 2's finite diff opens the gate.
+    # y: model 3 holds a NaN, so its diff is NaN and it is copied too, although
+    # model 2's diff is finite; a reviewed plan that merges y reports model 3.
     x = np.array([0x7FA12345, 0x3F800000], dtype="<u4").tobytes()
     ys = [
         np.array([1.0, 2.0], dtype="<f4"),
@@ -669,10 +676,48 @@ def test_fused_nan_copy_is_bit_exact_and_merged_nan_is_reported(tmp_path):
     cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.5, 0.25, 0.25))
     out, report = mm.execute_merge(None, cfg, tmp_path / "merged")
     actions = {d.name: d.action for d in report.plan.decisions}
-    assert actions == {"x": ACTION_COPY_BASE, "y": ACTION_MERGE}
+    assert actions == {"x": ACTION_COPY_BASE, "y": ACTION_COPY_BASE}
+    assert mm.read_tensor_raw(out, "x") == x
+    assert report.nonfinite == []
+    out, report = mm.execute_merge(merged_anyway(report.plan, "y"), cfg, tmp_path / "reviewed")
     assert mm.read_tensor_raw(out, "x") == x
     assert report.nonfinite == [{"name": "y", "models": [3]}]
     assert np.isnan(read_values(out, "y")[0])
+
+
+@pytest.mark.parametrize("nan_parent", [2, 3])
+def test_a_nan_diff_copies_the_tensor_whatever_the_parents_order(tmp_path, nan_parent):
+    # One parent holds a NaN and the other differs by 0.25. Python's max over
+    # the diffs would answer NaN or 0.25 by the NaN's place; the gate may not.
+    base = np.array([1.0, 2.0], dtype="<f4")
+    paths = []
+    for i in (1, 2, 3):
+        values = base if i == 1 else base + np.float32(0.25)
+        if i == nan_parent:
+            values = np.array([np.nan, 2.0], dtype="<f4")
+        path = tmp_path / f"m{i}.safetensors"
+        path.write_bytes(build_safetensors([("x", "F32", [2], values.tobytes())]))
+        paths.append(str(path))
+    cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.4, 0.3, 0.3))
+
+    def check(plan):
+        (decision,) = plan.decisions
+        assert (decision.action, decision.reason) == (ACTION_COPY_BASE, REASON_BELOW_THRESHOLD)
+        assert np.isnan(decision.max_diff)
+
+    for workers in (1, 2):
+        out, report = mm.execute_merge(None, cfg, tmp_path / f"fused{workers}", workers=workers)
+        check(report.plan)
+        assert report.nonfinite == []
+        assert mm.read_tensor_raw(out, "x") == base.tobytes()
+    recipe, plan_path = tmp_path / "recipe.json", tmp_path / "plan.json"
+    recipe.write_text(json.dumps(cfg.to_json_obj()), "utf-8")
+    assert main(["plan", "--recipe", str(recipe), "--out", str(plan_path)]) == 0
+    check(mm.load_plan(plan_path))
+    assert main(["merge", "--plan", str(plan_path), "--out", str(tmp_path / "reviewed")]) == 0
+    report = json.loads((tmp_path / "reviewed" / "merge_report.json").read_text("utf-8"))
+    assert report["nonfinite_inputs"] == []
+    assert mm.read_tensor_raw(mm.open_checkpoint(tmp_path / "reviewed"), "x") == base.tobytes()
 
 
 def test_diff_progress_does_not_change_the_cache(tiny_pair, tmp_path):
@@ -986,7 +1031,7 @@ def test_run_records_equal_each_tensor_diffed_alone(tmp_path, code, workers):
 def test_a_nonfinite_value_in_a_run_is_reported_for_its_tensor_and_parent_only(tmp_path):
     def edit(parent, tensor, values):
         if (parent, tensor) == (2, 3):
-            values[17] = np.nan
+            values[17] = -np.inf
         if (parent, tensor) == (1, 5):
             values[-1] = np.inf
         return values
@@ -1091,7 +1136,8 @@ def test_a_signaling_nan_decodes_without_a_warning_and_is_reported(tmp_path, cod
     width = 4 if code == "F32" else 2
     one = 0x3F800000 >> (32 - 8 * width)
     assert np.isnan(mm.decode(np.array([snan], f"<u{width}").tobytes(), mm.DType[code])).all()
-    # model 2's finite diff opens the gate; model 3 holds the signaling NaN
+    # model 3 holds the signaling NaN: the fused pass decodes it for the diff
+    # and copies; a reviewed plan that merges it decodes it again and reports it
     paths = []
     for i, first in enumerate((one, 0, snan)):
         data = np.array([first, one], f"<u{width}").tobytes()
@@ -1100,7 +1146,8 @@ def test_a_signaling_nan_decodes_without_a_warning_and_is_reported(tmp_path, cod
         paths.append(str(path))
     cfg = mm.MergeConfig(models=tuple(paths), lambdas=(0.5, 0.25, 0.25))
     _, report = mm.execute_merge(None, cfg, tmp_path / "m")
-    assert report.plan.decisions[0].action == ACTION_MERGE
+    assert report.plan.decisions[0].reason == REASON_BELOW_THRESHOLD
+    _, report = mm.execute_merge(merged_anyway(report.plan, "x"), cfg, tmp_path / "reviewed")
     assert report.nonfinite == [{"name": "x", "models": [3]}]
 
 

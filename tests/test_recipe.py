@@ -8,7 +8,7 @@ import pytest
 import moemerge as mm
 from moemerge.errors import RecipeError
 from moemerge.planning import MergeConfig, load_recipe
-from moemerge.taxonomy import SubsetMode, TensorGroup, resolve_scheme
+from moemerge.taxonomy import SubsetSpec, TensorGroup, resolve_scheme
 
 
 def minimal_obj(**overrides):
@@ -94,7 +94,7 @@ def test_recipe_custom_subset_and_inline_scheme():
         scheme=[{"pattern": "model.layers.{layer}.attn.**", "group": "attention"}],
     )
     config = MergeConfig.from_json_obj(obj)
-    assert config.subset.mode is SubsetMode.CUSTOM
+    assert config.subset == SubsetSpec(frozenset({TensorGroup.ATTENTION}), (("lm_head.**", True),))
     assert mm.classify("model.layers.3.attn.q.weight", config.scheme).group is TensorGroup.ATTENTION
     assert mm.classify("model.embed_tokens.weight", config.scheme).group is TensorGroup.OTHER
 

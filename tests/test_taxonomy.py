@@ -6,7 +6,6 @@ from moemerge.taxonomy import (
     FULL_SUBSET,
     GROUP_ORDER,
     NamingScheme,
-    SubsetMode,
     SubsetSpec,
     TensorCategory,
     TensorGroup,
@@ -111,35 +110,38 @@ def test_classify_fixture_manifest_category_counts(tiny_base):
 
 
 def test_in_subset_full_always_true():
-    for name in ("model.norm.weight", "model.layers.4.mlp.experts.1.up_proj.weight", "x"):
+    assert FULL_SUBSET.groups == frozenset(TensorGroup)
+    for name in ("model.norm.weight", "model.layers.4.mlp.experts.1.up_proj.weight", "x",
+                 "mystery.weight"):
         assert in_subset(classify(name), FULL_SUBSET, name)
 
 
 def test_in_subset_experts_only_partition():
-    routed = classify("model.layers.4.mlp.experts.1.up_proj.weight")
-    gate = classify("model.layers.4.mlp.gate.weight")
-    shared = classify("model.layers.4.mlp.shared_experts.up_proj.weight")
-    assert in_subset(routed, EXPERTS_ONLY_SUBSET)
-    assert not in_subset(gate, EXPERTS_ONLY_SUBSET)
-    assert not in_subset(shared, EXPERTS_ONLY_SUBSET)
+    routed = "model.layers.4.mlp.experts.1.up_proj.weight"
+    gate = "model.layers.4.mlp.gate.weight"
+    shared = "model.layers.4.mlp.shared_experts.up_proj.weight"
+    assert in_subset(classify(routed), EXPERTS_ONLY_SUBSET, routed)
+    assert not in_subset(classify(gate), EXPERTS_ONLY_SUBSET, gate)
+    assert not in_subset(classify(shared), EXPERTS_ONLY_SUBSET, shared)
 
 
 def test_in_subset_custom_groups():
-    spec = SubsetSpec(SubsetMode.CUSTOM, custom_groups=frozenset({TensorGroup.ATTENTION}))
-    assert in_subset(classify("model.layers.0.self_attn.o_proj.weight"), spec)
-    assert not in_subset(classify("model.layers.4.mlp.gate.weight"), spec)
+    spec = SubsetSpec(frozenset({TensorGroup.ATTENTION}))
+    att = "model.layers.0.self_attn.o_proj.weight"
+    gate = "model.layers.4.mlp.gate.weight"
+    assert in_subset(classify(att), spec, att)
+    assert not in_subset(classify(gate), spec, gate)
     # unclassified tensors are excluded under custom subsets unless listed
-    assert not in_subset(classify("mystery.weight"), spec)
+    assert not in_subset(classify("mystery.weight"), spec, "mystery.weight")
     listed = subset_from_json_obj({"groups": ["other"]})
     assert in_subset(classify("mystery.weight"), listed, "mystery.weight")
-    assert not in_subset(classify("model.layers.0.self_attn.o_proj.weight"), listed)
+    assert not in_subset(classify(att), listed, att)
 
 
 def test_in_subset_custom_patterns_override_groups():
     spec = SubsetSpec(
-        SubsetMode.CUSTOM,
-        custom_groups=frozenset({TensorGroup.ATTENTION}),
-        custom_name_patterns=(
+        frozenset({TensorGroup.ATTENTION}),
+        (
             ("model.layers.0.self_attn.**", False),
             ("model.layers.*.mlp.gate.weight", True),
         ),
@@ -160,6 +162,38 @@ def test_subset_json_round_trip():
         subset_from_json_obj("everything")
     with pytest.raises(RecipeError, match="unknown tensor group"):
         subset_from_json_obj({"groups": ["atention"]})
+
+
+def test_a_custom_object_equal_to_a_named_subset_echoes_its_name():
+    every = {"groups": [g.value for g in TensorGroup]}
+    assert len(every["groups"]) == 7
+    assert subset_from_json_obj(every) == FULL_SUBSET
+    assert subset_to_json_obj(subset_from_json_obj(every)) == "full"
+    experts = subset_from_json_obj({"groups": ["routed_expert_mlp"], "patterns": []})
+    assert experts == EXPERTS_ONLY_SUBSET
+    assert subset_to_json_obj(experts) == "experts-only"
+
+
+def test_a_name_rule_overrides_a_named_subsets_groups():
+    norm, gate = "model.norm.weight", "model.layers.4.mlp.gate.weight"
+    assert in_subset(classify(norm), FULL_SUBSET, norm)
+    assert not in_subset(classify(gate), EXPERTS_ONLY_SUBSET, gate)
+    all_but_norm = {
+        "groups": [g.value for g in TensorGroup],
+        "patterns": [{"pattern": "model.norm.weight", "include": False}],
+    }
+    experts_and_gates = {
+        "groups": ["routed_expert_mlp"],
+        "patterns": [{"pattern": "model.layers.*.mlp.gate.weight", "include": True}],
+    }
+    spec = subset_from_json_obj(all_but_norm)
+    assert not in_subset(classify(norm), spec, norm)
+    assert in_subset(classify(gate), spec, gate)
+    assert subset_to_json_obj(spec) == {**all_but_norm, "groups": sorted(all_but_norm["groups"])}
+    spec = subset_from_json_obj(experts_and_gates)
+    assert in_subset(classify(gate), spec, gate)
+    assert not in_subset(classify(norm), spec, norm)
+    assert subset_to_json_obj(spec) == experts_and_gates
 
 
 # --- census --------------------------------------------------------------------
