@@ -440,7 +440,9 @@ def load_diff_cache(
 ) -> tuple[list[DiffRecord], list[str]]:
     """Load a diff cache; verifies header hashes when expectations are given.
 
-    RecipeError unless every field has its shape.
+    RecipeError unless every field has its shape, each record holds one
+    diff per non-base parent of ``models`` and its ``max_diff`` is the one
+    those diffs give (a NaN equals a NaN).
     """
     obj = json.loads(Path(path).read_text("utf-8"))
     _check_document(obj, "diff cache", {"version", "models", "records"}, "records")
@@ -453,11 +455,23 @@ def load_diff_cache(
     records = []
     for i, e in enumerate(obj["records"]):
         _check_entry(e, _DIFF_FIELDS, "diff cache record", i)
+        diffs, given = tuple(e["per_model_diff"]), e["max_diff"]
+        want = _max_diff(diffs)
+        if len(diffs) != len(fingerprints) - 1:
+            raise RecipeError(
+                f"diff cache record {i} ({e['name']!r}) holds {len(diffs)} diffs "
+                f"for {len(fingerprints) - 1} non-base parents"
+            )
+        if given != want and not (math.isnan(given) and math.isnan(want)):
+            raise RecipeError(
+                f"diff cache record {i} ({e['name']!r}) has max_diff {given!r}, "
+                f"but its diffs give {want!r}"
+            )
         records.append(DiffRecord(
             name=e["name"],
             category=TensorCategory.from_json_obj(e),
-            per_model_diff=tuple(e["per_model_diff"]),
-            max_diff=e["max_diff"],
+            per_model_diff=diffs,
+            max_diff=given,
         ))
     return records, fingerprints
 

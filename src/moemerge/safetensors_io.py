@@ -28,16 +28,16 @@ parses no header: it returns ``open_checkpoint(path).fingerprint()`` for
 callers that need only the identity of a checkpoint's headers.
 
 There is one writer (``write_checkpoint``). Its required ``base`` fixes
-every shard's name, tensors and header before the first byte is written
-(a checkpoint's layout is mirrored, a list of tensors is packed), so each
-shard is written once: header first, then each tensor in place.
+every shard's name and tensors (a checkpoint's layout is mirrored, a list
+of tensors is packed). Then one walk (``_place``) fixes every tensor's
+offsets, renders and hashes each shard's header and builds the index the
+writer returns, all before the first byte, so each shard is written
+once, header first, and the output is never scanned again.
 A tensor arrives as bytes or as a ``TensorRange`` of an open shard; each
 run of adjacent ranges is copied file to file in the kernel, without
-passing through Python. The writer returns the index of what it laid
-out, so the output is never scanned again. Every file of an output goes
-into a fresh hidden sibling directory that replaces the output as a
-whole when all are complete, so a failed write leaves the output as it
-was.
+passing through Python. Every file of an output goes into a fresh hidden
+sibling directory that replaces the output as a whole when all are
+complete, so a failed write leaves the output as it was.
 """
 
 from __future__ import annotations
@@ -642,39 +642,49 @@ def _data_len(info: TensorInfo) -> int:
     return info.dtype.byte_width * info.numel
 
 
-def _serialize_header(
-    entries: list[TensorInfo], metadata: dict[str, str] | None
-) -> bytes:
-    obj: dict[str, object] = {}
-    if metadata:
-        obj["__metadata__"] = dict(metadata)
-    offset = 0
-    for info in entries:
-        expected = _data_len(info)
-        obj[info.name] = {
-            "dtype": info.dtype.code,
-            "shape": list(info.shape),
-            "data_offsets": [offset, offset + expected],
-        }
-        offset += expected
-    text = json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
-    payload = text.encode("utf-8")
-    pad = (8 - (8 + len(payload)) % 8) % 8
-    return payload + b" " * pad
-
-
-# One output file: its name, its tensors in data order, its metadata block.
+# One output file: its name, its tensors in data order, its metadata block
+# (an empty block is written as none).
 _Shard = tuple[str, list[TensorInfo], dict[str, str] | None]
 # The weight-map file, when one is written: its name and "metadata" object.
 _Index = tuple[str, dict | None]
 
 
-def _merged_metadata(
-    base: dict[str, str] | None, extra: dict[str, str] | None
-) -> dict[str, str] | None:
-    if not base and not extra:
-        return None
-    return {**(base or {}), **(extra or {})}
+def _place(
+    out: Path, shards: list[_Shard], index: _Index | None
+) -> tuple[CheckpointIndex, dict[str, bytes]]:
+    """Fix every offset and header of an output before its first byte.
+
+    One walk per shard sets each tensor's ``data_offsets`` and renders and
+    hashes the shard's length prefix and compact header, padded so the
+    data starts 8-aligned. Returns the index ``open_checkpoint(out)`` will
+    read (shards listed, and metadata merged, by name, as opening lists
+    them) and each shard's prefix and header bytes.
+    """
+    placed = CheckpointIndex(out, [], {})
+    if index is not None:
+        placed.index_name, placed.index_metadata = index[0], index[1] or {}
+    headers: dict[str, bytes] = {}
+    for name, entries, metadata in sorted(shards, key=lambda s: s[0]):
+        metadata = dict(metadata) if metadata else None
+        obj: dict[str, object] = {"__metadata__": metadata} if metadata else {}
+        offset = 0
+        for info in entries:
+            end = offset + _data_len(info)
+            obj[info.name] = {
+                "dtype": info.dtype.code, "shape": list(info.shape), "data_offsets": [offset, end]
+            }
+            placed.tensors[info.name] = TensorInfo(
+                info.name, info.dtype, info.shape, (offset, end), name
+            )
+            offset = end
+        payload = json.dumps(obj, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
+        payload += b" " * (-len(payload) % 8)
+        headers[name] = header = _HEADER_PREFIX.pack(len(payload)) + payload
+        digest = hashlib.sha256(header).hexdigest()
+        placed.shards.append(ShardInfo(name, out / name, len(header), offset, digest, metadata))
+        if metadata:
+            placed.metadata = {**(placed.metadata or {}), **metadata}
+    return placed, headers
 
 
 def _mirror_layout(
@@ -682,7 +692,8 @@ def _mirror_layout(
 ) -> tuple[list[_Shard], _Index | None]:
     """The base's shards and tensor order, its metadata blocks with
     ``metadata`` layered on top, and an index only if the base has one."""
-    shards = {s.name: (s.name, [], _merged_metadata(s.metadata, metadata)) for s in base.shards}
+    extra = metadata or {}
+    shards = {s.name: (s.name, [], {**(s.metadata or {}), **extra}) for s in base.shards}
     for info in infos:
         shards[info.shard][1].append(info)
     index = None if base.index_name is None else (base.index_name, base.index_metadata)
@@ -847,8 +858,8 @@ def write_checkpoint(
     (FormatError), an ``out`` ending in ``.safetensors`` (ValueError: no
     single-file output) and an existing ``out`` holding anything but a
     directory of regular shard, index or sidecar files (FileExistsError)
-    raise before any file is created. Returns the index of what was
-    written, built from the layout; it equals ``open_checkpoint(out)``.
+    raise before any file is created. Returns the index fixed with the
+    headers before the first byte; it equals ``open_checkpoint(out)``.
     """
     out = Path(out)
     if out.name in ("", ".."):
@@ -875,11 +886,7 @@ def write_checkpoint(
         shards, index = _pack_layout(infos, max_shard_bytes, metadata)
     _check_replaceable(out, sidecars)
 
-    headers: dict[str, bytes] = {}  # each shard's length prefix and header
-    for name, entries, shard_metadata in shards:
-        header = _serialize_header(entries, shard_metadata)
-        headers[name] = _HEADER_PREFIX.pack(len(header)) + header
-
+    placed, headers = _place(out, shards, index)
     out.parent.mkdir(parents=True, exist_ok=True)
     # mkdir, not tempfile.mkdtemp (mode 0700): the output gets the umask's mode.
     stage = out.with_name(f".{out.name}.{os.urandom(8).hex()}")
@@ -901,12 +908,12 @@ def write_checkpoint(
                 _copy_run(run, f)
         if (extra := next(pairs, None)) is not None:
             raise FormatError(f"stream yields {extra[0].name!r} beyond the base tensor set")
-        if index is not None:
+        if placed.index_name is not None:
             weight_map = {info.name: name for name, entries, _ in shards for info in entries}
-            obj = {"metadata": index[1] or {}, "weight_map": weight_map}
-            (stage / index[0]).write_text(json.dumps(obj, indent=2) + "\n", "utf-8")
+            obj = {"metadata": placed.index_metadata, "weight_map": weight_map}
+            (stage / placed.index_name).write_text(json.dumps(obj, indent=2) + "\n", "utf-8")
         for name, render in sidecars.items():
-            (stage / name).write_text(render(sorted(s[0] for s in shards)), "utf-8")
+            (stage / name).write_text(render([s.name for s in placed.shards]), "utf-8")
         if not out.exists():
             os.rename(stage, out)
         else:
@@ -920,32 +927,5 @@ def write_checkpoint(
             shutil.rmtree(aside)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
-    return _layout_index(out, shards, index, headers)
+    return placed
 
-
-def _layout_index(
-    out: Path, shards: list[_Shard], index: _Index | None, headers: dict[str, bytes]
-) -> CheckpointIndex:
-    """The index ``open_checkpoint(out)`` reads back from a written layout.
-
-    ``headers`` holds each shard's length prefix and header bytes.
-    """
-    written = CheckpointIndex(out, [], {})
-    if index is not None:
-        written.index_name, written.index_metadata = index[0], index[1] or {}
-    # Listed as open_checkpoint lists them: by name, not in write order.
-    for name, entries, metadata in sorted(shards, key=lambda s: s[0]):
-        offset = 0
-        for info in entries:
-            size = _data_len(info)
-            written.tensors[info.name] = TensorInfo(
-                info.name, info.dtype, info.shape, (offset, offset + size), name
-            )
-            offset += size
-        header = headers[name]
-        metadata = dict(metadata) if metadata else None
-        digest = hashlib.sha256(header).hexdigest()
-        written.shards.append(ShardInfo(name, out / name, len(header), offset, digest, metadata))
-        if metadata:
-            written.metadata = {**(written.metadata or {}), **metadata}
-    return written

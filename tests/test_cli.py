@@ -787,6 +787,81 @@ def test_a_malformed_document_exits_2_with_an_error_line(
     assert not (tmp_path / "out").exists()
 
 
+_DISAGREEING_NUMBERS = {
+    # three diffs for two parents, and a max_diff no diff gives
+    "extra-diffs-and-max": {"per_model_diff": [0.001, 0.002, 0.0015], "max_diff": 5.0},
+    "no-diffs": {"per_model_diff": [], "max_diff": 0.0},
+    "max-above-the-diffs": {"max_diff": 5.0},
+    "number-where-a-diff-is-nan": {"per_model_diff": [math.nan], "max_diff": 0.0},
+    "nan-where-the-diffs-are-numbers": {"max_diff": math.nan},
+}
+
+
+@pytest.mark.parametrize("changes", _DISAGREEING_NUMBERS.values(), ids=_DISAGREEING_NUMBERS)
+def test_a_cache_record_whose_numbers_disagree_exits_2_naming_it(
+    documents, tmp_path, capsys, changes
+):
+    cache = _edit_first(documents["cache"], "records", lambda r: r["group"] == "attention",
+                        lambda r: _with(r, **changes))
+    name = next(r["name"] for r in cache["records"] if r["group"] == "attention")
+    doc, out = tmp_path / "cache.json", tmp_path / "plan.json"
+    doc.write_text(json.dumps(cache))
+    recipe = str(documents["root"] / "recipe.json")
+    capsys.readouterr()
+    assert main(["plan", "--recipe", recipe, "--diffs", str(doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: diff cache record ") and repr(name) in err
+    assert not out.exists()
+
+
+def test_a_cache_record_with_a_nan_diff_and_a_nan_max_loads(documents, tmp_path):
+    cache = _edit_first(documents["cache"], "records", lambda r: r["group"] == "attention",
+                        lambda r: _with(r, per_model_diff=[math.nan], max_diff=math.nan))
+    (tmp_path / "cache.json").write_text(json.dumps(cache))
+    records, _ = mm.load_diff_cache(tmp_path / "cache.json")
+    assert sum(math.isnan(r.max_diff) for r in records) == 1
+
+
+_PLAN_COVERAGE = {
+    "missing": lambda d: d[1:],
+    "extra": lambda d: [*d, _with(d[0], name="model.layers.99.self_attn.o_proj.weight")],
+    "duplicated": lambda d: [*d, d[0]],
+}
+
+
+@pytest.mark.parametrize("edit", _PLAN_COVERAGE.values(), ids=_PLAN_COVERAGE)
+def test_a_plan_not_covering_exactly_the_base_tensors_exits_1_and_writes_nothing(
+    documents, tmp_path, capsys, edit
+):
+    plan = documents["plan"]
+    doc, out = tmp_path / "plan.json", tmp_path / "out"
+    doc.write_text(json.dumps(_with(plan, decisions=edit(plan["decisions"]))))
+    capsys.readouterr()
+    assert main(["merge", "--plan", str(doc), "--out", str(out)]) == 1
+    assert "plan does not cover exactly" in capsys.readouterr().err
+    assert not out.exists() and hidden_siblings(out) == []
+
+
+@pytest.mark.parametrize("reader", ["merge --plan", "plan --diffs", "sweep --diffs"])
+def test_a_document_of_another_version_exits_1_and_writes_nothing(
+    documents, tmp_path, capsys, reader
+):
+    kind, what = ("plan", "plan") if reader == "merge --plan" else ("cache", "diff cache")
+    doc, out = tmp_path / f"{kind}.json", tmp_path / "out"
+    doc.write_text(json.dumps(_with(documents[kind], version=2)))
+    recipe = str(documents["root"] / "recipe.json")
+    argv = {
+        "merge --plan": ["merge", "--plan", str(doc), "--out", str(out)],
+        "plan --diffs": ["plan", "--recipe", recipe, "--diffs", str(doc), "--out", str(out)],
+        "sweep --diffs": ["sweep", "--recipe", recipe, "--diffs", str(doc),
+                          "--deltas", "0,1", "--out", str(out)],
+    }[reader]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert f"unsupported {what} version 2" in capsys.readouterr().err
+    assert not out.exists() and hidden_siblings(out) == []
+
+
 def test_a_null_max_diff_loads_only_on_a_not_in_subset_copy(workdir, capsys):
     rp = recipe_with(workdir, "experts.json", subset="experts-only")
     plan_path, tmp = workdir["tmp"] / "plan.json", workdir["tmp"]
@@ -839,6 +914,19 @@ def test_plan_and_sweep_refuse_a_cache_from_other_parents(workdir, capsys):
     capsys.readouterr()
     assert cached_outputs(workdir["tmp"], workdir["recipe"], cache) == ((1, 1), [None, None])
     assert capsys.readouterr().err.count("computed from different checkpoints") == 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_plan_refuses_a_cache_of_other_weights_under_the_same_headers(workdir, capsys):
+    """The variant's headers hash like its base's, so a `diff base base`
+    cache passes the hash check of an experts-only Chimera (lambdas 0, 1)
+    and plans no merge at all."""
+    base, tmp = str(workdir["pair"]["base"].root), workdir["tmp"]
+    cache, plan = tmp / "base_base.json", tmp / "plan.json"
+    assert main(["diff", base, base, "--out", str(cache)]) == 0
+    recipe = recipe_with(workdir, "chimera.json", subset="experts-only", lambdas=[0, 1])
+    assert main(["plan", "--recipe", str(recipe), "--diffs", str(cache), "--out", str(plan)]) == 1
+    assert not plan.exists()
 
 
 def truncate_prefix(shard):

@@ -14,7 +14,7 @@ import pytest
 import moemerge as mm
 from moemerge.cli import main
 from moemerge.errors import FormatError
-from moemerge.safetensors_io import _serialize_header, header_fingerprint
+from moemerge.safetensors_io import _place, header_fingerprint
 
 from conftest import TINY_SPEC, build_raw, build_safetensors, hidden_siblings, read_values, tree_bytes
 from test_fuzz_headers import definitely_malformed_cases, valid_bytes
@@ -570,6 +570,27 @@ def test_write_rejects_a_tensor_unlike_its_planned_entry(tiny_base, tmp_path):
     assert hidden_siblings(tmp_path / "w") == []
 
 
+@pytest.mark.parametrize(
+    "streamed, match", [(2, "stream ended early"), (4, "beyond the base tensor set")],
+    ids=["ends-early", "runs-past-the-layout"],
+)
+def test_write_refuses_a_stream_unlike_its_layout_and_leaves_nothing(tmp_path, streamed, match):
+    infos = [mm.TensorInfo(f"t{i}", mm.DType.U8, (4,), (0, 4)) for i in range(4)]
+    out = tmp_path / "out"
+    with pytest.raises(FormatError, match=match):
+        mm.write_checkpoint(((i, bytes(4)) for i in infos[:streamed]), out, base=infos[:3])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_refuses_an_out_that_is_a_file(tmp_path):
+    info = mm.TensorInfo("t", mm.DType.U8, (1,), (0, 1))
+    out = tmp_path / "out"
+    out.write_bytes(b"mine")
+    with pytest.raises(FileExistsError, match="is not a directory"):
+        mm.write_checkpoint(iter([(info, b"\x01")]), out, base=[info])
+    assert tree_bytes(tmp_path) == {"out": b"mine"}
+
+
 @pytest.mark.parametrize("out", [".", "..", "sub/.."])
 def test_write_refuses_an_output_without_a_name_of_its_own(tiny_base, tmp_path, monkeypatch, out):
     index, _ = tiny_base
@@ -590,11 +611,14 @@ def test_write_refuses_an_output_without_a_name_of_its_own(tiny_base, tmp_path, 
 
 def test_header_serialization_is_padded_and_compact():
     info = mm.TensorInfo("a", mm.DType.F32, (2,), (0, 8))
-    header = _serialize_header([info], None)
-    assert (8 + len(header)) % 8 == 0
-    assert json.loads(header.decode()) == {
+    placed, headers = _place(Path("w"), [("s.safetensors", [info], None)], None)
+    header = headers["s.safetensors"]
+    assert len(header) % 8 == 0 and header[:8] == struct.pack("<Q", len(header) - 8)
+    assert json.loads(header[8:].decode()) == {
         "a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}
     }
+    assert placed.shards[0].data_start == len(header)
+    assert placed.shards[0].header_hash == hashlib.sha256(header).hexdigest()
 
 
 # --- validate_checkpoint -------------------------------------------------------------
