@@ -67,7 +67,8 @@ def _worker_count(text: str) -> int:
 def _add_worker_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_worker_count, default=1, metavar="N",
                    help="worker threads for per-tensor work, at least 1 (default 1); at most "
-                        "2 x N tensors are in flight")
+                        "2 x N tasks are in flight, each reading one block per parent at a "
+                        "time and holding only its merged output")
 
 
 def _progress(verb: str):

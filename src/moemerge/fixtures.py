@@ -16,14 +16,16 @@ shards of at most ``max_shard_bytes`` named
 
 The draws run on ``merge_core``'s ordered worker pool, one worker per CPU
 the process may run on. The writing thread picks each tensor's
-perturbation and allocates its float64 values in layout order; a worker
-only fills them in place, with the same operations in the same order as
-one thread would, so every value has the same bits; the writing thread
-then encodes them, checksums them and hands them to the writer in order.
-Output is therefore the same for any worker count. Beside the tensor
-being encoded, at most ``2 * workers`` tensors' values are in flight.
-Tensors below ``merge_core._RUN_TENSOR_ELEMS`` elements are drawn in the
-writing thread, where a hand-off would cost more than the draw.
+perturbation and allocates its encoded bytes in layout order; a worker
+draws, perturbs and encodes the values into them ``_CHUNK`` elements at a
+time, with the same operations in the same order as one thread would, so
+every byte is the same; the writing thread then only checksums them and
+hands them to the writer in order. Output is therefore the same for any
+worker count. Beside the tensor being written, at most ``2 * workers``
+tensors' encoded bytes are in flight, and each drawing worker holds a
+few chunks of float64 scratch. Tensors below
+``merge_core._RUN_TENSOR_ELEMS`` elements are drawn in the writing
+thread, where a hand-off would cost more than the draw.
 
 Planted perturbations make diffs predictable: a constant shift ``c`` yields
 a normalized Frobenius difference of exactly ``|c|`` (up to the target
@@ -57,9 +59,9 @@ MANIFEST_NAME = "fixture_manifest.json"
 EXPECTED_DIFFS_NAME = "expected_diffs.json"
 
 _VALUE_SCALE = 0.05
-# A gaussian plant's noise is drawn and added in chunks of this many
-# elements (64 KiB of float64), so a worker's scratch stays small.
-_NOISE_CHUNK = 1 << 13
+# A tensor is drawn, perturbed and encoded in chunks of this many elements
+# (512 KiB of float64), so a worker's scratch does not grow with the tensor.
+_CHUNK = 1 << 16
 
 # Half-ulp of each float dtype at magnitude ~1, for shift-exactness bounds.
 _HALF_ULP = {
@@ -269,39 +271,37 @@ def _workers() -> int:
 
 
 def _draw(
-    seed: int, name: str, values: np.ndarray, applied: PerturbationSpec | None = None
+    seed: int, name: str, dtype: DType, out: bytearray, applied: PerturbationSpec | None = None
 ) -> None:
-    """Fill ``values`` in place with a tensor's perturbed values.
+    """Encode a tensor's perturbed values into ``out``, chunk by chunk.
 
-    A PCG64 stream and elementwise float64 arithmetic do not depend on how
-    they are split, so drawing the noise in chunks gives every value the
-    same bits as drawing whole arrays. The only allocation is one noise
-    scratch of at most ``_NOISE_CHUNK`` elements per gaussian tensor. A
-    tensor-sized noise array per job grew glibc's heap: after three
-    transplant pairs on a 2-CPU host, the process's peak RSS read
-    106-115 MB against 106-111 MB with the scratch (104 MB on one thread).
+    A PCG64 stream and elementwise float64 arithmetic and encoding do not
+    depend on how they are split, so every byte is the one a draw, shift
+    or noise and encode of the whole tensor gives. The only allocations
+    are the value and noise scratch of at most ``_CHUNK`` elements and the
+    encode's own temporaries of one chunk.
     """
+    width = dtype.byte_width
+    numel = len(out) // width
     rng = np.random.Generator(np.random.PCG64(_tensor_seed(seed, name)))
-    rng.standard_normal(out=values)
-    values *= _VALUE_SCALE
-    if applied is None:
-        return
-    if applied.kind == "shift":
-        values += applied.magnitude
-        return
-    noise_rng = np.random.Generator(np.random.PCG64(_tensor_seed(seed, name, ":perturb")))
-    noise = np.empty(min(values.size, _NOISE_CHUNK))
-    for start in range(0, values.size, noise.size):
-        chunk = noise[: values.size - start]
-        noise_rng.standard_normal(out=chunk)
-        chunk *= applied.magnitude
-        values[start : start + chunk.size] += chunk
-
-
-def _base_values(spec: FixtureSpec, name: str, numel: int) -> np.ndarray:
-    values = np.empty(numel)
-    _draw(spec.seed, name, values)
-    return values
+    gaussian = applied is not None and applied.kind == "gaussian"
+    if gaussian:
+        noise_rng = np.random.Generator(np.random.PCG64(_tensor_seed(seed, name, ":perturb")))
+        noise = np.empty(min(numel, _CHUNK))
+    values = np.empty(min(numel, _CHUNK))
+    target = memoryview(out)
+    for start in range(0, numel, _CHUNK):
+        chunk = values[: numel - start]
+        rng.standard_normal(out=chunk)
+        chunk *= _VALUE_SCALE
+        if gaussian:
+            drawn = noise[: chunk.size]
+            noise_rng.standard_normal(out=drawn)
+            drawn *= applied.magnitude
+            chunk += drawn
+        elif applied is not None:
+            chunk += applied.magnitude
+        tensor_math.encode(chunk, dtype, out=target[start * width : (start + chunk.size) * width])
 
 
 def _shift_bound(dtype: DType, magnitude: float) -> float:
@@ -342,18 +342,16 @@ def _emit_checkpoint(
                     applied = pert
                     matched.add(i)
                     break  # first matching perturbation wins
-            yield info, group, applied, np.empty(info.numel)
+            yield info, group, applied, bytearray(info.nbytes)
 
     def draw(job):
-        info, group, applied, values = job
-        _draw(spec.seed, info.name, values, applied)
-        return info, group, applied, values
+        info, _, applied, data = job
+        _draw(spec.seed, info.name, info.dtype, data, applied)
+        return job
 
     def stream(drawn):
-        for info, group, applied, values in drawn:
+        for info, group, applied, data in drawn:
             name, dtype, numel = info.name, info.dtype, info.numel
-            data = tensor_math.encode(values, dtype)
-            del values  # freed before the writer runs
             if is_base:
                 cat = classify(name)
                 manifest.append(
@@ -394,7 +392,7 @@ def _emit_checkpoint(
 
     # closing() stops the pool before an error leaves this function.
     with closing(_ordered_parallel(
-        jobs(), draw, _workers(), inline=lambda job: job[3].size < _RUN_TENSOR_ELEMS
+        jobs(), draw, _workers(), inline=lambda job: job[0].numel < _RUN_TENSOR_ELEMS
     )) as drawn:
         index = write_checkpoint(
             stream(drawn), path, base=infos, sidecars={sidecar: render},

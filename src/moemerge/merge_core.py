@@ -8,26 +8,26 @@ parent, and at most ``_RUN_ELEMS`` elements in all; every other tensor is
 a run of one. A run costs one read per parent, however many tensors it
 holds, and stays within one block of ``BLOCK_ELEMS``.
 
-One function, ``_walk``, takes a task's bytes block by block in every
-pass: it decodes each block once per parent, diffs the segments of each
-tensor not yet decided, gates a tensor after its last block, and
-combines and encodes the merged tensors' segments at their own offsets.
-``compute_diffs`` only diffs. A recipe merge gates the subset before it
-reads anything: a tensor outside it joins no run, is never read, and
-goes to the writer as the base tensor's byte range, copied file to file
-without entering Python. Every other tensor is diffed, gated and, within
-one block, combined in one walk; a copy below the threshold hands on the
-base bytes the task read, and a merged tensor of several blocks, gated
-after its earlier blocks are gone, is decoded again by a second walk.
-Its plan comes out of the same pass as an audit record. A reviewed plan
-skips the diff: a copy is a byte range in the same way, and a run of
-merges is one walk. Every merge weighs the parents by the config's one
-weight vector. The functions that read weights check the parents'
-compatibility once, up front. The gate, the configs, plans and diff
-caches live in ``planning``, which needs no numpy. This module loads
-numpy and the ``tensor_math`` kernels only when a pass decodes, so a
-reviewed copy-only plan, or a recipe merge whose subset selects
-nothing, runs without them.
+One function, ``_walk``, reads a task's bytes block by block in every
+pass: it reads and decodes each block once per parent, diffs the
+segments of each tensor not yet decided, gates a tensor after its last
+block, and combines and encodes the merged tensors' segments at their
+own offsets. ``compute_diffs`` only diffs. A recipe merge gates the
+subset before it reads anything: a tensor outside it joins no run, is
+never read, and goes to the writer as the base tensor's byte range,
+copied file to file without entering Python. Every other tensor is
+diffed, gated and, within one block, combined in one walk; a copy below
+the threshold is the base tensor's byte range too, and a merged tensor
+of several blocks, gated after its earlier blocks are gone, is read and
+decoded again by a second walk. Its plan comes out of the same pass as
+an audit record. A reviewed plan skips the diff: a copy is a byte range
+in the same way, and a run of merges is one walk. Every merge weighs the
+parents by the config's one weight vector. The functions that read
+weights check the parents' compatibility once, up front. The gate, the
+configs, plans and diff caches live in ``planning``, which needs no
+numpy. This module loads numpy and the ``tensor_math`` kernels only when
+a pass decodes, so a reviewed copy-only plan, or a recipe merge whose
+subset selects nothing, runs without them.
 
 A pass opens one read-only descriptor per shard of each parent and closes
 them all when it ends. Tasks run on a worker pool whose window of
@@ -37,9 +37,12 @@ count. The pool is started only with more than one worker. Each thread
 that decodes owns one ``tensor_math.Scratch``, made on its first such
 task of the pass: P + 1 float64 buffers of ``BLOCK_ELEMS`` for P parents
 and a float32 and a uint32 one, (2P + 4) MiB, 8 MiB with two parents.
-Decode, diff, combine and encode write into it, so a task allocates no
-block-sized float arrays; it holds its parents' raw bytes and its output
-bytes.
+Beside it the thread owns one byte buffer per parent, sized to the
+largest block it has read, at most 2 MiB (an F64 block). Each block is
+read into those with ``read_tensor_raw(..., into=)``, and decode, diff,
+combine and encode write into the scratch, so a task allocates neither
+its parents' bytes nor block-sized float arrays; it holds only the
+output bytes of what it merges.
 """
 
 from __future__ import annotations
@@ -279,7 +282,7 @@ def _runs(
 
 
 def _walk(
-    raws: Sequence[bytes],
+    read: Callable[[int, int], list[memoryview]],
     infos: Sequence[TensorInfo],
     decisions: list[MergeDecision | None],
     scratch: Scratch,
@@ -288,12 +291,14 @@ def _walk(
 ) -> tuple[bytearray | None, dict[int, list[int]]]:
     """One pass over a task's parents, one ``BLOCK_ELEMS`` block at a time.
 
-    Each block is decoded once per parent and cut into its tensors'
-    segments: a run is one block of one segment per tensor, a larger
-    tensor one segment per block. A tensor without a decision is diffed
-    segment by segment, so its record has the bits of the tensor diffed
-    alone (see ``tensor_math``), and once its last block is diffed,
-    ``gate(t, diffs)`` gives ``decisions[t]``. The block's segments of
+    ``read(lo, hi)`` gives bytes ``[lo, hi)`` of the task from every
+    parent, valid until its next call. Each block is read and decoded
+    once per parent and cut into its tensors' segments: a run is one
+    block of one segment per tensor, a larger tensor one segment per
+    block. A tensor without a decision is diffed segment by segment, so
+    its record has the bits of the tensor diffed alone (see
+    ``tensor_math``), and once its last block is diffed, ``gate(t,
+    diffs)`` gives ``decisions[t]``. The block's segments of
     every tensor decided ``merge`` are combined and encoded at their own
     offset in the task's output buffer, made on the first combine. A
     tensor of several blocks gated in this walk is not combined, since
@@ -310,13 +315,12 @@ def _walk(
     starts = [end - numel for end, numel in zip(ends, numels)]
     # A tensor of several blocks gated in this walk has lost its earlier blocks.
     combines = ends[-1] <= BLOCK_ELEMS or None not in decisions
-    partials: list[list[list[float]]] = [[[] for _ in raws[1:]] for _ in infos]
+    partials: list[list[list[float]]] = [[[] for _ in scratch.values[1:]] for _ in infos]
     bad: dict[int, set[int]] = {}
     out = None
-    views = [memoryview(raw) for raw in raws]
     for first in range(0, ends[-1], BLOCK_ELEMS):
         last = min(first + BLOCK_ELEMS, ends[-1])
-        block = [view[first * width:last * width] for view in views]
+        block = read(first * width, last * width)
         values = [decode(raw, dtype, buf, scratch) for raw, buf in zip(block, scratch.values)]
         segments = [  # (tensor, start, end) in block elements
             (t, (lo if lo > first else first) - first, (hi if hi < last else last) - first)
@@ -360,10 +364,7 @@ def _walk(
 
 
 _Outcome = tuple[
-    DiffRecord | None,
-    MergeDecision | None,
-    bytes | bytearray | memoryview | TensorRange | None,
-    list[int],
+    DiffRecord | None, MergeDecision | None, memoryview | TensorRange | None, list[int]
 ]
 
 
@@ -379,18 +380,18 @@ def _tensor_task(
     ``handles`` holds the pass's open shards, one map per model.
     ``planned`` holds the decisions made before any read: every decision
     of a reviewed plan, or the fused pass's copies of tensors outside the
-    subset. A planned copy reads nothing and yields the base tensor's
-    range; a planned run of merges reads every parent once and is walked
-    once. Otherwise each parent's run is read once and walked with a gate
-    that records each tensor's diff, classified by ``categories``; without
-    a config the task stops there, with one the gate decides each tensor,
-    the walk combines what it can, and a merged tensor of several blocks
-    is combined by a second walk. Copies below the threshold are slices
-    of the base bytes already read. Returns one (record, decision, output
-    bytes or range, non-finite parents) per tensor of the run. The
-    kernels are loaded unless every tensor is a planned copy; each thread
-    that decodes makes its own scratch on its first such task and reuses
-    it for the rest of the pass.
+    subset. A planned run of merges is walked once. Otherwise the run is
+    walked with a gate that records each tensor's diff, classified by
+    ``categories``; without a config the task stops there, with one the
+    gate decides each tensor, the walk combines what it can, and a merged
+    tensor of several blocks is combined by a second walk, which reads it
+    again. Every copy, planned or below the threshold, yields the base
+    tensor's range. Returns one (record, decision, output bytes or range,
+    non-finite parents) per tensor of the run. The kernels are loaded
+    unless every tensor is a planned copy. Each thread that decodes makes
+    its own scratch on its first such task, and reads each block into
+    one byte buffer per parent, sized to the largest block it has read;
+    it keeps both for the rest of the pass.
     """
     base = models[0]
     planned = planned or {}
@@ -404,17 +405,20 @@ def _tensor_task(
             local.scratch = Scratch(len(models))
         return local.scratch
 
-    def read(run: Sequence[str]) -> list[bytes]:
+    def read(run: Sequence[str], lo: int, hi: int) -> list[memoryview]:
+        raws = getattr(local, "raws", None)
+        if raws is None or len(raws[0]) < hi - lo:
+            local.raws = raws = [bytearray(hi - lo) for _ in models]
         return [
-            read_tensor_raw(model, run[0], handles=fds, last=run[-1])
-            for model, fds in zip(models, handles)
+            read_tensor_raw(model, run[0], fds, last=run[-1], start=lo, into=raw[:hi - lo])
+            for model, fds, raw in zip(models, handles, map(memoryview, raws))
         ]
 
     def task(run: Sequence[str]) -> list[_Outcome]:
         infos = [base.tensors[name] for name in run]
         decisions = [planned.get(name) for name in run]
         records: list[DiffRecord | None] = [None] * len(run)
-        raws, out, bad = None, None, {}
+        out, bad = None, {}
         if decisions[0] is None:
             cats = [categories[name] for name in run]
 
@@ -425,22 +429,17 @@ def _tensor_task(
             if len(models) == 1 or infos[0].numel == 0:
                 decisions = [gate(t, (0.0,) * (len(models) - 1)) for t in range(len(run))]
             else:
-                raws = read(run)
-                out, bad = _walk(raws, infos, decisions, scratch(), lambdas, gate)
+                out, bad = _walk(partial(read, run), infos, decisions, scratch(), lambdas, gate)
             if config is None:
                 return [(record, None, None, []) for record in records]
         if out is None and any(d.action != ACTION_COPY_BASE for d in decisions):
-            raws = raws or read(run)
-            out, bad = _walk(raws, infos, decisions, scratch(), lambdas)
-        held = memoryview(raws[0]) if raws else None
+            out, bad = _walk(partial(read, run), infos, decisions, scratch(), lambdas)
         combined = memoryview(out or b"")  # an empty merged tensor combines nothing
         outcomes: list[_Outcome] = []
-        lo = 0  # byte offset of the tensor in held and combined
+        lo = 0  # byte offset of the tensor in combined
         for t, (name, info, record, decision) in enumerate(zip(run, infos, records, decisions)):
             if decision.action != ACTION_COPY_BASE:
                 data = combined[lo:lo + info.nbytes]
-            elif held is not None:
-                data = held[lo:lo + info.nbytes]
             else:
                 data = tensor_range(base, name, handles=handles[0])
             outcomes.append((record, decision, data, bad.get(t, [])))
@@ -459,9 +458,9 @@ def compute_diffs(
 ) -> list[DiffRecord]:
     """One DiffRecord per base tensor, streamed with bounded memory.
 
-    At most ``2 * workers`` runs are in flight (one with one worker), each
-    holding every parent's raw bytes; each worker thread decodes into its
-    own scratch of a few blocks.
+    At most ``2 * workers`` runs are in flight (one with one worker); each
+    worker thread reads one block per parent at a time and decodes it
+    into its own scratch, so memory does not grow with tensor size.
 
     The parents must share the base's tensor names, shapes and dtypes;
     they are checked before any tensor is read (CompatibilityError with
@@ -522,18 +521,17 @@ def execute_merge(
     decision is then taken as given, so copies read only the base and
     merges are not diffed.
 
-    Merge decisions decode all parents block by block, combine in float64,
-    and re-encode to the original dtype; copy decisions move the base
-    model's raw bytes untouched: the base tensor's byte range, copied file
-    to file by the writer, or in the fused pass, for a copy below the
-    threshold, the bytes already read for the diff. The pass holds one
-    read-only descriptor per shard of each parent and closes them all
-    when it ends. At most ``2 * workers`` runs are in flight (one with one
-    worker); each holds its parents' raw bytes and its output bytes, and
-    each worker thread decodes into its own scratch of a few blocks. The
-    output mirrors the base's shards, tensor order and index, so reruns
-    are byte-identical. ``workers`` below 1 is a ValueError, raised before
-    anything is opened.
+    Merge decisions read and decode all parents block by block, combine
+    in float64, and re-encode to the original dtype; copy decisions move
+    the base model's raw bytes untouched: the base tensor's byte range,
+    copied file to file by the writer. The pass holds one read-only
+    descriptor per shard of each parent and closes them all when it ends.
+    At most ``2 * workers`` runs are in flight (one with one worker); each
+    holds the output bytes of what it merges, and each worker thread reads
+    one block per parent at a time into buffers it owns and decodes it
+    into its own scratch. The output mirrors the base's shards, tensor
+    order and index, so reruns are byte-identical. ``workers`` below 1 is
+    a ValueError, raised before anything is opened.
     """
     start = time.monotonic()
     _check_workers(workers)

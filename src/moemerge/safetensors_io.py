@@ -12,9 +12,9 @@ shards it references.
 
 Reading a tensor touches only that tensor's byte range, so memory stays
 O(tensor), never O(shard). A pass over weights opens one read-only
-descriptor per shard (``shard_handles``) and reads each tensor, or each
-run of adjacent tensors, from it with one positioned read, so threads
-share descriptors without seeking.
+descriptor per shard (``shard_handles``) and reads each run of adjacent
+tensors, or each block of a larger tensor, from it with positioned reads
+into buffers it reuses, so threads share descriptors without seeking.
 There is one header reader (``_read_header``: the length prefix and
 header bytes, read once and hashed), one header scan (``_scan_header``,
 which parses what the reader returns), one shard-list rule
@@ -600,14 +600,20 @@ def read_tensor_raw(
     handles: Mapping[str, int] | None = None,
     *,
     last: str | None = None,
-) -> bytes:
+    start: int = 0,
+    into: bytearray | memoryview | None = None,
+) -> bytes | memoryview:
     """Read exactly one tensor's bytes with a positioned read, never the shard.
 
     ``handles`` maps shard names to the descriptors a pass holds open (see
     ``shard_handles``); without it the shard is opened for this read alone.
     With ``last``, the read spans a run of tensors adjacent in one shard:
-    every byte from ``name``'s first to ``last``'s final one. A shard too
-    short raises FormatError naming the first tensor it cannot supply.
+    every byte from ``name``'s first to ``last``'s final one. With
+    ``into``, a writable buffer, it reads only ``len(into)`` bytes of that
+    span, from ``start`` bytes into it, into ``into``, and returns a
+    memoryview of them: a pass reads a block at a time into buffers it
+    reuses. A shard too short raises FormatError naming the first tensor
+    it cannot supply.
     """
     shard, offset, length = _locate(index, name)
     if last not in (None, name):
@@ -615,23 +621,31 @@ def read_tensor_raw(
         if end_shard is not shard or end_offset < offset:
             raise ValueError(f"tensor {last!r} does not follow {name!r} in one shard")
         length = end_offset + end_length - offset
-    start, end = offset, offset + length
+    span = (offset, offset + length)
+    if into is not None:
+        view = memoryview(into).cast("B")
+        if not 0 <= start <= start + len(view) <= length:
+            raise ValueError(f"{len(view)} bytes from {start} lie outside {name!r}'s {length}")
+        offset, length = offset + start, len(view)
     fd = handles[shard.name] if handles is not None else os.open(shard.path, os.O_RDONLY)
     parts = []
     try:
-        # One pread returns at most about 2 GiB on Linux; it is short
+        # One read returns at most about 2 GiB on Linux; it is short
         # otherwise only at the end of the file.
         while length:
-            part = os.pread(fd, length, offset)
-            if not part:
-                raise _past_end(shard.name, _cut_tensor(index, shard, start, end, offset))
-            parts.append(part)
-            offset += len(part)
-            length -= len(part)
+            if into is None:
+                parts.append(os.pread(fd, length, offset))
+                n = len(parts[-1])
+            else:
+                n = os.preadv(fd, [view[len(view) - length:]], offset)
+            if not n:
+                raise _past_end(shard.name, _cut_tensor(index, shard, *span, offset))
+            offset += n
+            length -= n
     finally:
         if handles is None:
             os.close(fd)
-    return b"".join(parts)
+    return b"".join(parts) if into is None else view
 
 
 # ---------------------------------------------------------------------------

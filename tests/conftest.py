@@ -1,6 +1,8 @@
+import hashlib
 import json
 import struct
 
+import numpy as np
 import pytest
 
 import moemerge as mm
@@ -83,6 +85,27 @@ def build_raw(header_obj, blob=b""):
 def read_values(index, name):
     """One tensor decoded to a flat float64 array."""
     return mm.decode(mm.read_tensor_raw(index, name), index.tensors[name].dtype)
+
+
+def whole_tensor_bytes(spec, name, dtype, numel, applied=None):
+    """A fixture tensor's bytes, drawn, perturbed and encoded as one array.
+
+    The reference for ``fixtures``, which does this a chunk at a time: the
+    values come from a PCG64 stream seeded with the first 8 bytes of
+    sha256("{seed}:{name}"), scaled by 0.05; a shift adds its magnitude, a
+    gaussian plant noise from sha256("{seed}:{name}:perturb") times its
+    magnitude.
+    """
+    def stream(key):
+        seed = int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "little")
+        return np.random.Generator(np.random.PCG64(seed))
+
+    values = stream(f"{spec.seed}:{name}").standard_normal(numel) * 0.05
+    if applied is not None and applied.kind == "shift":
+        values += applied.magnitude
+    elif applied is not None:
+        values += stream(f"{spec.seed}:{name}:perturb").standard_normal(numel) * applied.magnitude
+    return mm.encode(values, dtype)
 
 
 def tree_bytes(root):

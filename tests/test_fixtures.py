@@ -6,11 +6,11 @@ import threading
 import pytest
 
 import moemerge as mm
-from moemerge import fixtures, merge_core
+from moemerge import fixtures
 from moemerge.errors import FixtureError
 from moemerge.fixtures import EXPECTED_DIFFS_NAME, MANIFEST_NAME, iter_tensor_entries
 
-from conftest import TINY_SPEC
+from conftest import TINY_SPEC, whole_tensor_bytes
 
 
 def test_generation_is_deterministic(tmp_path):
@@ -255,6 +255,42 @@ GOLDEN = {
 }
 
 
+# No tensor of GOLDEN's pairs spans more than one draw chunk. Here the F32
+# embedding (520 x 256) spans three, with a gaussian plant; the head spans
+# three unplanted; routed experts (300 x 256 BF16, a chunk and a part)
+# carry a gaussian plant, the shared expert a shift.
+CHUNKED_SPEC = mm.FixtureSpec(
+    layers=2, dense_layers=1, experts=2, vocab=520, hidden=256, intermediate=64,
+    moe_intermediate=300, q_lora_rank=16, kv_lora_rank=16, attn_inner=32,
+    dtypes={"default": "BF16", "embedding_norm_head": "F32"}, seed=3,
+    max_shard_bytes=1 << 20,
+)
+CHUNKED_PERTS = (
+    mm.PerturbationSpec("name:model.embed_tokens.weight", "gaussian", 0.02),
+    mm.PerturbationSpec("routed_expert_mlp", "gaussian", 0.01),
+    mm.PerturbationSpec("shared_expert_mlp", "shift", 0.003),
+    mm.PerturbationSpec("attention", "shift", 0.002),
+)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_chunked_generation_equals_whole_tensor_draws(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(fixtures, "_workers", lambda: workers)
+    base, _ = mm.generate_base(CHUNKED_SPEC, tmp_path / "base")
+    variant, _ = mm.generate_variant(CHUNKED_SPEC, CHUNKED_PERTS, tmp_path / "variant")
+    crossing = set()
+    for name, group, _ in iter_tensor_entries(CHUNKED_SPEC):
+        info = base.tensors[name]
+        applied = next((p for p in CHUNKED_PERTS if p.matches(name, group)), None)
+        want = whole_tensor_bytes(CHUNKED_SPEC, name, info.dtype, info.numel)
+        assert mm.read_tensor_raw(base, name) == want, name
+        want = whole_tensor_bytes(CHUNKED_SPEC, name, info.dtype, info.numel, applied)
+        assert mm.read_tensor_raw(variant, name) == want, name
+        if info.numel > fixtures._CHUNK:
+            crossing.add((info.dtype.code, applied and applied.kind))
+    assert crossing == {("F32", "gaussian"), ("F32", None), ("BF16", "gaussian"), ("BF16", "shift")}
+
+
 def digests(root):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.iterdir())}
 
@@ -289,21 +325,22 @@ def test_unmatched_selector_writes_nothing_and_stops_the_pool(tmp_path, monkeypa
 
 def test_an_error_mid_stream_writes_nothing_and_stops_the_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(fixtures, "_workers", lambda: 3)
-    real, seen = fixtures.tensor_math.encode, []
+    real, seen = fixtures._draw, []
 
-    def encode(values, dtype):
-        seen.append(values.size)
-        if values.size >= merge_core._RUN_TENSOR_ELEMS and len(seen) > 3:
-            assert pool_threads() - before, "the pool never started"
-            raise OSError("disk full")
-        return real(values, dtype)
+    def draw(seed, name, dtype, out, applied=None):
+        if threading.current_thread() in pool_threads():  # a worker-drawn tensor
+            seen.append(name)
+            if len(seen) > 2:
+                raise OSError("disk full")
+        real(seed, name, dtype, out, applied)
 
     before = pool_threads()
-    monkeypatch.setattr(fixtures.tensor_math, "encode", encode)
+    monkeypatch.setattr(fixtures, "_draw", draw)
     # The traceback is held, so only an explicit stop, not garbage
     # collection of the frames, can have ended the pool.
     with pytest.raises(OSError, match="disk full") as error:
         mm.generate_base(MIXED_SPEC, tmp_path / "base")
+    assert len(seen) > 2, "the pool never failed"
     assert list(tmp_path.iterdir()) == []
     assert pool_threads() == before
     assert error.traceback

@@ -749,16 +749,18 @@ def count_calls(monkeypatch, name):
 
 def count_tensor_reads(monkeypatch):
     """Count, per (checkpoint root, tensor name), how often a read covers the
-    tensor's bytes; a read of a run covers every tensor from its first to
-    its ``last``. Also returns the list of reads."""
+    tensor's first byte; a read of a run covers every tensor from its first
+    to its ``last``, a block read those that start in the block. Also
+    returns the list of reads."""
     covered, reads = Counter(), []
     real = merge_core.read_tensor_raw
 
-    def wrapper(index, name, handles=None, *, last=None):
-        data = real(index, name, handles, last=last)
+    def wrapper(index, name, handles=None, *, last=None, start=0, into=None):
+        data = real(index, name, handles, last=last, start=start, into=into)
         first, end = index.tensors[name], index.tensors[last or name]
-        lo, hi = first.data_offsets[0], end.data_offsets[1]
-        assert len(data) == hi - lo
+        lo = first.data_offsets[0] + start
+        hi = lo + len(data)
+        assert hi <= end.data_offsets[1]
         reads.append((index.root, name))
         for info in index.tensors.values():
             if info.shard == first.shard and lo <= info.data_offsets[0] < hi:

@@ -16,7 +16,15 @@ from moemerge.cli import main
 from moemerge.errors import FormatError
 from moemerge.safetensors_io import _place, header_fingerprint
 
-from conftest import TINY_SPEC, build_raw, build_safetensors, hidden_siblings, read_values, tree_bytes
+from conftest import (
+    TINY_SPEC,
+    build_raw,
+    build_safetensors,
+    hidden_siblings,
+    read_values,
+    tree_bytes,
+    whole_tensor_bytes,
+)
 from test_fuzz_headers import definitely_malformed_cases, valid_bytes
 
 
@@ -202,15 +210,9 @@ def test_read_tensor_bf16_one(tmp_path):
 
 def test_read_tensor_matches_generator_values(tiny_base):
     index, _ = tiny_base
-    from moemerge.fixtures import _base_values
-    from moemerge import tensor_math
-
     for name in list(index.tensors)[:5]:
         info = index.tensors[name]
-        want = tensor_math.decode(
-            tensor_math.encode(_base_values(TINY_SPEC, name, info.numel), info.dtype),
-            info.dtype,
-        )
+        want = mm.decode(whole_tensor_bytes(TINY_SPEC, name, info.dtype, info.numel), info.dtype)
         got = read_values(index, name)
         assert np.array_equal(got, want)
 
@@ -231,9 +233,18 @@ def test_read_a_run_of_adjacent_tensors(tmp_path):
     assert mm.read_tensor_raw(index, "b", last="b") == f32(3.0)
     with pytest.raises(ValueError, match="does not follow"):
         mm.read_tensor_raw(index, "b", last="a")
+    # a block of the span, read into a buffer the caller owns
+    buf = bytearray(12)
+    got = mm.read_tensor_raw(index, "a", last="c", start=4, into=memoryview(buf)[:8])
+    assert got == f32(2.0, 3.0) and buf[:8] == f32(2.0, 3.0)
+    assert mm.read_tensor_raw(index, "c", start=8, into=buf[:4]) == f32(6.0)
+    with pytest.raises(ValueError, match="lie outside"):
+        mm.read_tensor_raw(index, "a", last="b", start=8, into=buf[:8])
     p.write_bytes(p.read_bytes()[:-5])  # cut inside "c"
     with pytest.raises(FormatError, match="m.safetensors: tensor 'c' byte range ends past"):
         mm.read_tensor_raw(index, "a", last="c")
+    with pytest.raises(FormatError, match="m.safetensors: tensor 'c' byte range ends past"):
+        mm.read_tensor_raw(index, "a", last="c", start=16, into=buf[:8])
 
 
 def test_read_tensor_memory_is_tensor_sized(tmp_path):
